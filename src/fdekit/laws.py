@@ -21,25 +21,11 @@ from .bd import FREE_CELLS, SR_BITS, VALUES, count_strongly_regular, sr_decode
 from .bd import _classical, _nonclassical, _sr_designated  # family cell shapes
 from .errors import SignatureMismatchError, UnknownNameError
 from .matrix import Matrix, equivalent
-from .syntax import App, Formula, Var, neg, variables
+from .syntax import BOT, TOP, Formula, Var, conj, disj, impl, neg, variables
 
 _A = Var("A")
 _A1 = Var("A1")
 _A2 = Var("A2")
-_BOT = App("bot", ())
-_TOP = neg(_BOT)
-
-
-def _and(x, y):
-    return App("and", (x, y))
-
-
-def _or(x, y):
-    return App("or", (x, y))
-
-
-def _impl(x, y):
-    return App("impl", (x, y))
 
 
 @dataclass(frozen=True)
@@ -50,21 +36,21 @@ class Law:
 
 
 TABLE2_LAWS: tuple[Law, ...] = (
-    Law("and-false", _and(_A, _BOT), _BOT),
-    Law("and-true", _and(_A, _TOP), _A),
-    Law("and-idempotent", _and(_A, _A), _A),
-    Law("and-commutative", _and(_A1, _A2), _and(_A2, _A1)),
-    Law("de-morgan-and", neg(_and(_A1, _A2)), _or(neg(_A1), neg(_A2))),
+    Law("and-false", conj(_A, BOT), BOT),
+    Law("and-true", conj(_A, TOP), _A),
+    Law("and-idempotent", conj(_A, _A), _A),
+    Law("and-commutative", conj(_A1, _A2), conj(_A2, _A1)),
+    Law("de-morgan-and", neg(conj(_A1, _A2)), disj(neg(_A1), neg(_A2))),
     Law("double-negation", neg(neg(_A)), _A),
     Law("contradiction-implies",
-        _impl(_and(_A1, _impl(_A1, _BOT)), _A2), _TOP),
-    Law("or-true", _or(_A, _TOP), _TOP),
-    Law("or-false", _or(_A, _BOT), _A),
-    Law("or-idempotent", _or(_A, _A), _A),
-    Law("or-commutative", _or(_A1, _A2), _or(_A2, _A1)),
-    Law("de-morgan-or", neg(_or(_A1, _A2)), _and(neg(_A1), neg(_A2))),
+        impl(conj(_A1, impl(_A1, BOT)), _A2), TOP),
+    Law("or-true", disj(_A, TOP), TOP),
+    Law("or-false", disj(_A, BOT), _A),
+    Law("or-idempotent", disj(_A, _A), _A),
+    Law("or-commutative", disj(_A1, _A2), disj(_A2, _A1)),
+    Law("de-morgan-or", neg(disj(_A1, _A2)), conj(neg(_A1), neg(_A2))),
     Law("excluded-middle-implies",
-        _impl(_or(_A1, _impl(_A1, _BOT)), _A2), _A2),
+        impl(disj(_A1, impl(_A1, BOT)), _A2), _A2),
 )
 
 # Classical laws from which the two implication laws of the table above
@@ -73,11 +59,11 @@ TABLE2_LAWS: tuple[Law, ...] = (
 # well, since bot -> A evaluates to t everywhere and ~bot -> A evaluates
 # to A everywhere.
 CLASSICAL_ONLY_LAWS: tuple[Law, ...] = (
-    Law("neg-as-impl", neg(_A), _impl(_A, _BOT)),
-    Law("and-contradiction", _and(_A, neg(_A)), _BOT),
-    Law("or-excluded-middle", _or(_A, neg(_A)), _TOP),
-    Law("false-implies", _impl(_BOT, _A), _TOP),
-    Law("true-implies", _impl(_TOP, _A), _A),
+    Law("neg-as-impl", neg(_A), impl(_A, BOT)),
+    Law("and-contradiction", conj(_A, neg(_A)), BOT),
+    Law("or-excluded-middle", disj(_A, neg(_A)), TOP),
+    Law("false-implies", impl(BOT, _A), TOP),
+    Law("true-implies", impl(TOP, _A), _A),
 )
 
 FAILING_CLASSICAL_LAWS: tuple[Law, ...] = CLASSICAL_ONLY_LAWS[:3]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (

@@ -3,36 +3,85 @@ two-rule classical extension, a derivation checker, and cut-free backward
 proof search.
 
 Sequents are pairs of finite formula sets over {not, and, or, impl, bot}.
-Backward search keeps the principal formula in the context, so premises
-only ever grow within the subformula-and-single-negation closure of the
-goal; termination follows without any depth bound.  The checker also
-accepts derivations that drop the principal formula, and accepts Cut.
+One table, `RULES`, defines the logical rules for search, checking and
+`derived-rule` alike.  Backward search keeps the principal formula in the
+context, so premises only ever grow within the subformula-and-single-negation
+closure of the goal; termination follows without any depth bound.  The
+checker also accepts derivations that drop the principal formula, and
+accepts Cut.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from itertools import chain
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from .errors import UnknownNameError
-from .syntax import App, Formula, Var, formula_key, neg, print_formula
+from .errors import FdekitError, UnknownNameError
+from .syntax import (
+    BOT, TOP, App, Formula, Var, formula_key, neg, print_formula)
 
 BD = "BD"
 CL = "CL"
 
-RULE_IDS = (
-    "Id", "Cut",
-    "and-L", "and-R", "or-L", "or-R", "impl-L", "impl-R",
-    "bot-L", "not-bot-R",
-    "not-not-L", "not-not-R", "not-and-L", "not-and-R",
-    "not-or-L", "not-or-R", "not-impl-L", "not-impl-R",
-    "not-L", "not-R",
-)
+LEFT = "left"
+RIGHT = "right"
+
+
+class Rule(NamedTuple):
+    side: str        # where the principal formula sits
+    conn: str        # its connective ...
+    negated: bool    # ... read under a negation when True
+    # the connective's arguments -> ((left additions, right additions), ...),
+    # one pair per premise
+    premises: Callable[..., tuple]
+
+
+RULES: dict[str, Rule] = {
+    "and-L": Rule(LEFT, "and", False, lambda a, b: (((a, b), ()),)),
+    "and-R": Rule(RIGHT, "and", False,
+                  lambda a, b: (((), (a,)), ((), (b,)))),
+    "or-L": Rule(LEFT, "or", False, lambda a, b: (((a,), ()), ((b,), ()))),
+    "or-R": Rule(RIGHT, "or", False, lambda a, b: (((), (a, b)),)),
+    "impl-L": Rule(LEFT, "impl", False,
+                   lambda a, b: (((), (a,)), ((b,), ()))),
+    "impl-R": Rule(RIGHT, "impl", False, lambda a, b: (((a,), (b,)),)),
+    "not-not-L": Rule(LEFT, "not", True, lambda a: (((a,), ()),)),
+    "not-not-R": Rule(RIGHT, "not", True, lambda a: (((), (a,)),)),
+    "not-and-L": Rule(LEFT, "and", True,
+                      lambda a, b: (((neg(a),), ()), ((neg(b),), ()))),
+    "not-and-R": Rule(RIGHT, "and", True,
+                      lambda a, b: (((), (neg(a), neg(b))),)),
+    "not-or-L": Rule(LEFT, "or", True,
+                     lambda a, b: (((neg(a), neg(b)), ()),)),
+    "not-or-R": Rule(RIGHT, "or", True,
+                     lambda a, b: (((), (neg(a),)), ((), (neg(b),)))),
+    "not-impl-L": Rule(LEFT, "impl", True,
+                       lambda a, b: (((a, neg(b)), ()),)),
+    "not-impl-R": Rule(RIGHT, "impl", True,
+                       lambda a, b: (((), (a,)), ((), (neg(b),)))),
+    "not-L": Rule(LEFT, "not", False, lambda a: (((), (a,)),)),
+    "not-R": Rule(RIGHT, "not", False, lambda a: (((a,), ()),)),
+}
 
 CLASSICAL_ONLY_RULES = ("not-L", "not-R")
 
-_BOT = App("bot", ())
-_NOT_BOT = App("not", (_BOT,))
+RULE_IDS = ("Id", "Cut", "bot-L", "not-bot-R", *RULES)
+
+
+# system -> side -> (connective, negated) -> (rule, premises, classical-only)
+_SEARCH: dict = {BD: {LEFT: {}, RIGHT: {}}, CL: {LEFT: {}, RIGHT: {}}}
+for _name, _rule in RULES.items():
+    _classical = _name in CLASSICAL_ONLY_RULES
+    for _system in (CL,) if _classical else (BD, CL):
+        _SEARCH[_system][_rule.side][_rule.conn, _rule.negated] = (
+            _name, _rule.premises, _classical)
+
+
+def _principal(rule: Rule, args: tuple) -> App:
+    """The rule's principal formula over the connective's arguments."""
+    f = App(rule.conn, args)
+    return neg(f) if rule.negated else f
 
 
 @dataclass(frozen=True)
@@ -64,101 +113,45 @@ class Derivation:
     premises: tuple["Derivation", ...] = field(default=())
 
 
-def _match(f: Formula, conn: str) -> Optional[tuple]:
-    if isinstance(f, App) and f.conn == conn:
-        return f.args
-    return None
-
-
-def _neg_match(f: Formula, conn: str) -> Optional[tuple]:
-    inner = _match(f, "not")
-    if inner is not None:
-        return _match(inner[0], conn)
-    return None
-
-
 def _axiom(seq: Sequent, system: str) -> Optional[Derivation]:
     common = seq.left & seq.right
     if common:
         principal = min(common, key=formula_key)
         return Derivation(seq, "Id", principal)
-    if _BOT in seq.left:
+    if BOT in seq.left:
         return Derivation(seq, "bot-L")
-    if _NOT_BOT in seq.right:
+    if TOP in seq.right:
         return Derivation(seq, "not-bot-R")
     return None
 
 
-def _applications(seq: Sequent, system: str) -> Iterator[tuple]:
+def _applications(seq: Sequent, system: str) -> list[tuple]:
     """Backward rule applications (rule, principal, premises), keeping the
-    principal in the context; single-premise rules first."""
-    left = sorted(seq.left, key=formula_key)
-    right = sorted(seq.right, key=formula_key)
+    principal in the context; single-premise rules first, then two-premise
+    rules, then not-L/not-R, each group left side first in formula order.
+    not-L/not-R apply to every negation, including ones the negation-prefixed
+    rules also handle; tried last, they only matter when those rules are
+    unavailable (restricted searches) or fail."""
     l, r = seq.left, seq.right
-
-    def s(new_left=None, new_right=None):
-        return Sequent(
-            l | frozenset(new_left or ()), r | frozenset(new_right or ()))
-
-    single: list[tuple] = []
-    double: list[tuple] = []
-    for p in left:
-        if (args := _match(p, "and")) is not None:
-            single.append(("and-L", p, (s(new_left=args),)))
-        elif (args := _match(p, "or")) is not None:
-            double.append(("or-L", p,
-                           (s(new_left=(args[0],)), s(new_left=(args[1],)))))
-        elif (args := _match(p, "impl")) is not None:
-            double.append(("impl-L", p,
-                           (s(new_right=(args[0],)), s(new_left=(args[1],)))))
-        elif (args := _neg_match(p, "not")) is not None:
-            single.append(("not-not-L", p, (s(new_left=args),)))
-        elif (args := _neg_match(p, "and")) is not None:
-            double.append(("not-and-L", p,
-                           (s(new_left=(neg(args[0]),)),
-                            s(new_left=(neg(args[1]),)))))
-        elif (args := _neg_match(p, "or")) is not None:
-            single.append(("not-or-L", p,
-                           (s(new_left=(neg(args[0]), neg(args[1]))),)))
-        elif (args := _neg_match(p, "impl")) is not None:
-            single.append(("not-impl-L", p,
-                           (s(new_left=(args[0], neg(args[1]))),)))
-    for p in right:
-        if (args := _match(p, "and")) is not None:
-            double.append(("and-R", p,
-                           (s(new_right=(args[0],)), s(new_right=(args[1],)))))
-        elif (args := _match(p, "or")) is not None:
-            single.append(("or-R", p, (s(new_right=args),)))
-        elif (args := _match(p, "impl")) is not None:
-            single.append(("impl-R", p,
-                           (s(new_left=(args[0],), new_right=(args[1],)),)))
-        elif (args := _neg_match(p, "not")) is not None:
-            single.append(("not-not-R", p, (s(new_right=args),)))
-        elif (args := _neg_match(p, "and")) is not None:
-            single.append(("not-and-R", p,
-                           (s(new_right=(neg(args[0]), neg(args[1]))),)))
-        elif (args := _neg_match(p, "or")) is not None:
-            double.append(("not-or-R", p,
-                           (s(new_right=(neg(args[0]),)),
-                            s(new_right=(neg(args[1]),)))))
-        elif (args := _neg_match(p, "impl")) is not None:
-            double.append(("not-impl-R", p,
-                           (s(new_right=(args[0],)),
-                            s(new_right=(neg(args[1]),)))))
-    classical: list[tuple] = []
-    if system == CL:
-        # applicable to every negation, including ones the negation-prefixed
-        # rules also handle; tried last so they only matter when those rules
-        # are unavailable (restricted searches) or fail
-        for p in left:
-            if (args := _match(p, "not")) is not None:
-                classical.append(("not-L", p, (s(new_right=args),)))
-        for p in right:
-            if (args := _match(p, "not")) is not None:
-                classical.append(("not-R", p, (s(new_left=args),)))
-    yield from single
-    yield from double
-    yield from classical
+    groups: tuple[list, list, list] = ([], [], [])
+    for side, formulas in ((LEFT, l), (RIGHT, r)):
+        index = _SEARCH[system][side]
+        for p in sorted(formulas, key=formula_key):
+            if isinstance(p, Var):
+                continue
+            shapes = [(p.conn, False, p.args)]
+            if p.conn == "not" and isinstance(p.args[0], App):
+                shapes.append((p.args[0].conn, True, p.args[0].args))
+            for conn, negated, args in shapes:
+                hit = index.get((conn, negated))
+                if hit is not None:
+                    rule, additions, classical = hit
+                    premises = tuple([
+                        Sequent(l | frozenset(ladd), r | frozenset(radd))
+                        for ladd, radd in additions(*args)])
+                    groups[2 if classical else len(premises) - 1].append(
+                        (rule, p, premises))
+    return groups[0] + groups[1] + groups[2]
 
 
 class Prover:
@@ -202,25 +195,23 @@ class Prover:
             if premises:
                 yield ("Axiom", None, premises)
 
+    def _moves(self, seq: Sequent) -> Iterator[tuple]:
+        """Enabled backward steps (rule, principal, premises) whose premises
+        all differ from the goal, in search order."""
+        for move in chain(_applications(seq, self.system),
+                          self._axiom_cuts(seq)):
+            if (move[0] == "Axiom" or self._enabled(move[0])) \
+                    and seq not in move[2]:
+                yield move
+
     def provable(self, seq: Sequent) -> bool:
         key = seq.key()
         hit = self.memo.get(key)
         if hit is not None:
             return hit
-        if self._closes(seq) is not None:
-            self.memo[key] = True
-            return True
-        result = False
-        apps = list(_applications(seq, self.system))
-        apps.extend(self._axiom_cuts(seq))
-        for rule, _principal, premises in apps:
-            if not self._enabled(rule) and rule != "Axiom":
-                continue
-            if any(p == seq for p in premises):
-                continue
-            if all(self.provable(p) for p in premises):
-                result = True
-                break
+        result = self._closes(seq) is not None or any(
+            all(self.provable(p) for p in premises)
+            for _rule, _principal, premises in self._moves(seq))
         self.memo[key] = result
         return result
 
@@ -230,13 +221,7 @@ class Prover:
         d = self._closes(seq)
         if d is not None:
             return d
-        apps = list(_applications(seq, self.system))
-        apps.extend(self._axiom_cuts(seq))
-        for rule, principal, premises in apps:
-            if not self._enabled(rule) and rule != "Axiom":
-                continue
-            if any(p == seq for p in premises):
-                continue
+        for rule, principal, premises in self._moves(seq):
             if all(self.provable(p) for p in premises):
                 return Derivation(
                     seq, rule, principal,
@@ -252,62 +237,6 @@ def prove(seq: Sequent, system: str) -> Optional[Derivation]:
 # ---------------------------------------------------------------------------
 # Derivation checking
 
-def _rule_spec(rule: str, principal: Formula):
-    """Per-premise additions (left-adds, right-adds) for a logical rule."""
-    args = principal.args if isinstance(principal, App) else ()
-    inner = args[0].args if args and isinstance(args[0], App) else ()
-    if rule == "and-L":
-        return "left", [(tuple(args), ())]
-    if rule == "and-R":
-        return "right", [((), (args[0],)), ((), (args[1],))]
-    if rule == "or-L":
-        return "left", [((args[0],), ()), ((args[1],), ())]
-    if rule == "or-R":
-        return "right", [((), tuple(args))]
-    if rule == "impl-L":
-        return "left", [((), (args[0],)), ((args[1],), ())]
-    if rule == "impl-R":
-        return "right", [((args[0],), (args[1],))]
-    if rule == "not-not-L":
-        return "left", [(tuple(inner), ())]
-    if rule == "not-not-R":
-        return "right", [((), tuple(inner))]
-    if rule == "not-and-L":
-        return "left", [((neg(inner[0]),), ()), ((neg(inner[1]),), ())]
-    if rule == "not-and-R":
-        return "right", [((), (neg(inner[0]), neg(inner[1])))]
-    if rule == "not-or-L":
-        return "left", [((neg(inner[0]), neg(inner[1])), ())]
-    if rule == "not-or-R":
-        return "right", [((), (neg(inner[0]),)), ((), (neg(inner[1]),))]
-    if rule == "not-impl-L":
-        return "left", [((inner[0], neg(inner[1])), ())]
-    if rule == "not-impl-R":
-        return "right", [((), (inner[0],)), ((), (neg(inner[1]),))]
-    if rule == "not-L":
-        return "left", [((), tuple(args))]
-    if rule == "not-R":
-        return "right", [(tuple(args), ())]
-    raise UnknownNameError(f"unknown rule {rule!r}")
-
-
-def _shape_ok(rule: str, principal: Formula) -> bool:
-    checks = {
-        "and-L": ("and", False), "and-R": ("and", False),
-        "or-L": ("or", False), "or-R": ("or", False),
-        "impl-L": ("impl", False), "impl-R": ("impl", False),
-        "not-not-L": ("not", True), "not-not-R": ("not", True),
-        "not-and-L": ("and", True), "not-and-R": ("and", True),
-        "not-or-L": ("or", True), "not-or-R": ("or", True),
-        "not-impl-L": ("impl", True), "not-impl-R": ("impl", True),
-        "not-L": ("not", False), "not-R": ("not", False),
-    }
-    conn, negated = checks[rule]
-    if negated:
-        return _neg_match(principal, conn) is not None
-    return _match(principal, conn) is not None
-
-
 def _check_node(d: Derivation, system: str) -> bool:
     seq, rule, p = d.conclusion, d.rule, d.principal
     if rule in CLASSICAL_ONLY_RULES and system != CL:
@@ -317,9 +246,9 @@ def _check_node(d: Derivation, system: str) -> bool:
             else bool(seq.left & seq.right)
         return ok and not d.premises
     if rule == "bot-L":
-        return _BOT in seq.left and not d.premises
+        return BOT in seq.left and not d.premises
     if rule == "not-bot-R":
-        return _NOT_BOT in seq.right and not d.premises
+        return TOP in seq.right and not d.premises
     if rule == "Cut":
         if p is None or len(d.premises) != 2:
             return False
@@ -331,25 +260,23 @@ def _check_node(d: Derivation, system: str) -> bool:
         right_ok = seq.right in (
             p1.right | p2.right, (p1.right - {p}) | p2.right)
         return left_ok and right_ok
-    if rule not in RULE_IDS:
+    spec = RULES.get(rule)
+    if spec is None or not isinstance(p, App):
         return False
-    if p is None or not _shape_ok(rule, p):
+    inner = p.args[0] if spec.negated and p.args else p
+    args = inner.args if isinstance(inner, App) else ()
+    if _principal(spec, args) != p \
+            or p not in (seq.left if spec.side == LEFT else seq.right):
         return False
-    side, premise_adds = _rule_spec(rule, p)
-    if side == "left" and p not in seq.left:
-        return False
-    if side == "right" and p not in seq.right:
-        return False
+    premise_adds = spec.premises(*args)
     if len(d.premises) != len(premise_adds):
         return False
     for sub, (ladd, radd) in zip(d.premises, premise_adds):
+        # no rule adds its own principal, so dropping it after the
+        # additions is the same as dropping it before
         keep = Sequent(seq.left | frozenset(ladd), seq.right | frozenset(radd))
-        if side == "left":
-            drop = Sequent((seq.left - {p}) | frozenset(ladd),
-                           seq.right | frozenset(radd))
-        else:
-            drop = Sequent(seq.left | frozenset(ladd),
-                           (seq.right - {p}) | frozenset(radd))
+        drop = (Sequent(keep.left - {p}, keep.right) if spec.side == LEFT
+                else Sequent(keep.left, keep.right - {p}))
         if sub.conclusion not in (keep, drop):
             return False
     return True
@@ -380,33 +307,16 @@ _A2 = Var("a2")
 
 def _rule_instance(rule: str):
     """Schematic instance (premises, conclusion) with empty contexts."""
-    empty = frozenset()
-
-    def seq(left=(), right=()):
-        return Sequent(frozenset(left), frozenset(right))
-
-    instances = {
-        "not-bot-R": ([], seq(right=[_NOT_BOT])),
-        "not-not-L": ([seq(left=[_A1])], seq(left=[neg(neg(_A1))])),
-        "not-not-R": ([seq(right=[_A1])], seq(right=[neg(neg(_A1))])),
-        "not-and-L": ([seq(left=[neg(_A1)]), seq(left=[neg(_A2)])],
-                      seq(left=[neg(App("and", (_A1, _A2)))])),
-        "not-and-R": ([seq(right=[neg(_A1), neg(_A2)])],
-                      seq(right=[neg(App("and", (_A1, _A2)))])),
-        "not-or-L": ([seq(left=[neg(_A1), neg(_A2)])],
-                     seq(left=[neg(App("or", (_A1, _A2)))])),
-        "not-or-R": ([seq(right=[neg(_A1)]), seq(right=[neg(_A2)])],
-                     seq(right=[neg(App("or", (_A1, _A2)))])),
-        "not-impl-L": ([seq(left=[_A1, neg(_A2)])],
-                       seq(left=[neg(App("impl", (_A1, _A2)))])),
-        "not-impl-R": ([seq(right=[_A1]), seq(right=[neg(_A2)])],
-                       seq(right=[neg(App("impl", (_A1, _A2)))])),
-        "not-L": ([seq(right=[_A1])], seq(left=[neg(_A1)])),
-        "not-R": ([seq(left=[_A1])], seq(right=[neg(_A1)])),
-    }
-    if rule not in instances:
+    if rule == "not-bot-R":
+        return [], Sequent.of([], [TOP])
+    spec = RULES.get(rule)
+    if spec is None or not (spec.negated or spec.conn == "not"):
         raise UnknownNameError(f"rule {rule!r} has no negation prefix")
-    return instances[rule]
+    args = (_A1,) if spec.conn == "not" else (_A1, _A2)
+    principal = _principal(spec, args)
+    premises = [Sequent.of(ladd, radd) for ladd, radd in spec.premises(*args)]
+    sides = ([principal], []) if spec.side == LEFT else ([], [principal])
+    return premises, Sequent.of(*sides)
 
 
 _BASE_RULES = frozenset(
@@ -444,19 +354,35 @@ def derivation_to_json(d: Derivation, system: str) -> dict:
     return {"system": system, **node(d)}
 
 
-def derivation_from_json(data: dict, parse_formula) -> tuple[Derivation, str]:
-    system = data.get("system", BD)
+def derivation_from_json(data, parse_formula) -> tuple[Derivation, str]:
+    """Inverse of `derivation_to_json`; malformed input raises FdekitError."""
+    def need(ok: bool, what: str) -> None:
+        if not ok:
+            raise FdekitError(f"malformed derivation: {what}")
 
-    def node(x: dict) -> Derivation:
-        seq = Sequent(
-            frozenset(parse_formula(s) for s in x["conclusion"]["left"]),
-            frozenset(parse_formula(s) for s in x["conclusion"]["right"]),
-        )
-        principal = x.get("principal")
+    def side(items) -> frozenset:
+        need(isinstance(items, list) and all(isinstance(s, str) for s in items),
+             "each side of a conclusion must be a list of formula strings")
+        return frozenset(parse_formula(s) for s in items)
+
+    def node(x) -> Derivation:
+        need(isinstance(x, dict), "every node must be an object")
+        need(isinstance(x.get("rule"), str)
+             and isinstance(x.get("conclusion"), dict),
+             "every node needs a string 'rule' and an object 'conclusion'")
+        principal, premises = x.get("principal"), x.get("premises", [])
+        need(principal is None or isinstance(principal, str),
+             "'principal' must be a formula string or null")
+        need(isinstance(premises, list), "'premises' must be a list")
         return Derivation(
-            seq, x["rule"],
+            Sequent(side(x["conclusion"].get(LEFT)),
+                    side(x["conclusion"].get(RIGHT))),
+            x["rule"],
             None if principal is None else parse_formula(principal),
-            tuple(node(p) for p in x.get("premises", [])),
+            tuple(node(p) for p in premises),
         )
 
-    return node(data), system
+    d = node(data)
+    system = data.get("system", BD)
+    need(system in (BD, CL), f"unknown proof system {system!r}")
+    return d, system

@@ -85,14 +85,6 @@ Formula = Union[Var, App]
 Substitution = Mapping[str, Formula]
 
 
-def var(name: str) -> Var:
-    return Var(name)
-
-
-def app(conn: str, *args: Formula) -> App:
-    return App(conn, tuple(args))
-
-
 def neg(a: Formula) -> App:
     return App("not", (a,))
 

@@ -113,6 +113,29 @@ class TestProofCommands:
         code, out = run(capsys, "check", str(path))
         assert code == 1 and "INVALID" in out
 
+    @pytest.mark.parametrize("data", [
+        [1],                                           # node not an object
+        {"rule": "Id"},                                # no conclusion
+        {"conclusion": {"left": ["p"], "right": ["p"]}},  # no rule
+        {"rule": "Id", "conclusion": {"left": "p", "right": ["p"]}},
+        {"rule": "Id", "conclusion": {"left": [1], "right": ["p"]}},
+        {"rule": "Id", "conclusion": {"left": ["p"]}},
+        {"rule": "Id", "conclusion": {"left": ["p"], "right": ["p"]},
+         "principal": 3},
+        {"rule": "Id", "conclusion": {"left": ["p"], "right": ["p"]},
+         "premises": {}},
+        {"rule": "and-L", "principal": "p & q",
+         "conclusion": {"left": ["p & q"], "right": ["p"]}, "premises": [1]},
+        {"system": "LP", "rule": "Id", "principal": "p",
+         "conclusion": {"left": ["p"], "right": ["p"]}},
+    ])
+    def test_check_malformed(self, capsys, tmp_path, data):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_derived_rule(self, capsys):
         assert run(capsys, "derived-rule", "not-and-R")[0] == 0
         assert run(capsys, "derived-rule", "--system", "BD", "not-and-R")[0] == 1

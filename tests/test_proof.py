@@ -3,10 +3,14 @@ import itertools
 import pytest
 
 from fdekit import presets
+from fdekit.errors import UnknownNameError
 from fdekit.matrix import consequence
 from fdekit.proof import (
     BD,
     CL,
+    CLASSICAL_ONLY_RULES,
+    LEFT,
+    RULES,
     Derivation,
     Prover,
     Sequent,
@@ -17,7 +21,7 @@ from fdekit.proof import (
     derived_rule_check,
     prove,
 )
-from fdekit.syntax import BOT, Var, conj, disj, impl, neg, parse
+from fdekit.syntax import BOT, App, Var, conj, disj, impl, neg, parse
 
 M = presets.preset("bd-impl-bot")
 MCL = presets.preset("cl-impl-bot")
@@ -146,6 +150,38 @@ class TestChecker:
              Derivation(seq("p |- p"), "Id", p)))
         assert check(good, BD)
 
+    @pytest.mark.parametrize("rule", list(RULES))
+    def test_one_step_per_rule(self, rule):
+        # z, P |- z (or z |- z, P) from premises closed by Id on z
+        spec = RULES[rule]
+        z, a1, a2 = Var("z"), Var("a1"), Var("a2")
+        args = (a1,) if spec.conn == "not" else (a1, a2)
+
+        def principal(conn, args):
+            f = App(conn, args)
+            return neg(f) if spec.negated else f
+
+        def step(p, drop_premise=False):
+            if spec.side == LEFT:
+                conclusion = Sequent.of([z, p], [z])
+            else:
+                conclusion = Sequent.of([z], [z, p])
+            premises = tuple(
+                Derivation(Sequent(conclusion.left | frozenset(ladd),
+                                   conclusion.right | frozenset(radd)),
+                           "Id", z)
+                for ladd, radd in spec.premises(*args))
+            if drop_premise:
+                premises = premises[:-1]
+            return Derivation(conclusion, rule, p, premises)
+
+        good = principal(spec.conn, args)
+        swapped = principal("and" if spec.conn == "or" else "or", (a1, a2))
+        assert check(step(good), CL)
+        assert check(step(good), BD) == (rule not in CLASSICAL_ONLY_RULES)
+        assert not check(step(swapped), CL)
+        assert not check(step(good, drop_premise=True), CL)
+
     def test_axioms(self):
         assert check(Derivation(seq("bot |- q"), "bot-L"), BD)
         assert check(Derivation(seq("p |- ~bot"), "not-bot-R"), BD)
@@ -162,7 +198,7 @@ class TestDerivedRules:
         assert not derived_rule_check(rule, BD)
 
     def test_unknown_rule(self):
-        with pytest.raises(Exception):
+        with pytest.raises(UnknownNameError):
             derived_rule_check("and-L", CL)
 
 
