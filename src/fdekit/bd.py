@@ -9,7 +9,6 @@ family of {not, and, or, impl, bot}-matrices.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -127,37 +126,22 @@ def expand(m: Matrix, *connectives: NamedConnective) -> Matrix:
 SR_SIGNATURE = Signature({"not": 1, "and": 2, "or": 2, "impl": 2, "bot": 0})
 
 
-def _sr_designated(conn: str, args: tuple[str, ...]) -> bool:
-    d = tuple(a in DESIGNATED for a in args)
-    if conn == "not":
-        return args[0] in ("f", "b")
-    if conn == "and":
-        return d[0] and d[1]
-    if conn == "or":
-        return d[0] or d[1]
-    return (not d[0]) or d[1]  # impl
+def _outputs(c: NamedConnective, args: tuple[str, ...]) -> tuple[str, ...]:
+    d = c.table[args] in DESIGNATED
+    classical = "t" if d else "f"
+    if all(a in ("t", "f") for a in args):
+        return (classical,)
+    return classical, "b" if d else "n"
 
 
-def _classical(designated: bool) -> str:
-    return "t" if designated else "f"
-
-
-def _nonclassical(designated: bool) -> str:
-    return "b" if designated else "n"
-
-
-def _free_cells() -> list[tuple[str, tuple[str, ...]]]:
-    cells: list[tuple[str, tuple[str, ...]]] = [("not", ("b",)), ("not", ("n",))]
-    for conn in ("and", "or", "impl"):
-        for a1 in VALUES:
-            for a2 in VALUES:
-                if a1 in ("t", "f") and a2 in ("t", "f"):
-                    continue
-                cells.append((conn, (a1, a2)))
-    return cells
-
-
-FREE_CELLS = _free_cells()
+# Allowed outputs of every table cell of the family: the one value of a
+# forced cell, or (classical, non-classical) for a free cell.  Each output
+# is designated exactly when the implication-falsity expansion's value is.
+CELLS: dict[tuple[str, tuple[str, ...]], tuple[str, ...]] = {
+    (c.name, args): _outputs(c, args)
+    for c in (NOT, AND, OR, IMPL, BOT) for args in c.table
+}
+FREE_CELLS = [cell for cell, outputs in CELLS.items() if len(outputs) == 2]
 SR_BITS = len(FREE_CELLS)  # 38
 
 
@@ -171,32 +155,19 @@ def is_strongly_regular(m: Matrix) -> bool:
         return False
     if set(m.values) != set(VALUES) or m.designated != DESIGNATED:
         return False
-    if m.tables["bot"][()] != "f":
-        return False
-    for conn in ("not", "and", "or", "impl"):
-        k = m.signature.arity(conn)
-        for args in itertools.product(VALUES, repeat=k):
-            out = m.tables[conn][args]
-            if (out in DESIGNATED) != _sr_designated(conn, args):
-                return False
-            if all(a in ("t", "f") for a in args) and out not in ("t", "f"):
-                return False
-    return True
+    return all(m.tables[conn][args] in outputs
+               for (conn, args), outputs in CELLS.items())
 
 
 def sr_decode(index: int) -> Matrix:
     if not 0 <= index < count_strongly_regular():
         raise IndexOutOfRangeError(f"index {index} is not below 2^{SR_BITS}")
-    tables: dict = {"bot": {(): "f"}, "not": {}, "and": {}, "or": {}, "impl": {}}
+    tables: dict = {conn: {} for conn in SR_SIGNATURE.connectives}
+    for (conn, args), outputs in CELLS.items():
+        tables[conn][args] = outputs[0]
     for bit, (conn, args) in enumerate(FREE_CELLS):
-        d = _sr_designated(conn, args)
-        choice = (index >> bit) & 1
-        tables[conn][args] = _nonclassical(d) if choice else _classical(d)
-    tables["not"][("t",)] = "f"
-    tables["not"][("f",)] = "t"
-    for conn in ("and", "or", "impl"):
-        for args in itertools.product(("t", "f"), repeat=2):
-            tables[conn][args] = _classical(_sr_designated(conn, args))
+        if (index >> bit) & 1:
+            tables[conn][args] = CELLS[conn, args][1]
     return Matrix(VALUES, DESIGNATED, SR_SIGNATURE, tables)
 
 
@@ -209,12 +180,3 @@ def sr_encode(m: Matrix) -> int:
         if out in ("b", "n"):
             index |= 1 << bit
     return index
-
-
-def bd_impl_bot_matrix() -> Matrix:
-    """The base matrix expanded with implication and falsity.
-
-    Carrier order follows the family convention so the matrix can be
-    encoded directly.
-    """
-    return expand(bd_matrix(), IMPL, BOT)

@@ -7,13 +7,12 @@ queries, 2 usage or parse errors.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
-import random
 import sys
 
-from . import bd, definability, laws, matrix as mx, presets, proof, syntax
+from . import (
+    bd, claims, definability, laws, matrix as mx, presets, proof, syntax)
 from .errors import FdekitError
 
 EXIT_OK = 0
@@ -251,176 +250,10 @@ def cmd_laws_filter(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# repro: the full checklist of reproducible claims
-
-
-def _repro_items():
-    from .syntax import parse
-
-    def syn(matrix_name, lhs, rhs):
-        m = presets.preset(matrix_name)
-        return definability.synonymous(
-            m, parse(lhs, m.signature), parse(rhs, m.signature))
-
-    yield ("synonymity: delta p == ~(p -> bot) [bd-impl-bot-delta]",
-           lambda: syn("bd-impl-bot-delta", "delta p", "~(p -> bot)"))
-    yield ("synonymity: circ p == ((p & ~p) -> bot) & ~((p | ~p) -> bot) "
-           "[bd-impl-bot-circ]",
-           lambda: syn("bd-impl-bot-circ", "circ p",
-                       "((p & ~p) -> bot) & ~((p | ~p) -> bot)"))
-    yield ("synonymity: cons p == (p & ~p) -> bot [bd-impl-bot-cons]",
-           lambda: syn("bd-impl-bot-cons", "cons p", "(p & ~p) -> bot"))
-    yield ("synonymity: det p == ~((p | ~p) -> bot) [bd-impl-bot-det]",
-           lambda: syn("bd-impl-bot-det", "det p", "~((p | ~p) -> bot)"))
-    yield ("synonymity: p1 -> p2 == ~(delta p1) | p2 [bd-impl-bot-delta]",
-           lambda: syn("bd-impl-bot-delta", "p1 -> p2", "~(delta p1) | p2"))
-    yield ("synonymity: bot == delta p & ~(delta p) [bd-impl-bot-delta]",
-           lambda: syn("bd-impl-bot-delta", "bot", "delta p & ~(delta p)"))
-    yield ("synonymity: cons p == ~(delta (p & ~p)) [bd-delta-cons-det]",
-           lambda: syn("bd-delta-cons-det", "cons p", "~(delta (p & ~p))"))
-    yield ("synonymity: det p == delta (p | ~p) [bd-delta-cons-det]",
-           lambda: syn("bd-delta-cons-det", "det p", "delta (p | ~p)"))
-    yield ("synonymity: delta p == (p | ~(cons p)) & det p "
-           "[bd-delta-cons-det]",
-           lambda: syn("bd-delta-cons-det", "delta p",
-                       "(p | ~(cons p)) & det p"))
-    yield ("synonymity: circ p == cons p & det p [bd-cons-det-circ]",
-           lambda: syn("bd-cons-det-circ", "circ p", "cons p & det p"))
-    yield ("synonymity: bot == B & N [bd-impl-b-n-bot]",
-           lambda: syn("bd-impl-b-n-bot", "bot", "B & N"))
-
-    classical = ["not", "and", "or", "impl", "bot"]
-    yield ("conflation not definable from the classical connectives",
-           lambda: not definability.definable(
-               presets.preset("bd-impl-bot-confl"), "confl",
-               classical).definable)
-    yield ("preservation criterion rejects conflation",
-           lambda: not definability.bd_preservation_criterion(bd.CONFL))
-    yield ("preservation criterion accepts circ and the whole heart family",
-           lambda: definability.bd_preservation_criterion(bd.CIRC) and all(
-               definability.bd_preservation_criterion(bd.heart(v))
-               for r in range(5)
-               for v in itertools.combinations(bd.VALUES, r)))
-
-    def interdef(a, b, common):
-        m = presets.preset(common)
-        return definability.interdefinable(
-            presets.handle(a, m), presets.handle(b, m), m)
-
-    def one_way(a, b, common):
-        m = presets.preset(common)
-        return definability.logic_definable_in(
-            presets.handle(a, m), presets.handle(b, m), m)
-
-    yield ("interdefinable: bd-impl-bot ~ bd-delta",
-           lambda: interdef("bd-impl-bot", "bd-delta", "bd-impl-bot-delta"))
-    yield ("interdefinable: bd-delta ~ bd-cons-det",
-           lambda: interdef("bd-delta", "bd-cons-det", "bd-delta-cons-det"))
-    yield ("not interdefinable: bd-cons-det !~ bd-circ",
-           lambda: not interdef("bd-cons-det", "bd-circ", "bd-cons-det-circ"))
-    yield ("not interdefinable: bd-impl-bot !~ bd-confl",
-           lambda: not interdef("bd-impl-bot", "bd-confl",
-                                "bd-impl-bot-confl"))
-    yield ("bd-circ definable in bd-impl-bot",
-           lambda: one_way("bd-circ", "bd-impl-bot", "bd-impl-bot-circ"))
-    yield ("bd-impl-bot definable in bd-b-n",
-           lambda: one_way("bd-impl-bot", "bd-b-n", "bd-impl-b-n-bot"))
-
-    yield ("strongly regular family counts 2^38",
-           lambda: bd.count_strongly_regular() == 2 ** 38)
-    yield ("bd-impl-bot is strongly regular and encode/decode round-trips",
-           lambda: bd.sr_decode(bd.sr_encode(presets.preset("bd-impl-bot")))
-           == presets.preset("bd-impl-bot"))
-
-    def sampled_regular():
-        rng = random.Random(7)
-        p = syntax.Var("p")
-        for _ in range(100):
-            m = bd.sr_decode(rng.randrange(2 ** 38))
-            if not bd.is_strongly_regular(m):
-                return False
-            if mx.consequence(m, [p], [syntax.neg(p)]):
-                return False
-            if mx.consequence(m, [syntax.neg(p)], [p]):
-                return False
-        return True
-
-    yield ("100 sampled indices decode to strongly regular matrices "
-           "refuting p |- ~p and ~p |- p", sampled_regular)
-
-    yield ("all 13 distinguishing laws hold in bd-impl-bot",
-           lambda: all(laws.holds(presets.preset("bd-impl-bot"), law)
-                       for law in laws.TABLE2_LAWS))
-    yield ("neg-as-impl, and-contradiction, or-excluded-middle fail in "
-           "bd-impl-bot (countermodel A=b)",
-           lambda: all(
-               laws.holds_countermodel(presets.preset("bd-impl-bot"), law)
-               == {"A": "b"} for law in laws.FAILING_CLASSICAL_LAWS))
-    yield ("false-implies and true-implies hold even in bd-impl-bot",
-           lambda: all(laws.holds(presets.preset("bd-impl-bot"), law)
-                       for law in laws.HOLDING_CLASSICAL_LAWS))
-
-    def filter_result():
-        res = laws.filter_strongly_regular(laws.TABLE2_LAWS)
-        idx = bd.sr_encode(presets.preset("bd-impl-bot"))
-        return res.count == 81 and idx in res
-
-    yield ("law filter leaves 81 family members, bd-impl-bot among them "
-           "(the two implication laws leave impl's b/n rows underdetermined)",
-           filter_result)
-
-    def sequents():
-        m = presets.preset("bd-impl-bot")
-        p = syntax.Var("p")
-        absurd = proof.Sequent.of([p, syntax.neg(p)], [syntax.BOT])
-        trivial = proof.Sequent.of([], [syntax.disj(p, syntax.neg(p))])
-        return (
-            proof.prove(absurd, proof.BD) is None
-            and proof.prove(trivial, proof.BD) is None
-            and proof.prove(absurd, proof.CL) is not None
-            and proof.prove(trivial, proof.CL) is not None
-            and mx.consequence_countermodel(
-                m, [p, syntax.neg(p)], [syntax.BOT]) == {"p": "b"}
-            and mx.consequence_countermodel(
-                m, [], [syntax.disj(p, syntax.neg(p))]) == {"p": "n"}
-        )
-
-    yield ("absurdity and triviality fail in BD (countermodels b, n) "
-           "and hold classically", sequents)
-    yield ("all negation-prefixed rules are derived rules classically",
-           lambda: all(
-               proof.derived_rule_check(r, proof.CL)
-               for r in ("not-bot-R", "not-not-L", "not-not-R", "not-and-L",
-                         "not-and-R", "not-or-L", "not-or-R", "not-impl-L",
-                         "not-impl-R")))
-
-    def submatrices():
-        base = presets.preset("bd")
-        p = syntax.Var("p")
-        q = syntax.Var("q")
-        em = syntax.disj(p, syntax.neg(p))
-        contradiction = [p, syntax.neg(p)]
-        lp, k3, cl = (presets.preset(n) for n in ("lp", "k3", "cl"))
-        return (
-            mx.is_simple(base)
-            and not mx.consequence(base, [], [em])
-            and mx.consequence(lp, [], [em])
-            and not mx.consequence(k3, [], [em])
-            and mx.consequence(cl, [], [em])
-            and not mx.consequence(lp, contradiction, [q])
-            and mx.consequence(k3, contradiction, [q])
-            and mx.consequence(cl, contradiction, [q])
-        )
-
-    yield ("bd is simple; LP/K3/CL submatrices witness the strict "
-           "consequence inclusions", submatrices)
-
-
 def cmd_repro(args) -> int:
     results = []
-    for name, thunk in _repro_items():
-        ok = bool(thunk())
+    for name, check in claims.CLAIMS:
+        ok = bool(check())
         results.append({"item": name, "pass": ok})
         if not args.json:
             print(f"{'PASS' if ok else 'FAIL'}  {name}")

@@ -24,23 +24,9 @@ from .matrix import (
     equivalent,
     find_term_function,
     is_expansion,
-    simplicity,
     unary_term_functions,
 )
 from .syntax import Formula, Var, neg, substitute
-
-# simplicity is a pure function of the matrix; memoized by object identity
-_SIMPLE_CACHE: dict[int, tuple[Matrix, bool]] = {}
-
-
-def _is_simple(m: Matrix) -> bool:
-    hit = _SIMPLE_CACHE.get(id(m))
-    if hit is not None and hit[0] is m:
-        return hit[1]
-    result = simplicity(m)[0]
-    _SIMPLE_CACHE[id(m)] = (m, result)
-    return result
-
 
 def synonymous(m: Matrix, a: Formula, b: Formula) -> bool:
     """Intersubstitutability in all contexts, via induced equivalence.
@@ -48,7 +34,7 @@ def synonymous(m: Matrix, a: Formula, b: Formula) -> bool:
     Sound only for simple matrices, where synonymity and induced
     equivalence coincide; non-simple matrices are rejected.
     """
-    if not _is_simple(m):
+    if not m.simple:
         raise NotSimpleError("synonymity reduction needs a simple matrix")
     return equivalent(m, a, b)
 
@@ -86,7 +72,7 @@ def definable(m: Matrix, target: str, allowed: Iterable[str],
         raise ValueError(f"target {target!r} not in the signature")
     if target in allowed:
         raise ValueError("allowed set must not contain the target")
-    if not _is_simple(m):
+    if not m.simple:
         raise NotSimpleError("definability needs a simple matrix")
     n = m.signature.arity(target)
     target_table = tuple(
@@ -157,7 +143,7 @@ def logic_definable_in(a: LogicHandle, b: LogicHandle, common: Matrix,
     of b's connectives."""
     _check_common(a, common)
     _check_common(b, common)
-    if not _is_simple(common):
+    if not common.simple:
         raise NotSimpleError("interdefinability needs a simple common matrix")
     for name in sorted(a.connectives):
         if name in b.connectives:

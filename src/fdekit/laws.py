@@ -17,8 +17,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .bd import FREE_CELLS, SR_BITS, VALUES, count_strongly_regular, sr_decode
-from .bd import _classical, _nonclassical, _sr_designated  # family cell shapes
+from .bd import (
+    CELLS, FREE_CELLS, SR_BITS, VALUES, count_strongly_regular, sr_decode)
 from .errors import SignatureMismatchError, UnknownNameError
 from .matrix import Matrix, equivalent
 from .syntax import BOT, TOP, Formula, Var, conj, disj, impl, neg, variables
@@ -98,19 +98,6 @@ def holds_countermodel(m: Matrix, law: Law) -> Optional[dict]:
 
 _CELL_INDEX = {cell: i for i, cell in enumerate(FREE_CELLS)}
 
-_FORCED: dict[tuple[str, tuple[str, ...]], str] = {("bot", ()): "f"}
-_FORCED[("not", ("t",))] = "f"
-_FORCED[("not", ("f",))] = "t"
-for _conn in ("and", "or", "impl"):
-    for _args in itertools.product(("t", "f"), repeat=2):
-        _FORCED[(_conn, _args)] = _classical(_sr_designated(_conn, _args))
-
-
-def _cell_options(cell) -> tuple[str, str]:
-    conn, args = cell
-    d = _sr_designated(conn, args)
-    return _classical(d), _nonclassical(d)
-
 
 def _eval_partial(f: Formula, env: dict, bits: list):
     """(value or None, blocking free-cell indices) under a partial family
@@ -126,12 +113,13 @@ def _eval_partial(f: Formula, env: dict, bits: list):
     if any(v is None for v in vals):
         return None, blockers
     key = (f.conn, tuple(vals))
-    if key in _FORCED:
-        return _FORCED[key], blockers
+    outputs = CELLS[key]
+    if len(outputs) == 1:
+        return outputs[0], blockers
     idx = _CELL_INDEX[key]
     if bits[idx] is None:
         return None, blockers | {idx}
-    return _cell_options(key)[bits[idx]], blockers
+    return outputs[bits[idx]], blockers
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,14 @@ import itertools
 import json
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
     ArityCapError,
     DegenerateDesignatedError,
     DuplicateConnectiveError,
+    FdekitError,
     NotClosedError,
     SignatureMismatchError,
     UnboundVariableError,
@@ -62,6 +64,11 @@ class Matrix:
 
     def index(self, value: str) -> int:
         return self.values.index(value)
+
+    @cached_property
+    def simple(self) -> bool:
+        """Simplicity, decided once per matrix (see `simplicity`)."""
+        return simplicity(self)[0]
 
 
 def evaluate(m: Matrix, f: Formula, assignment: Mapping[str, str]) -> str:
@@ -450,22 +457,41 @@ def matrix_to_json(m: Matrix) -> dict:
     }
 
 
-def matrix_from_json(data: dict) -> Matrix:
+def matrix_from_json(data) -> Matrix:
+    """Inverse of `matrix_to_json`; malformed input raises FdekitError."""
+    def need(ok: bool, what: str) -> None:
+        if not ok:
+            raise FdekitError(f"malformed matrix: {what}")
+
+    def names(x) -> bool:
+        return isinstance(x, list) and all(isinstance(v, str) for v in x)
+
+    need(isinstance(data, dict), "a matrix must be an object")
+    need(names(data.get("values")), "'values' must be a list of strings")
+    need(names(data.get("designated")),
+         "'designated' must be a list of strings")
+    connectives = data.get("connectives")
+    need(isinstance(connectives, dict), "'connectives' must be an object")
     values = tuple(data["values"])
-    connectives = data["connectives"]
     tables = {}
     arities = {}
     for name, entry in connectives.items():
-        k = entry["arity"]
+        need(isinstance(entry, dict) and "table" in entry,
+             f"connective {name!r} needs a 'table'")
+        k = entry.get("arity")
+        need(type(k) is int and k >= 0,
+             f"the arity of {name!r} must be a non-negative integer")
         arities[name] = k
         table = {}
 
         def walk(node, prefix):
             if len(prefix) == k:
+                need(isinstance(node, str),
+                     f"table entries of {name!r} must be strings")
                 table[prefix] = node
                 return
-            if not isinstance(node, list) or len(node) != len(values):
-                raise ValueError(f"malformed table for {name!r}")
+            need(isinstance(node, list) and len(node) == len(values),
+                 f"malformed table for {name!r}")
             for v, child in zip(values, node):
                 walk(child, prefix + (v,))
 

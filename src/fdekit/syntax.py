@@ -172,12 +172,28 @@ def _tokenize(text: str) -> Iterator[tuple[str, int]]:
         pos = m.end()
 
 
+# Deepest nesting of prefix operators, parentheses and right operands of
+# `->` that the parser accepts.  It keeps the parser and the recursive
+# printer, evaluator and prover well inside Python's default recursion limit.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str, sig: Signature):
         self.sig = sig
         self.tokens = list(_tokenize(text))
         self.length = len(text)
         self.i = 0
+        self.depth = 0
+
+    def nested(self, parse, pos: int) -> Formula:
+        """Run one recursive sub-parse one nesting level deeper."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING}", pos)
+        self.depth += 1
+        f = parse()
+        self.depth -= 1
+        return f
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, self.length)
@@ -197,7 +213,7 @@ class _Parser:
         if self.peek()[0] == "->":
             _, pos = self.next()
             self.require("impl", pos)
-            return App("impl", (lhs, self.formula()))
+            return App("impl", (lhs, self.nested(self.formula, pos)))
         return lhs
 
     def disjunction(self) -> Formula:
@@ -221,16 +237,16 @@ class _Parser:
         if tok == "~":
             self.next()
             self.require("not", pos)
-            return App("not", (self.unary(),))
+            return App("not", (self.nested(self.unary, pos),))
         if tok is not None and tok in self.sig and self.sig.arity(tok) == 1:
             self.next()
-            return App(tok, (self.unary(),))
+            return App(tok, (self.nested(self.unary, pos),))
         return self.atom()
 
     def atom(self) -> Formula:
         tok, pos = self.next()
         if tok == "(":
-            f = self.formula()
+            f = self.nested(self.formula, pos)
             self.expect(")")
             return f
         if tok is None:

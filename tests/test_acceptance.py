@@ -1,32 +1,31 @@
 """End-to-end acceptance checks for the package's headline results.
 
-Each test verifies one headline claim by exhaustive or sampled finite
-computation and prints a single pass/fail line (visible with `pytest -s`).
+`test_claim` runs each item of the checklist that `fdekit repro` runs.  The
+numbered tests check more than a claim, by exhaustive or sampled finite
+computation, and each prints a pass/fail line (visible with `pytest -s`).
 """
 
 import itertools
 import random
 
+import pytest
+
 from fdekit import bd, presets
 from fdekit.bd import NamedConnective
+from fdekit.claims import CLAIMS
 from fdekit.definability import (
-    LogicHandle,
     bd_preservation_criterion,
-    interdefinable,
-    logic_definable_in,
     synonymity_via_consequence,
-    synonymous,
 )
 from fdekit.laws import TABLE2_LAWS, filter_strongly_regular, holds
 from fdekit.matrix import (
     consequence,
-    consequence_countermodel,
     equivalent,
     evaluate,
     simplicity,
     unary_term_functions,
 )
-from fdekit.proof import BD, CL, Prover, Sequent, prove
+from fdekit.proof import BD, CL, Prover, Sequent
 from fdekit.syntax import App, Var, parse
 
 BD_IMPL_BOT_INDEX = 13129950543
@@ -68,41 +67,10 @@ def test_02_law_filter_survivors():
     _report(2, "equivalence-law filter survivors", ok)
 
 
-SYNONYMITIES = [
-    ("bd-impl-bot-delta", "delta p", "~(p -> bot)"),
-    ("bd-impl-bot-circ", "circ p", "((p & ~p) -> bot) & ~((p | ~p) -> bot)"),
-    ("bd-impl-bot-cons", "cons p", "(p & ~p) -> bot"),
-    ("bd-impl-bot-det", "det p", "~((p | ~p) -> bot)"),
-    ("bd-impl-bot-delta", "p1 -> p2", "~(delta p1) | p2"),
-    ("bd-impl-bot-delta", "bot", "delta p & ~(delta p)"),
-    ("bd-delta-cons-det", "cons p", "~(delta (p & ~p))"),
-    ("bd-delta-cons-det", "det p", "delta (p | ~p)"),
-    ("bd-delta-cons-det", "delta p", "(p | ~(cons p)) & det p"),
-    ("bd-cons-det-circ", "circ p", "cons p & det p"),
-    ("bd-impl-b-n-bot", "bot", "B & N"),
-]
-
-
-def test_03_displayed_synonymities():
-    ok = all(
-        synonymous(presets.preset(name),
-                   parse(lhs, presets.preset(name).signature),
-                   parse(rhs, presets.preset(name).signature))
-        for name, lhs, rhs in SYNONYMITIES
-    )
-    _report(3, "all displayed synonymities verify", ok)
-
-
-def test_04_conflation_not_definable():
-    m = presets.preset("bd-impl-bot-confl")
-    clone_tables = {
-        tuple(tf.table)
-        for tf in unary_term_functions(m, ["not", "and", "or", "impl", "bot"])
-    }
-    confl_table = tuple(bd.CONFL.table[(a,)] for a in m.values)
-    ok = confl_table not in clone_tables
-    ok = ok and not bd_preservation_criterion(bd.CONFL)
-    _report(4, "conflation is not definable", ok)
+@pytest.mark.parametrize("check", [check for _, check in CLAIMS],
+                         ids=[name for name, _ in CLAIMS])
+def test_claim(check):
+    assert check()
 
 
 def test_05_preservation_criterion_equals_clone_membership():
@@ -123,35 +91,6 @@ def test_05_preservation_criterion_equals_clone_membership():
             break
     _report(5, "preservation criterion matches clone membership (256 tables)",
             ok)
-
-
-def test_06_interdefinability_verdicts():
-    def handle(name, common):
-        return LogicHandle(common, frozenset(
-            presets.preset(name).signature.connectives))
-
-    c1 = presets.preset("bd-impl-bot-delta")
-    c2 = presets.preset("bd-delta-cons-det")
-    c3 = presets.preset("bd-cons-det-circ")
-    c4 = presets.preset("bd-impl-bot-confl")
-    c5 = presets.preset("bd-impl-bot-circ")
-    c6 = presets.preset("bd-impl-b-n-bot")
-    ok = (
-        interdefinable(handle("bd-impl-bot", c1), handle("bd-delta", c1), c1)
-        and interdefinable(handle("bd-delta", c2),
-                           handle("bd-cons-det", c2), c2)
-        and not interdefinable(handle("bd-cons-det", c3),
-                               handle("bd-circ", c3), c3)
-        and not interdefinable(handle("bd-impl-bot", c4),
-                               handle("bd-confl", c4), c4)
-        and logic_definable_in(handle("bd-circ", c5),
-                               handle("bd-impl-bot", c5), c5)
-        and logic_definable_in(handle("bd-impl-bot", c6),
-                               handle("bd-b-n", c6), c6)
-        and synonymous(c6, parse("bot", c6.signature),
-                       parse("B & N", c6.signature))
-    )
-    _report(6, "interdefinability verdict suite", ok)
 
 
 def test_07_proof_search_agrees_with_semantics():
@@ -225,24 +164,6 @@ def test_07_proof_search_agrees_with_semantics():
         if not ok:
             break
     _report(7, "proof search agrees with semantics on 315,844 sequents", ok)
-
-
-def test_08_classical_gap_witnesses():
-    sig = BDI.signature
-    p = Var("p")
-    absurdity = Sequent.of([p, parse("~p", sig)], [App("bot", ())])
-    triviality = Sequent.of([], [parse("p | ~p", sig)])
-    ok = (
-        prove(absurdity, BD) is None
-        and consequence_countermodel(
-            BDI, list(absurdity.left), list(absurdity.right)) == {"p": "b"}
-        and prove(triviality, BD) is None
-        and consequence_countermodel(BDI, [], list(triviality.right))
-        == {"p": "n"}
-        and prove(absurdity, CL) is not None
-        and prove(triviality, CL) is not None
-    )
-    _report(8, "absurdity and triviality fail in BD, hold classically", ok)
 
 
 def test_09_simplicity_and_equivalence_characterization():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from fdekit import bd
+from fdekit import bd, presets
 from fdekit.errors import IndexOutOfRangeError, NotStronglyRegularError
 
 # The family index of the implication-falsity expansion of the base
@@ -84,7 +84,7 @@ class TestStronglyRegularFamily:
         assert len(bd.FREE_CELLS) == 38
 
     def test_bd_matrix_is_member(self):
-        m = bd.bd_impl_bot_matrix()
+        m = presets.preset("bd-impl-bot")
         assert bd.is_strongly_regular(m)
         assert bd.sr_encode(m) == BD_IMPL_BOT_INDEX
         assert bd.sr_decode(BD_IMPL_BOT_INDEX) == m

@@ -1,12 +1,14 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from fdekit import bd, presets
+from fdekit import bd, claims, presets
 from fdekit.cli import main
 from fdekit.matrix import evaluate, matrix_to_json
 from fdekit.proof import BD, Sequent, derivation_to_json, prove
-from fdekit.syntax import parse
+from fdekit.syntax import MAX_NESTING, parse
 
 
 def run(capsys, *argv):
@@ -16,6 +18,18 @@ def run(capsys, *argv):
 
 
 class TestBasics:
+    def test_readme_command_examples(self, capsys):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1]
+        block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+        commands = [shlex.split(line, comments=True)
+                    for line in block.splitlines()]
+        commands = [argv for argv in commands if argv]
+        assert len(commands) == 14
+        for argv in commands:
+            assert argv[0] == "fdekit"
+            assert main(argv[1:]) in (0, 1), argv
+
     def test_parse(self, capsys):
         code, out = run(capsys, "parse", "~ (p&q) ->r")
         assert code == 0
@@ -24,6 +38,21 @@ class TestBasics:
     def test_parse_error_exit_code(self, capsys):
         assert main(["parse", "p &"]) == 2
         assert main(["parse", "delta p"]) == 2  # not in the default signature
+
+    @pytest.mark.parametrize("text", [
+        "~" * (MAX_NESTING + 1) + "p",
+        "(" * (MAX_NESTING + 1) + "p" + ")" * (MAX_NESTING + 1),
+    ], ids=["negations", "parentheses"])
+    def test_parse_too_deep(self, capsys, text):
+        assert main(["parse", text]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_commands_at_nesting_limit(self, capsys):
+        text = "~" * MAX_NESTING + "p"
+        assert main(["parse", text]) == 0
+        assert main(["eval", "--assign", "p=b", text]) == 0
+        assert main(["prove", f"{text} |- {text}"]) == 0
 
     def test_usage_error(self, capsys):
         assert main(["no-such-command"]) == 2
@@ -87,6 +116,31 @@ class TestVerdicts:
         code, _ = run(capsys, "interdef", "--a", "bd-impl-bot",
                       "--b", "bd-confl", "--common", "bd-impl-bot-confl")
         assert code == 1
+
+    @pytest.mark.parametrize("data", [
+        [1],                                                 # not an object
+        {"designated": ["t"], "connectives": {}},            # no values
+        {"values": "tf", "designated": ["t"],
+         "connectives": {"bot": {"arity": 0, "table": "f"}}},
+        {"values": ["t", 1], "designated": ["t"],
+         "connectives": {"bot": {"arity": 0, "table": "t"}}},
+        {"values": ["t", "f"], "connectives": {}},           # no designated
+        {"values": ["t", "f"], "designated": ["t"]},         # no connectives
+        {"values": ["t", "f"], "designated": ["t"],
+         "connectives": {"not": {"arity": 1}}},              # no table
+        {"values": ["t", "f"], "designated": ["t"],
+         "connectives": {"not": {"arity": -1, "table": "f"}}},
+        {"values": ["t", "f"], "designated": ["t"],
+         "connectives": {"not": {"arity": True, "table": ["f", "t"]}}},
+        {"values": ["t", "f"], "designated": ["t"],
+         "connectives": {"not": {"arity": 1, "table": [["f"], "t"]}}},
+    ])
+    def test_entails_malformed_matrix(self, capsys, tmp_path, data):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["entails", "--matrix", str(path), "p |- p"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestProofCommands:
@@ -180,5 +234,5 @@ class TestRepro:
         code, out = run(capsys, "--json", "repro")
         assert code == 0
         results = json.loads(out)
-        assert len(results) >= 25
+        assert len(results) == len(claims.CLAIMS)
         assert all(r["pass"] for r in results)

@@ -112,7 +112,7 @@ class TestFilter:
                     ("contradiction-implies", "excluded-middle-implies")]
         result = filter_strongly_regular(nonarrow)
         assert result.count == 2 ** 12
-        base = bd.bd_impl_bot_matrix()
+        base = presets.preset("bd-impl-bot")
         for idx in result.sample(20, seed=2):
             m = bd.sr_decode(idx)
             assert m.tables["not"] == base.tables["not"]

@@ -8,6 +8,7 @@ from fdekit.errors import (
     UnknownConnectiveError,
 )
 from fdekit.syntax import (
+    MAX_NESTING,
     App,
     BOT,
     Signature,
@@ -125,6 +126,16 @@ class TestRoundTrip:
 
     def test_deep_handwritten_example(self):
         text = "~(delta (p -> ~(q & B)) | cons ~(r -> bot & top)) -> N"
+        f = parse(text, RICH_SIG)
+        assert parse(print_formula(f), RICH_SIG) == f
+
+    @pytest.mark.parametrize("text", [
+        "~" * MAX_NESTING + "p",
+        "(" * MAX_NESTING + "p" + ")" * MAX_NESTING,
+        "p -> " * MAX_NESTING + "p",
+        "~(" * (MAX_NESTING // 2) + "p" + ")" * (MAX_NESTING // 2),
+    ], ids=["negations", "parentheses", "arrows", "mixed"])
+    def test_round_trip_at_nesting_limit(self, text):
         f = parse(text, RICH_SIG)
         assert parse(print_formula(f), RICH_SIG) == f
 
