@@ -30,7 +30,6 @@ from .matrix import (
     equivalent,
     evaluate,
     is_expansion,
-    is_simple,
     load_matrix,
     matrix_from_json,
     matrix_to_json,

@@ -111,7 +111,7 @@ def _submatrices() -> bool:
     contradiction = [p, syntax.neg(p)]
     lp, k3, cl = (presets.preset(n) for n in ("lp", "k3", "cl"))
     return (
-        mx.is_simple(base)
+        base.simple
         and not mx.consequence(base, [], [em])
         and mx.consequence(lp, [], [em])
         and not mx.consequence(k3, [], [em])

@@ -30,15 +30,11 @@ def _get_matrix(spec: str) -> mx.Matrix:
         "nor a matrix file")
 
 
-def _parse_formula(text: str, m: mx.Matrix) -> syntax.Formula:
-    return syntax.parse(text, m.signature)
-
-
 def _parse_side(text: str, m: mx.Matrix) -> list:
     text = text.strip()
     if not text:
         return []
-    return [_parse_formula(part, m) for part in text.split(",")]
+    return [syntax.parse(part, m.signature) for part in text.split(",")]
 
 
 def _parse_sequent(text: str, m: mx.Matrix):
@@ -46,10 +42,6 @@ def _parse_sequent(text: str, m: mx.Matrix):
         raise FdekitError("sequent syntax is 'Gamma |- Delta'")
     left, right = text.split("|-", 1)
     return _parse_side(left, m), _parse_side(right, m)
-
-
-def _fmt_assignment(a: dict) -> str:
-    return ", ".join(f"{k}={v}" for k, v in sorted(a.items()))
 
 
 def _emit(args, data: dict, text: str) -> None:
@@ -62,7 +54,7 @@ def _emit(args, data: dict, text: str) -> None:
 
 def cmd_parse(args) -> int:
     m = _get_matrix(args.matrix)
-    f = _parse_formula(args.formula, m)
+    f = syntax.parse(args.formula, m.signature)
     printed = syntax.print_formula(f)
     _emit(args, {"formula": printed}, printed)
     return EXIT_OK
@@ -70,7 +62,7 @@ def cmd_parse(args) -> int:
 
 def cmd_eval(args) -> int:
     m = _get_matrix(args.matrix)
-    f = _parse_formula(args.formula, m)
+    f = syntax.parse(args.formula, m.signature)
     assignment = {}
     for item in args.assign or []:
         name, _, value = item.partition("=")
@@ -82,35 +74,35 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _countermodel_verdict(args, key: str, counter) -> int:
+    if counter is None:
+        _emit(args, {key: True}, "YES")
+        return EXIT_OK
+    shown = ", ".join(f"{k}={v}" for k, v in sorted(counter.items()))
+    _emit(args, {key: False, "countermodel": counter},
+          f"NO  countermodel: {shown}")
+    return EXIT_NO
+
+
 def cmd_entails(args) -> int:
     m = _get_matrix(args.matrix)
     gamma, delta = _parse_sequent(args.sequent, m)
-    counter = mx.consequence_countermodel(m, gamma, delta)
-    if counter is None:
-        _emit(args, {"entails": True}, "YES")
-        return EXIT_OK
-    _emit(args, {"entails": False, "countermodel": counter},
-          f"NO  countermodel: {_fmt_assignment(counter)}")
-    return EXIT_NO
+    return _countermodel_verdict(
+        args, "entails", mx.consequence_countermodel(m, gamma, delta))
 
 
 def cmd_equiv(args) -> int:
     m = _get_matrix(args.matrix)
-    a = _parse_formula(args.lhs, m)
-    b = _parse_formula(args.rhs, m)
-    counter = mx.equivalence_countermodel(m, a, b)
-    if counter is None:
-        _emit(args, {"equivalent": True}, "YES")
-        return EXIT_OK
-    _emit(args, {"equivalent": False, "countermodel": counter},
-          f"NO  countermodel: {_fmt_assignment(counter)}")
-    return EXIT_NO
+    a = syntax.parse(args.lhs, m.signature)
+    b = syntax.parse(args.rhs, m.signature)
+    return _countermodel_verdict(
+        args, "equivalent", mx.equivalence_countermodel(m, a, b))
 
 
 def cmd_synonymous(args) -> int:
     m = _get_matrix(args.matrix)
-    a = _parse_formula(args.lhs, m)
-    b = _parse_formula(args.rhs, m)
+    a = syntax.parse(args.lhs, m.signature)
+    b = syntax.parse(args.rhs, m.signature)
     verdict = definability.synonymous(m, a, b)
     _emit(args, {"synonymous": verdict}, "YES" if verdict else "NO")
     return EXIT_OK if verdict else EXIT_NO
@@ -190,9 +182,13 @@ def _print_derivation(d: proof.Derivation, indent: int = 0) -> None:
 def cmd_check(args) -> int:
     m = presets.preset("bd-impl-bot")
     with open(args.file) if args.file != "-" else sys.stdin as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise FdekitError("malformed derivation: JSON nests too deeply") \
+                from None
     d, system = proof.derivation_from_json(
-        data, lambda s: _parse_formula(s, m))
+        data, lambda s: syntax.parse(s, m.signature))
     ok, path = proof.check_with_path(d, system)
     if ok:
         _emit(args, {"valid": True}, "VALID")

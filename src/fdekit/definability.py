@@ -75,10 +75,7 @@ def definable(m: Matrix, target: str, allowed: Iterable[str],
     if not m.simple:
         raise NotSimpleError("definability needs a simple matrix")
     n = m.signature.arity(target)
-    target_table = tuple(
-        m.tables[target][combo]
-        for combo in itertools.product(m.values, repeat=n)
-    )
+    target_table = [m.values[i] for i in m.index_tables[target]]
     if n >= 2:
         # necessary condition, far cheaper than the n-ary fixpoint: a
         # defining term specializes under p1 = ... = pn to a unary term,

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Optional
 from .bd import (
     CELLS, FREE_CELLS, SR_BITS, VALUES, count_strongly_regular, sr_decode)
 from .errors import SignatureMismatchError, UnknownNameError
-from .matrix import Matrix, equivalent
+from .matrix import Matrix, equivalence_countermodel, equivalent
 from .syntax import BOT, TOP, Formula, Var, conj, disj, impl, neg, variables
 
 _A = Var("A")
@@ -88,8 +88,6 @@ def holds(m: Matrix, law: Law) -> bool:
 
 
 def holds_countermodel(m: Matrix, law: Law) -> Optional[dict]:
-    from .matrix import equivalence_countermodel
-
     return equivalence_countermodel(m, law.lhs, law.rhs)
 
 

@@ -1,9 +1,9 @@
 """Finite logical matrices: valuations, consequence, clones, simplicity.
 
 A matrix is a finite carrier of truth values, a designated subset, and one
-tabulated interpretation per connective.  Consequence and equivalence are
-decided by exhaustive enumeration of assignments; term-function clones are
-generated to a fixpoint with minimal-size witness formulas.
+tabulated interpretation per connective.  One kernel computes truth tables
+as value vectors (a value index per point, in `itertools.product` order) for
+consequence, equivalence and clone closure with minimal-size witnesses.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import json
 import os
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
@@ -39,7 +40,8 @@ class Matrix:
 
     `values` fixes the enumeration order of the carrier, `tables` maps each
     connective name to a dict from argument-name tuples to a value name
-    (nullary connectives use the empty tuple as key).
+    (nullary connectives use the empty tuple as key).  They are copied into
+    read-only mappings, so no cached property goes stale.
     """
 
     values: tuple[str, ...]
@@ -53,6 +55,7 @@ class Matrix:
             raise ValueError("duplicate truth-value names")
         if not (self.designated and self.designated < carrier):
             raise ValueError("designated set must be non-empty and proper")
+        tables = {}
         for name, k in self.signature.connectives.items():
             table = self.tables.get(name)
             if table is None:
@@ -61,14 +64,28 @@ class Matrix:
                 raise ValueError(f"table for {name!r} has the wrong shape")
             if not set(table.values()) <= carrier:
                 raise ValueError(f"table for {name!r} leaves the carrier")
+            tables[name] = MappingProxyType(dict(table))
+        object.__setattr__(self, "tables", MappingProxyType(tables))
 
-    def index(self, value: str) -> int:
-        return self.values.index(value)
+    @cached_property
+    def index_tables(self) -> Mapping[str, tuple[int, ...]]:
+        """Each table as value indices, its argument tuples in radix order
+        (first argument most significant)."""
+        return MappingProxyType({
+            name: tuple(self.values.index(self.tables[name][args])
+                        for args in itertools.product(self.values, repeat=k))
+            for name, k in self.signature.connectives.items()})
 
     @cached_property
     def simple(self) -> bool:
         """Simplicity, decided once per matrix (see `simplicity`)."""
         return simplicity(self)[0]
+
+
+def _interpreted(m: Matrix, f: App) -> None:
+    if m.signature.connectives.get(f.conn) != len(f.args):
+        raise SignatureMismatchError(
+            f"connective {f.conn!r} not interpreted with arity {len(f.args)}")
 
 
 def evaluate(m: Matrix, f: Formula, assignment: Mapping[str, str]) -> str:
@@ -78,11 +95,8 @@ def evaluate(m: Matrix, f: Formula, assignment: Mapping[str, str]) -> str:
             return assignment[f.name]
         except KeyError:
             raise UnboundVariableError(f"variable {f.name!r} is unbound") from None
-    table = m.tables.get(f.conn)
-    if table is None or m.signature.arity(f.conn) != len(f.args):
-        raise SignatureMismatchError(
-            f"connective {f.conn!r} not interpreted with arity {len(f.args)}")
-    return table[tuple(evaluate(m, a, assignment) for a in f.args)]
+    _interpreted(m, f)
+    return m.tables[f.conn][tuple(evaluate(m, a, assignment) for a in f.args)]
 
 
 def assignments(m: Matrix, names: Iterable[str]) -> Iterator[dict]:
@@ -92,11 +106,60 @@ def assignments(m: Matrix, names: Iterable[str]) -> Iterator[dict]:
         yield dict(zip(ordered, combo))
 
 
-def _vars_of(formulas: Iterable[Formula]) -> set:
-    out: set = set()
-    for f in formulas:
-        out |= variables(f)
-    return out
+def _projections(nvals: int, k: int) -> list[tuple[int, ...]]:
+    """The vectors of k variables, the first one most significant."""
+    return [
+        tuple(v for v in range(nvals) for _ in range(nvals ** (k - 1 - i)))
+        * nvals ** i
+        for i in range(k)
+    ]
+
+
+def _compose(table: tuple[int, ...], nvals: int, npoints: int,
+             args: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
+    """A connective's index table applied pointwise to argument vectors."""
+    if not args:
+        return (table[0],) * npoints
+    if len(args) == 1:
+        return tuple(map(table.__getitem__, args[0]))
+    if len(args) == 2:
+        return tuple([table[x * nvals + y] for x, y in zip(*args)])
+    return tuple(table[_radix(point, nvals)] for point in zip(*args))
+
+
+def _radix(digits: Iterable[int], base: int) -> int:
+    idx = 0
+    for d in digits:
+        idx = idx * base + d
+    return idx
+
+
+# Variables that vary within one block of points: a vector covers one block
+# at a time, so memory stays bounded however many variables a query has.
+_BLOCK_VARS = 8
+
+
+def _blocks(m: Matrix, formulas: Sequence[Formula]) -> Iterator[tuple]:
+    """(assignments, each formula's vector) per block of points, in order."""
+    names = sorted(set().union(*map(variables, formulas)))
+    nvals, lead = len(m.values), max(0, len(names) - _BLOCK_VARS)
+    npoints = nvals ** (len(names) - lead)
+    tail = _projections(nvals, len(names) - lead)
+    points = assignments(m, names)
+    for prefix in itertools.product(range(nvals), repeat=lead):
+        columns = dict(zip(names, [(v,) * npoints for v in prefix] + tail))
+        yield (itertools.islice(points, npoints),
+               [_vector(m, f, columns, npoints) for f in formulas])
+
+
+def _vector(m: Matrix, f: Formula, columns: Mapping[str, tuple[int, ...]],
+            npoints: int) -> tuple[int, ...]:
+    """f's value vector, given the vectors of its variables."""
+    if isinstance(f, Var):
+        return columns[f.name]
+    _interpreted(m, f)
+    return _compose(m.index_tables[f.conn], len(m.values), npoints,
+                    [_vector(m, a, columns, npoints) for a in f.args])
 
 
 def consequence_countermodel(
@@ -104,11 +167,13 @@ def consequence_countermodel(
 ) -> Optional[dict]:
     """First assignment (in enumeration order) refuting gamma |= delta."""
     gamma, delta = list(gamma), list(delta)
-    for a in assignments(m, _vars_of(gamma + delta)):
-        if all(evaluate(m, f, a) in m.designated for f in gamma) and not any(
-            evaluate(m, f, a) in m.designated for f in delta
-        ):
-            return a
+    designated, n = [v in m.designated for v in m.values], len(gamma)
+    for points, vectors in _blocks(m, gamma + delta):
+        for a, *values in zip(points, *vectors):
+            if all(designated[v] for v in values[:n]) and not any(
+                designated[v] for v in values[n:]
+            ):
+                return a
     return None
 
 
@@ -118,9 +183,10 @@ def consequence(m: Matrix, gamma: Iterable[Formula], delta: Iterable[Formula]) -
 
 def equivalence_countermodel(m: Matrix, a: Formula, b: Formula) -> Optional[dict]:
     """First assignment on which a and b take different values."""
-    for asg in assignments(m, variables(a) | variables(b)):
-        if evaluate(m, a, asg) != evaluate(m, b, asg):
-            return asg
+    for points, (va, vb) in _blocks(m, [a, b]):
+        for asg, x, y in zip(points, va, vb):
+            if x != y:
+                return asg
     return None
 
 
@@ -146,10 +212,7 @@ class TermFunction:
     witness: Formula
 
     def apply(self, m: Matrix, args: Sequence[str]) -> str:
-        idx = 0
-        for a in args:
-            idx = idx * len(m.values) + m.index(a)
-        return self.table[idx]
+        return self.table[_radix(map(m.values.index, args), len(m.values))]
 
 
 def _witness_size(f: Formula) -> int:
@@ -158,36 +221,33 @@ def _witness_size(f: Formula) -> int:
     return 1 + sum(_witness_size(a) for a in f.args)
 
 
-def _flat_table(m: Matrix, name: str) -> tuple[int, ...]:
-    """Connective table as value indices in radix order."""
-    k = m.signature.arity(name)
-    table = m.tables[name]
-    return tuple(
-        m.index(table[combo])
-        for combo in itertools.product(m.values, repeat=k)
-    )
-
-
-def _check_generators(m: Matrix, generators: Iterable[str]) -> list[str]:
-    gens = sorted(set(generators))
-    for g in gens:
-        if g not in m.signature:
-            raise SignatureMismatchError(f"generator {g!r} not in the signature")
-    return gens
-
-
 class _CloneBuilder:
-    """Closure of projections and generator compositions, as index tables."""
+    """Closure of projections and generator compositions, as value vectors."""
 
-    def __init__(self, m: Matrix, n: int, generators: Iterable[str]):
-        self.m = m
-        self.n = n
+    def __init__(self, m: Matrix, n: int, generators: Iterable[str],
+                 cap: Optional[int]):
+        if n < 0:
+            raise ValueError("arity must be non-negative")
+        limit = arity_cap() if cap is None else cap
+        if n > limit:
+            raise ArityCapError(
+                f"arity {n} exceeds the cap {limit}; raise FDEKIT_ARITY_CAP "
+                "or pass a larger cap")
+        gens = sorted(set(generators))
+        for g in gens:
+            if g not in m.signature:
+                raise SignatureMismatchError(f"generator {g!r} not in the signature")
         self.nvals = len(m.values)
         self.npoints = self.nvals ** n
-        self.gens = _check_generators(m, generators)
-        self.gen_tables = {g: _flat_table(m, g) for g in self.gens}
         self.found: dict[tuple[int, ...], Formula] = {}
         self.order: list[tuple[int, ...]] = []
+        self.seeds = [(table, Var(f"p{i + 1}"))
+                      for i, table in enumerate(_projections(self.nvals, n))]
+        self.seeds += [((m.index_tables[g][0],) * self.npoints, App(g, ()))
+                       for g in gens if m.signature.arity(g) == 0]
+        # generators of positive arity: (name, index table, arity)
+        self.ops = [(g, m.index_tables[g], m.signature.arity(g))
+                    for g in gens if m.signature.arity(g) > 0]
 
     def _add(self, table: tuple[int, ...], witness: Formula) -> bool:
         if table in self.found:
@@ -196,54 +256,22 @@ class _CloneBuilder:
         self.order.append(table)
         return True
 
-    def _seeds(self) -> list[tuple[tuple[int, ...], Formula]]:
-        seeds = []
-        for i in range(self.n):
-            stride = self.nvals ** (self.n - 1 - i)
-            table = tuple(
-                (p // stride) % self.nvals for p in range(self.npoints)
-            )
-            seeds.append((table, Var(f"p{i + 1}")))
-        for g in self.gens:
-            if self.m.signature.arity(g) == 0:
-                const = self.gen_tables[g][0]
-                seeds.append(((const,) * self.npoints, App(g, ())))
-        return seeds
-
-    def _compose(self, g: str, args: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
-        gtab = self.gen_tables[g]
-        nv = self.nvals
-        if len(args) == 1:
-            a0 = args[0]
-            return tuple(gtab[a0[p]] for p in range(self.npoints))
-        if len(args) == 2:
-            a0, a1 = args
-            return tuple(
-                gtab[a0[p] * nv + a1[p]] for p in range(self.npoints)
-            )
-        return tuple(
-            gtab[_radix([a[p] for a in args], nv)] for p in range(self.npoints)
-        )
-
     def close(self, target: Optional[tuple[int, ...]] = None) -> bool:
         """Run the closure; stop early (returning True) if target appears."""
-        for table, wit in self._seeds():
+        for table, wit in self.seeds:
             if self._add(table, wit) and table == target:
                 return True
         frontier = 0
         while frontier < len(self.order):
             new_from = frontier
             frontier = len(self.order)
-            for g in self.gens:
-                k = self.m.signature.arity(g)
-                if k == 0:
-                    continue
+            for g, gtab, k in self.ops:
                 for combo in itertools.product(range(frontier), repeat=k):
                     # only combinations touching the newest batch are unseen
                     if max(combo) < new_from:
                         continue
                     args = [self.order[i] for i in combo]
-                    table = self._compose(g, args)
+                    table = _compose(gtab, self.nvals, self.npoints, args)
                     if table not in self.found:
                         witness = App(
                             g, tuple(self.found[self.order[i]] for i in combo)
@@ -269,20 +297,17 @@ class _CloneBuilder:
                 wit[table] = witness
                 by_size.setdefault(size, []).append(table)
 
-        for table, witness in self._seeds():
+        for table, witness in self.seeds:
             settle(table, witness, 1)
         size = 2
         while remaining and size <= 64:
-            for g in self.gens:
-                k = self.m.signature.arity(g)
-                if k == 0:
-                    continue
+            for g, gtab, k in self.ops:
                 for sizes in _compositions(size - 1, k):
                     pools = [by_size.get(s, []) for s in sizes]
                     if not all(pools):
                         continue
                     for args in itertools.product(*pools):
-                        table = self._compose(g, args)
+                        table = _compose(gtab, self.nvals, self.npoints, args)
                         if table in remaining:
                             settle(table, App(g, tuple(wit[a] for a in args)),
                                    size)
@@ -291,13 +316,6 @@ class _CloneBuilder:
         for table in remaining:
             wit[table] = self.found[table]
         return wit
-
-
-def _radix(digits: Sequence[int], base: int) -> int:
-    idx = 0
-    for d in digits:
-        idx = idx * base + d
-    return idx
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -311,27 +329,13 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + rest
 
 
-def _named_tables(m: Matrix, idx_tables: Mapping[tuple[int, ...], Formula],
-                  n: int) -> set[TermFunction]:
-    return {
-        TermFunction(n, tuple(m.values[i] for i in table), witness)
-        for table, witness in idx_tables.items()
-    }
-
-
 def term_functions(m: Matrix, n: int, generators: Iterable[str],
                    cap: Optional[int] = None) -> set[TermFunction]:
     """All n-ary term functions over the generators, with minimal witnesses."""
-    if n < 0:
-        raise ValueError("arity must be non-negative")
-    limit = arity_cap() if cap is None else cap
-    if n > limit:
-        raise ArityCapError(
-            f"arity {n} exceeds the cap {limit}; raise FDEKIT_ARITY_CAP "
-            "or pass a larger cap")
-    builder = _CloneBuilder(m, n, generators)
+    builder = _CloneBuilder(m, n, generators, cap)
     builder.close()
-    return _named_tables(m, builder.minimal_witnesses(), n)
+    return {TermFunction(n, tuple(m.values[i] for i in table), witness)
+            for table, witness in builder.minimal_witnesses().items()}
 
 
 def unary_term_functions(m: Matrix, generators: Iterable[str]) -> set[TermFunction]:
@@ -345,13 +349,8 @@ def find_term_function(m: Matrix, n: int, generators: Iterable[str],
 
     Returns None only after the full fixpoint has been reached.
     """
-    limit = arity_cap() if cap is None else cap
-    if n > limit:
-        raise ArityCapError(
-            f"arity {n} exceeds the cap {limit}; raise FDEKIT_ARITY_CAP "
-            "or pass a larger cap")
-    builder = _CloneBuilder(m, n, generators)
-    idx_target = tuple(m.index(v) for v in target)
+    builder = _CloneBuilder(m, n, generators, cap)
+    idx_target = tuple(map(m.values.index, target))
     if builder.close(target=idx_target):
         return TermFunction(n, tuple(target), builder.found[idx_target])
     return None
@@ -377,21 +376,15 @@ def simplicity(m: Matrix) -> tuple[bool, dict[frozenset, TermFunction]]:
         key=lambda tf: (_witness_size(tf.witness), formula_key(tf.witness)),
     )
     separators: dict[frozenset, TermFunction] = {}
-    simple = True
-    for a, b in itertools.combinations(m.values, 2):
+    pairs = list(itertools.combinations(m.values, 2))
+    for a, b in pairs:
         for tf in funcs:
             fa = tf.apply(m, (a,)) in m.designated
             fb = tf.apply(m, (b,)) in m.designated
             if fa != fb:
                 separators[frozenset((a, b))] = tf
                 break
-        else:
-            simple = False
-    return simple, separators
-
-
-def is_simple(m: Matrix) -> bool:
-    return simplicity(m)[0]
+    return len(separators) == len(pairs), separators
 
 
 # ---------------------------------------------------------------------------

@@ -354,6 +354,10 @@ def derivation_to_json(d: Derivation, system: str) -> dict:
     return {"system": system, **node(d)}
 
 
+# Deepest premise nesting accepted; loading and checking recurse once per level.
+MAX_DERIVATION_DEPTH = 200
+
+
 def derivation_from_json(data, parse_formula) -> tuple[Derivation, str]:
     """Inverse of `derivation_to_json`; malformed input raises FdekitError."""
     def need(ok: bool, what: str) -> None:
@@ -365,7 +369,9 @@ def derivation_from_json(data, parse_formula) -> tuple[Derivation, str]:
              "each side of a conclusion must be a list of formula strings")
         return frozenset(parse_formula(s) for s in items)
 
-    def node(x) -> Derivation:
+    def node(x, depth: int) -> Derivation:
+        need(depth <= MAX_DERIVATION_DEPTH,
+             f"premises nest deeper than {MAX_DERIVATION_DEPTH}")
         need(isinstance(x, dict), "every node must be an object")
         need(isinstance(x.get("rule"), str)
              and isinstance(x.get("conclusion"), dict),
@@ -379,10 +385,10 @@ def derivation_from_json(data, parse_formula) -> tuple[Derivation, str]:
                     side(x["conclusion"].get(RIGHT))),
             x["rule"],
             None if principal is None else parse_formula(principal),
-            tuple(node(p) for p in premises),
+            tuple(node(p, depth + 1) for p in premises),
         )
 
-    d = node(data)
+    d = node(data, 0)
     system = data.get("system", BD)
     need(system in (BD, CL), f"unknown proof system {system!r}")
     return d, system

@@ -173,9 +173,18 @@ def _tokenize(text: str) -> Iterator[tuple[str, int]]:
 
 
 # Deepest nesting of prefix operators, parentheses and right operands of
-# `->` that the parser accepts.  It keeps the parser and the recursive
-# printer, evaluator and prover well inside Python's default recursion limit.
+# `->` that the parser accepts, and the greatest height of a formula it
+# returns (each link of an `&` or `|` chain adds one).  It keeps the parser
+# and the recursive printer, evaluator and prover inside the recursion limit.
 MAX_NESTING = 100
+
+
+def _app(conn: str, operands, pos: int) -> tuple[Formula, int]:
+    """conn applied to (formula, height) operands, with its height."""
+    height = 1 + max(h for _, h in operands)
+    if height > MAX_NESTING:
+        raise ParseError(f"nesting deeper than {MAX_NESTING}", pos)
+    return App(conn, tuple(f for f, _ in operands)), height
 
 
 class _Parser:
@@ -186,7 +195,7 @@ class _Parser:
         self.i = 0
         self.depth = 0
 
-    def nested(self, parse, pos: int) -> Formula:
+    def nested(self, parse, pos: int) -> tuple[Formula, int]:
         """Run one recursive sub-parse one nesting level deeper."""
         if self.depth == MAX_NESTING:
             raise ParseError(f"nesting deeper than {MAX_NESTING}", pos)
@@ -208,42 +217,42 @@ class _Parser:
         if tok != token:
             raise ParseError(f"expected {token!r}, found {tok!r}", pos)
 
-    def formula(self) -> Formula:
+    def formula(self) -> tuple[Formula, int]:
         lhs = self.disjunction()
         if self.peek()[0] == "->":
             _, pos = self.next()
             self.require("impl", pos)
-            return App("impl", (lhs, self.nested(self.formula, pos)))
+            return _app("impl", (lhs, self.nested(self.formula, pos)), pos)
         return lhs
 
-    def disjunction(self) -> Formula:
+    def disjunction(self) -> tuple[Formula, int]:
         f = self.conjunction()
         while self.peek()[0] == "|":
             _, pos = self.next()
             self.require("or", pos)
-            f = App("or", (f, self.conjunction()))
+            f = _app("or", (f, self.conjunction()), pos)
         return f
 
-    def conjunction(self) -> Formula:
+    def conjunction(self) -> tuple[Formula, int]:
         f = self.unary()
         while self.peek()[0] == "&":
             _, pos = self.next()
             self.require("and", pos)
-            f = App("and", (f, self.unary()))
+            f = _app("and", (f, self.unary()), pos)
         return f
 
-    def unary(self) -> Formula:
+    def unary(self) -> tuple[Formula, int]:
         tok, pos = self.peek()
         if tok == "~":
             self.next()
             self.require("not", pos)
-            return App("not", (self.nested(self.unary, pos),))
+            return _app("not", (self.nested(self.unary, pos),), pos)
         if tok is not None and tok in self.sig and self.sig.arity(tok) == 1:
             self.next()
-            return App(tok, (self.nested(self.unary, pos),))
+            return _app(tok, (self.nested(self.unary, pos),), pos)
         return self.atom()
 
-    def atom(self) -> Formula:
+    def atom(self) -> tuple[Formula, int]:
         tok, pos = self.next()
         if tok == "(":
             f = self.nested(self.formula, pos)
@@ -254,11 +263,11 @@ class _Parser:
         if tok == "top":
             self.require("not", pos)
             self.require("bot", pos)
-            return TOP
+            return TOP, 1
         if tok in self.sig:
             arity = self.sig.arity(tok)
             if arity == 0:
-                return App(tok, ())
+                return App(tok, ()), 0
             raise ArityMismatchError(
                 f"connective {tok!r} has arity {arity}, not usable as an atom")
         if tok in KEYWORDS:
@@ -266,7 +275,7 @@ class _Parser:
                 f"connective {tok!r} is not in the signature", pos)
         if not tok[0].isalpha() and tok[0] != "_":
             raise ParseError(f"unexpected token {tok!r}", pos)
-        return Var(tok)
+        return Var(tok), 0
 
     def require(self, name: str, pos: int):
         if name not in self.sig:
@@ -276,7 +285,7 @@ class _Parser:
 
 def parse(text: str, sig: Signature) -> Formula:
     p = _Parser(text, sig)
-    f = p.formula()
+    f, _ = p.formula()
     tok, pos = p.peek()
     if tok is not None:
         raise ParseError(f"trailing input {tok!r}", pos)

@@ -7,8 +7,17 @@ import pytest
 from fdekit import bd, claims, presets
 from fdekit.cli import main
 from fdekit.matrix import evaluate, matrix_to_json
-from fdekit.proof import BD, Sequent, derivation_to_json, prove
+from fdekit.proof import (
+    BD, MAX_DERIVATION_DEPTH, Sequent, derivation_to_json, prove)
 from fdekit.syntax import MAX_NESTING, parse
+
+
+def _nested_derivation(depth: int) -> str:
+    """JSON text of Id nodes nested `depth` premises deep (json.dumps
+    itself fails on deep nesting)."""
+    node = ('{"rule": "Id", "principal": "p", '
+            '"conclusion": {"left": ["p"], "right": ["p"]}')
+    return (node + ', "premises": [') * depth + node + "}" + "]}" * depth
 
 
 def run(capsys, *argv):
@@ -42,17 +51,23 @@ class TestBasics:
     @pytest.mark.parametrize("text", [
         "~" * (MAX_NESTING + 1) + "p",
         "(" * (MAX_NESTING + 1) + "p" + ")" * (MAX_NESTING + 1),
-    ], ids=["negations", "parentheses"])
+        "p" + " & p" * (MAX_NESTING + 1),
+        "p" + " | p" * (MAX_NESTING + 1),
+    ], ids=["negations", "parentheses", "and-chain", "or-chain"])
     def test_parse_too_deep(self, capsys, text):
-        assert main(["parse", text]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        for argv in (["parse", text], ["entails", f"{text} |- p"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_commands_at_nesting_limit(self, capsys):
-        text = "~" * MAX_NESTING + "p"
-        assert main(["parse", text]) == 0
-        assert main(["eval", "--assign", "p=b", text]) == 0
-        assert main(["prove", f"{text} |- {text}"]) == 0
+        for text in ("~" * MAX_NESTING + "p", "p" + " & p" * MAX_NESTING,
+                     "p" + " | p" * MAX_NESTING):
+            capsys.readouterr()
+            assert run(capsys, "parse", text) == (0, text + "\n")
+            assert main(["eval", "--assign", "p=b", text]) == 0
+            assert main(["prove", f"{text} |- {text}"]) == 0
+            assert main(["entails", f"{text} |- {text}"]) == 0
 
     def test_usage_error(self, capsys):
         assert main(["no-such-command"]) == 2
@@ -182,13 +197,31 @@ class TestProofCommands:
          "conclusion": {"left": ["p & q"], "right": ["p"]}, "premises": [1]},
         {"system": "LP", "rule": "Id", "principal": "p",
          "conclusion": {"left": ["p"], "right": ["p"]}},
+        _nested_derivation(MAX_DERIVATION_DEPTH + 1),  # past the loader
+        _nested_derivation(600),                       # past json.load
     ])
     def test_check_malformed(self, capsys, tmp_path, data):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(data))
+        path.write_text(data if isinstance(data, str) else json.dumps(data))
         assert main(["check", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_check_at_depth_limit(self, capsys, tmp_path):
+        # and-L steps, one per conjunction a_i & a_i, down to an Id leaf
+        # nested MAX_DERIVATION_DEPTH premises deep
+        n = MAX_DERIVATION_DEPTH
+        d = {"rule": "Id", "principal": "a0", "premises": []}
+        for k in range(n + 1):
+            d["conclusion"] = {"right": ["a0"], "left": [
+                f"a{i} & a{i}" for i in range(k)] + [
+                f"a{i}" for i in range(k, n)]}
+            if k < n:
+                d = {"rule": "and-L", "principal": f"a{k} & a{k}",
+                     "premises": [d]}
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(d))
+        assert run(capsys, "check", str(path)) == (0, "VALID\n")
 
     def test_derived_rule(self, capsys):
         assert run(capsys, "derived-rule", "not-and-R")[0] == 0

@@ -159,8 +159,9 @@ class TestReplacementSoundness:
         assert synonymous(m, a, b)
         # exhaustive to depth 2, a deterministic sample of depth 3
         shallow = self._contexts(m.signature, 2)
+        shallow_set = set(shallow)
         deep = [c for c in self._contexts(m.signature, 3)
-                if c not in set(shallow)]
+                if c not in shallow_set]
         contexts = shallow + random.Random(5).sample(deep, 600)
         assert len(contexts) > 1000
         from fdekit.syntax import substitute

@@ -1,8 +1,9 @@
 import itertools
+import random
 
 import pytest
 
-from fdekit import bd, presets
+from fdekit import bd, matrix, presets
 from fdekit.errors import (
     ArityCapError,
     DegenerateDesignatedError,
@@ -21,7 +22,6 @@ from fdekit.matrix import (
     expand,
     find_term_function,
     is_expansion,
-    is_simple,
     matrix_from_json,
     matrix_to_json,
     restrict,
@@ -29,7 +29,8 @@ from fdekit.matrix import (
     term_functions,
     unary_term_functions,
 )
-from fdekit.syntax import App, Signature, Var, conj, disj, neg, parse
+from fdekit.syntax import (
+    App, Signature, Var, conj, disj, neg, parse, variables)
 
 BD = presets.preset("bd")
 BDI = presets.preset("bd-impl-bot")
@@ -102,6 +103,87 @@ class TestEquivalence:
         assert equivalence_countermodel(LP, lhs, rhs) == {"p": "t", "q": "b"}
 
 
+def _reference_consequence(m, gamma, delta):
+    names = sorted(set().union(*(variables(f) for f in gamma + delta)))
+    for combo in itertools.product(m.values, repeat=len(names)):
+        a = dict(zip(names, combo))
+        if all(evaluate(m, f, a) in m.designated for f in gamma) and not any(
+                evaluate(m, f, a) in m.designated for f in delta):
+            return a
+    return None
+
+
+def _reference_equivalence(m, a, b):
+    names = sorted(variables(a) | variables(b))
+    for combo in itertools.product(m.values, repeat=len(names)):
+        asg = dict(zip(names, combo))
+        if evaluate(m, a, asg) != evaluate(m, b, asg):
+            return asg
+    return None
+
+
+def _random_formula(rng, sig, names, size):
+    """A random formula over the names (closed when there are none)."""
+    nullary = [c for c, k in sorted(sig.connectives.items()) if k == 0]
+    if size == 0:
+        if nullary and (not names or rng.random() < 0.2):
+            return App(rng.choice(nullary), ())
+        return Var(rng.choice(names or ["p"]))
+    conn, k = rng.choice([ck for ck in sorted(sig.connectives.items())
+                          if ck[1] > 0])
+    return App(conn, tuple(_random_formula(rng, sig, names, size // 2)
+                           for _ in range(k)))
+
+
+class TestKernelAgainstEvaluate:
+    """Countermodels from value vectors equal the first refuting
+    assignment found by `evaluate` over `itertools.product`."""
+
+    @pytest.mark.parametrize("name", [
+        "bd", "bd-impl-bot", "bd-b-n", "lp", "k3", "cl-impl-bot"])
+    @pytest.mark.parametrize("block_vars", [1, matrix._BLOCK_VARS],
+                             ids=["blocks", "one-block"])
+    def test_random_queries(self, name, block_vars, monkeypatch):
+        monkeypatch.setattr(matrix, "_BLOCK_VARS", block_vars)
+        m = presets.preset(name)
+        rng = random.Random(name)
+        for _ in range(150):
+            names = ["p", "q", "r", "s"][:rng.randrange(5)]
+
+            def some(count):
+                return [_random_formula(rng, m.signature, names,
+                                        rng.randrange(6))
+                        for _ in range(count)]
+
+            gamma, delta = some(rng.randrange(3)), some(rng.randrange(3))
+            assert consequence_countermodel(m, gamma, delta) \
+                == _reference_consequence(m, gamma, delta)
+            a, b = some(2)
+            assert equivalence_countermodel(m, a, b) \
+                == _reference_equivalence(m, a, b)
+
+    def test_empty_sides(self):
+        assert consequence_countermodel(BD, [], []) == {}
+        assert consequence_countermodel(BD, [], [p]) == {"p": "f"}
+        assert consequence_countermodel(BD, [p], []) == {"p": "t"}
+
+    def test_closed_formulas(self):
+        m = presets.preset("bd-b-n")
+        b, n = App("B", ()), App("N", ())
+        assert consequence_countermodel(m, [], [n]) == {}
+        assert consequence_countermodel(m, [], [b]) is None
+        assert equivalence_countermodel(m, b, n) == {}
+        assert equivalence_countermodel(m, conj(b, n), neg(disj(b, n))) is None
+
+    @pytest.mark.parametrize("formula", [
+        App("impl", (p, q)), App("not", (p, q)), App("delta", (p,))])
+    def test_uninterpreted_connective(self, formula):
+        with pytest.raises(SignatureMismatchError):
+            consequence_countermodel(BD, [p], [formula])
+        with pytest.raises(SignatureMismatchError):
+            equivalence_countermodel(BD, formula, p)
+
+
 class TestClones:
     def test_witnesses_are_pointwise_correct(self):
         for tf in term_functions(BDI, 1, ["not", "impl", "bot"]):
@@ -164,8 +246,8 @@ class TestSimplicity:
             assert da != db
 
     def test_expansions_are_simple(self):
-        assert is_simple(BDI)
-        assert is_simple(presets.preset("bd-delta"))
+        assert BDI.simple
+        assert presets.preset("bd-delta").simple
 
     def test_duplicated_value_matrix_is_not_simple(self):
         # values y and z are indistinguishable: undesignated, and the only
@@ -176,7 +258,7 @@ class TestSimplicity:
             Signature({"f1": 1}),
             {"f1": {("x",): "x", ("y",): "y", ("z",): "y"}},
         )
-        assert not is_simple(m)
+        assert not m.simple
 
 
 class TestExpansionRestriction:
@@ -208,6 +290,17 @@ class TestExpansionRestriction:
             {"and": BD.tables["and"]})
         with pytest.raises(DegenerateDesignatedError):
             restrict(lattice_only, ("t", "b"))
+
+    def test_tables_are_read_only(self):
+        with pytest.raises(TypeError):
+            presets.preset("bd").tables["not"][("t",)] = "t"
+        with pytest.raises(TypeError):
+            presets.preset("bd").tables["not"] = {}
+        table = dict(BD.tables["not"])
+        m = Matrix(BD.values, BD.designated, Signature({"not": 1}),
+                   {"not": table})
+        table[("t",)] = "t"
+        assert m.tables["not"][("t",)] == "f"
 
 
 class TestJson:

@@ -134,7 +134,10 @@ class TestRoundTrip:
         "(" * MAX_NESTING + "p" + ")" * MAX_NESTING,
         "p -> " * MAX_NESTING + "p",
         "~(" * (MAX_NESTING // 2) + "p" + ")" * (MAX_NESTING // 2),
-    ], ids=["negations", "parentheses", "arrows", "mixed"])
+        "p" + " & p" * MAX_NESTING,
+        "p" + " | q" * MAX_NESTING,
+    ], ids=["negations", "parentheses", "arrows", "mixed", "and-chain",
+            "or-chain"])
     def test_round_trip_at_nesting_limit(self, text):
         f = parse(text, RICH_SIG)
         assert parse(print_formula(f), RICH_SIG) == f
