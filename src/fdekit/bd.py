@@ -9,6 +9,7 @@ family of {not, and, or, impl, bot}-matrices.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -53,31 +54,23 @@ class NamedConnective:
     table: Mapping[tuple[str, ...], str]
 
 
-def _unary(name: str, fn) -> NamedConnective:
-    return NamedConnective(name, 1, {(a,): fn(a) for a in VALUES})
+def _connective(name: str, arity: int, fn) -> NamedConnective:
+    return NamedConnective(name, arity, {
+        args: fn(*args) for args in itertools.product(VALUES, repeat=arity)})
 
 
-def _binary(name: str, fn) -> NamedConnective:
-    return NamedConnective(
-        name, 2, {(a, b): fn(a, b) for a in VALUES for b in VALUES})
-
-
-def _nullary(name: str, value: str) -> NamedConnective:
-    return NamedConnective(name, 0, {(): value})
-
-
-NOT = _unary("not", lambda a: {"t": "f", "f": "t"}.get(a, a))
-AND = _binary("and", meet)
-OR = _binary("or", join)
-IMPL = _binary("impl", lambda a, b: "t" if a not in DESIGNATED else b)
-BOT = _nullary("bot", "f")
-DELTA = _unary("delta", lambda a: "t" if a in ("t", "b") else "f")
-CIRC = _unary("circ", lambda a: "t" if a in ("t", "f") else "f")
-CONS = _unary("cons", lambda a: "f" if a == "b" else "t")
-DET = _unary("det", lambda a: "f" if a == "n" else "t")
-CONFL = _unary("confl", lambda a: {"b": "n", "n": "b"}.get(a, a))
-B_CONST = _nullary("B", "b")
-N_CONST = _nullary("N", "n")
+NOT = _connective("not", 1, lambda a: {"t": "f", "f": "t"}.get(a, a))
+AND = _connective("and", 2, meet)
+OR = _connective("or", 2, join)
+IMPL = _connective("impl", 2, lambda a, b: "t" if a not in DESIGNATED else b)
+BOT = _connective("bot", 0, lambda: "f")
+DELTA = _connective("delta", 1, lambda a: "t" if a in ("t", "b") else "f")
+CIRC = _connective("circ", 1, lambda a: "t" if a in ("t", "f") else "f")
+CONS = _connective("cons", 1, lambda a: "f" if a == "b" else "t")
+DET = _connective("det", 1, lambda a: "f" if a == "n" else "t")
+CONFL = _connective("confl", 1, lambda a: {"b": "n", "n": "b"}.get(a, a))
+B_CONST = _connective("B", 0, lambda: "b")
+N_CONST = _connective("N", 0, lambda: "n")
 
 _NAMED = {
     c.name: c
@@ -100,7 +93,8 @@ def heart(subset: Iterable[str]) -> NamedConnective:
     if unknown:
         raise UnknownNameError(f"not truth values: {sorted(unknown)!r}")
     tag = "".join(v for v in VALUES if v in members) or "0"
-    return _unary(f"heart_{tag}", lambda a: "t" if a in members else "f")
+    return _connective(f"heart_{tag}", 1,
+                       lambda a: "t" if a in members else "f")
 
 
 def bd_matrix() -> Matrix:

@@ -49,9 +49,32 @@ def _emit(args, data: dict, text: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands, registered in help order: name -> (handler, help, arguments)
+
+COMMANDS: dict = {}
 
 
+def _arg(*flags, **options) -> tuple:
+    """One `add_argument` call, kept for `build_parser`."""
+    return flags, options
+
+
+def command(name: str, help: str, *arguments):
+    """Register the decorated handler as the subcommand `name`."""
+    def register(fn):
+        COMMANDS[name] = (fn, help, arguments)
+        return fn
+    return register
+
+
+MATRIX = _arg("--matrix", default="bd-impl-bot")
+
+
+def _system(default: str) -> tuple:
+    return _arg("--system", choices=[proof.BD, proof.CL], default=default)
+
+
+@command("parse", "parse and reprint a formula", MATRIX, _arg("formula"))
 def cmd_parse(args) -> int:
     m = _get_matrix(args.matrix)
     f = syntax.parse(args.formula, m.signature)
@@ -60,6 +83,9 @@ def cmd_parse(args) -> int:
     return EXIT_OK
 
 
+@command("eval", "evaluate a formula under an assignment", MATRIX,
+         _arg("--assign", action="append", metavar="VAR=VALUE"),
+         _arg("formula"))
 def cmd_eval(args) -> int:
     m = _get_matrix(args.matrix)
     f = syntax.parse(args.formula, m.signature)
@@ -84,6 +110,8 @@ def _countermodel_verdict(args, key: str, counter) -> int:
     return EXIT_NO
 
 
+@command("entails", "decide a consequence query", MATRIX,
+         _arg("sequent", help="'Gamma |- Delta', comma-separated"))
 def cmd_entails(args) -> int:
     m = _get_matrix(args.matrix)
     gamma, delta = _parse_sequent(args.sequent, m)
@@ -91,6 +119,7 @@ def cmd_entails(args) -> int:
         args, "entails", mx.consequence_countermodel(m, gamma, delta))
 
 
+@command("equiv", "decide induced equivalence", MATRIX, _arg("lhs"), _arg("rhs"))
 def cmd_equiv(args) -> int:
     m = _get_matrix(args.matrix)
     a = syntax.parse(args.lhs, m.signature)
@@ -99,6 +128,7 @@ def cmd_equiv(args) -> int:
         args, "equivalent", mx.equivalence_countermodel(m, a, b))
 
 
+@command("synonymous", "decide synonymity", MATRIX, _arg("lhs"), _arg("rhs"))
 def cmd_synonymous(args) -> int:
     m = _get_matrix(args.matrix)
     a = syntax.parse(args.lhs, m.signature)
@@ -108,6 +138,9 @@ def cmd_synonymous(args) -> int:
     return EXIT_OK if verdict else EXIT_NO
 
 
+@command("definable", "is a connective definable from others?",
+         _arg("--matrix", required=True), _arg("--target", required=True),
+         _arg("--using", required=True, metavar="NAMES"))
 def cmd_definable(args) -> int:
     m = _get_matrix(args.matrix)
     allowed = args.using.split(",") if args.using else []
@@ -118,10 +151,13 @@ def cmd_definable(args) -> int:
               f"DEFINABLE  witness: {witness}")
         return EXIT_OK
     _emit(args, {"definable": False, "reason": verdict.reason},
-          "NOT DEFINABLE")
+          f"NOT DEFINABLE  reason: {verdict.reason}")
     return EXIT_NO
 
 
+@command("interdef", "interdefinability of two logics",
+         _arg("--a", required=True), _arg("--b", required=True),
+         _arg("--common", required=True))
 def cmd_interdef(args) -> int:
     common = _get_matrix(args.common)
     a = presets.handle(args.a, common)
@@ -132,6 +168,9 @@ def cmd_interdef(args) -> int:
     return EXIT_OK if verdict else EXIT_NO
 
 
+@command("clone", "list term functions of an arity",
+         _arg("--matrix", required=True), _arg("--arity", type=int, default=1),
+         _arg("--using", metavar="NAMES"))
 def cmd_clone(args) -> int:
     m = _get_matrix(args.matrix)
     gens = args.using.split(",") if args.using else list(
@@ -154,6 +193,7 @@ def cmd_clone(args) -> int:
     return EXIT_OK
 
 
+@command("prove", "backward proof search", _system(proof.BD), _arg("sequent"))
 def cmd_prove(args) -> int:
     m = presets.preset("bd-impl-bot")
     gamma, delta = _parse_sequent(args.sequent, m)
@@ -179,6 +219,8 @@ def _print_derivation(d: proof.Derivation, indent: int = 0) -> None:
         _print_derivation(p, indent + 1)
 
 
+@command("check", "check a derivation JSON file",
+         _arg("file", help="path or - for stdin"))
 def cmd_check(args) -> int:
     m = presets.preset("bd-impl-bot")
     with open(args.file) if args.file != "-" else sys.stdin as fh:
@@ -198,24 +240,29 @@ def cmd_check(args) -> int:
     return EXIT_NO
 
 
+@command("derived-rule", "is a negation rule derivable?",
+         _system(proof.CL), _arg("rule"))
 def cmd_derived_rule(args) -> int:
     verdict = proof.derived_rule_check(args.rule, args.system)
     _emit(args, {"derived": verdict}, "DERIVED" if verdict else "NOT DERIVED")
     return EXIT_OK if verdict else EXIT_NO
 
 
+@command("count-sr", "size of the strongly regular family")
 def cmd_count_sr(args) -> int:
     count = bd.count_strongly_regular()
     _emit(args, {"count": count}, str(count))
     return EXIT_OK
 
 
+@command("sr-decode", "family index to matrix JSON", _arg("index", type=int))
 def cmd_sr_decode(args) -> int:
     m = bd.sr_decode(args.index)
     print(json.dumps(mx.matrix_to_json(m), indent=None if args.json else 2))
     return EXIT_OK
 
 
+@command("sr-encode", "matrix JSON file to family index", _arg("file"))
 def cmd_sr_encode(args) -> int:
     m = mx.load_matrix(args.file)
     index = bd.sr_encode(m)
@@ -223,6 +270,9 @@ def cmd_sr_encode(args) -> int:
     return EXIT_OK
 
 
+@command("laws-filter", "family members satisfying the chosen laws",
+         _arg("--law", action="append",
+              help="law name; repeatable; default: all 13"))
 def cmd_laws_filter(args) -> int:
     selected = ([laws.law_by_name(name) for name in args.law]
                 if args.law else list(laws.TABLE2_LAWS))
@@ -246,6 +296,7 @@ def cmd_laws_filter(args) -> int:
     return EXIT_OK
 
 
+@command("repro", "run the full reproducibility checklist")
 def cmd_repro(args) -> int:
     results = []
     for name, check in claims.CLAIMS:
@@ -268,78 +319,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    for name, (fn, help_text, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
-        return p
-
-    p = add("parse", cmd_parse, help="parse and reprint a formula")
-    p.add_argument("--matrix", default="bd-impl-bot")
-    p.add_argument("formula")
-
-    p = add("eval", cmd_eval, help="evaluate a formula under an assignment")
-    p.add_argument("--matrix", default="bd-impl-bot")
-    p.add_argument("--assign", action="append", metavar="VAR=VALUE")
-    p.add_argument("formula")
-
-    p = add("entails", cmd_entails, help="decide a consequence query")
-    p.add_argument("--matrix", default="bd-impl-bot")
-    p.add_argument("sequent", help="'Gamma |- Delta', comma-separated")
-
-    p = add("equiv", cmd_equiv, help="decide induced equivalence")
-    p.add_argument("--matrix", default="bd-impl-bot")
-    p.add_argument("lhs")
-    p.add_argument("rhs")
-
-    p = add("synonymous", cmd_synonymous, help="decide synonymity")
-    p.add_argument("--matrix", default="bd-impl-bot")
-    p.add_argument("lhs")
-    p.add_argument("rhs")
-
-    p = add("definable", cmd_definable,
-            help="is a connective definable from others?")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--using", required=True, metavar="NAMES")
-
-    p = add("interdef", cmd_interdef, help="interdefinability of two logics")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--common", required=True)
-
-    p = add("clone", cmd_clone, help="list term functions of an arity")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--arity", type=int, default=1)
-    p.add_argument("--using", metavar="NAMES")
-
-    p = add("prove", cmd_prove, help="backward proof search")
-    p.add_argument("--system", choices=[proof.BD, proof.CL], default=proof.BD)
-    p.add_argument("sequent")
-
-    p = add("check", cmd_check, help="check a derivation JSON file")
-    p.add_argument("file", help="path or - for stdin")
-
-    p = add("derived-rule", cmd_derived_rule,
-            help="is a negation rule derivable?")
-    p.add_argument("--system", choices=[proof.BD, proof.CL], default=proof.CL)
-    p.add_argument("rule")
-
-    add("count-sr", cmd_count_sr, help="size of the strongly regular family")
-
-    p = add("sr-decode", cmd_sr_decode, help="family index to matrix JSON")
-    p.add_argument("index", type=int)
-
-    p = add("sr-encode", cmd_sr_encode, help="matrix JSON file to family index")
-    p.add_argument("file")
-
-    p = add("laws-filter", cmd_laws_filter,
-            help="family members satisfying the chosen laws")
-    p.add_argument("--law", action="append",
-                   help="law name; repeatable; default: all 13")
-
-    add("repro", cmd_repro, help="run the full reproducibility checklist")
-
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
     return parser
 
 

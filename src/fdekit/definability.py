@@ -4,15 +4,22 @@ For logics induced by a simple matrix, synonymity coincides with the
 induced equivalence relation, so both are decided by exhaustive valuation
 enumeration.  Definability of a connective reduces to membership of its
 table in the term-function clone over the allowed connectives.
+
+Before that clone, a target of arity two or more must preserve every
+relation the allowed connectives preserve, since term functions do
+(Geiger 1968; Bodnarcuk, Kaluznin, Kotov and Romov 1969).  The relations
+tried are the subuniverses of the carrier, and of its square on carriers
+of at most `BINARY_RELATIONS_MAX_CARRIER` values, generated by one or two
+tuples; a relation the target breaks certifies that it is not definable.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
-from .bd import NamedConnective, bd_matrix
+from .bd import DESIGNATED, VALUES, NamedConnective, bd_matrix
 from .errors import (
     NotBdExpansionError,
     NotCommonExpansionError,
@@ -23,10 +30,15 @@ from .matrix import (
     consequence,
     equivalent,
     find_term_function,
+    first_broken,
     is_expansion,
-    unary_term_functions,
+    subpower,
 )
-from .syntax import Formula, Var, neg, substitute
+from .syntax import Formula, Signature, Var, neg, substitute
+
+# Carriers up to this size also try the relations on the square generated
+# by one or two pairs: |A|^2 + C(|A|^2, 2) closures, 136 on four values.
+BINARY_RELATIONS_MAX_CARRIER = 4
 
 def synonymous(m: Matrix, a: Formula, b: Formula) -> bool:
     """Intersubstitutability in all contexts, via induced equivalence.
@@ -54,19 +66,49 @@ def synonymity_via_consequence(m: Matrix, a: Formula, b: Formula) -> bool:
 
 @dataclass(frozen=True)
 class DefinabilityVerdict:
+    """`witness` defines the target; `reason` says why none exists: its
+    diagonal is not a unary term function, it breaks a named relation that
+    the allowed connectives preserve, or the clone lacks its table."""
+
     definable: bool
     witness: Optional[Formula] = None
     reason: Optional[str] = None
 
 
+def _relations(m: Matrix, allowed: list[str]) -> Iterator[dict]:
+    """The proper subuniverses of the carrier, then of its square, generated
+    by one or two tuples, skipping a pair that one of its tuples generates."""
+    nvals, p1, p2 = len(m.values), Var("p1"), Var("p2")
+    for width in (1, 2)[:1 + (nvals <= BINARY_RELATIONS_MAX_CARRIER)]:
+        points = list(itertools.product(range(nvals), repeat=width))
+        single = {s: subpower(m, allowed, [(s, p1)]) for s in points}
+        pairs = (subpower(m, allowed, [(s, p1), (t, p2)])
+                 for s, t in itertools.combinations(points, 2)
+                 if t not in single[s] and s not in single[t])
+        yield from (rel for rel in itertools.chain(single.values(), pairs)
+                    if len(rel) < nvals ** width)
+
+
+def relation_certificate(m: Matrix, target: str,
+                         allowed: Iterable[str]) -> Optional[str]:
+    """A relation generated by one or two tuples that the allowed
+    connectives preserve and the target breaks, described; None if the
+    target preserves every such relation."""
+    allowed = sorted(set(allowed))
+    rel = first_broken(m, target, _relations(m, allowed))
+    if rel is None:
+        return None
+    members = ", ".join(f"({','.join(m.values[i] for i in t)})"
+                        for t in sorted(rel))
+    return (f"breaks the relation {{{members}}}, which the allowed "
+            "connectives preserve")
+
+
 def definable(m: Matrix, target: str, allowed: Iterable[str],
               cap: Optional[int] = None) -> DefinabilityVerdict:
-    """Is the target connective's table in the clone over `allowed`?
-
-    The witness, when present, is a formula over p1..pn (or over the fixed
-    fresh variable p for a nullary target defined via a closed-by-constancy
-    unary term).
-    """
+    """Is the target connective's table in the clone over `allowed`?  A
+    witness is a formula over p1..pn, or over the fixed fresh variable p
+    for a nullary target defined by a constant unary term."""
     allowed = sorted(set(allowed))
     if target not in m.signature:
         raise ValueError(f"target {target!r} not in the signature")
@@ -84,29 +126,30 @@ def definable(m: Matrix, target: str, allowed: Iterable[str],
         if find_term_function(m, 1, allowed, diagonal, cap=max(1, n)) is None:
             return DefinabilityVerdict(
                 False, reason="diagonal missing from the unary clone")
+        certificate = relation_certificate(m, target, allowed)
+        if certificate is not None:
+            return DefinabilityVerdict(False, reason=certificate)
     found = find_term_function(m, n, allowed, target_table, cap=cap)
     if found is not None:
         return DefinabilityVerdict(True, found.witness)
     if n == 0:
         # a defining formula may mention a fixed but arbitrary variable, so
         # a constant-valued unary term also counts
-        constant = target_table[0]
-        for tf in sorted(unary_term_functions(m, allowed),
-                         key=lambda t: str(t.witness)):
-            if all(v == constant for v in tf.table):
-                witness = substitute(tf.witness, {"p1": Var("p")})
-                return DefinabilityVerdict(True, witness)
+        found = find_term_function(m, 1, allowed, target_table * len(m.values),
+                                   cap=1)
+        if found is not None:
+            return DefinabilityVerdict(
+                True, substitute(found.witness, {"p1": Var("p")}))
     return DefinabilityVerdict(False, reason="clone exhausted without the table")
 
 
 def bd_preservation_criterion(c: NamedConnective) -> bool:
     """Definability of c in the implication-falsity expansion, decided by
     preservation of {t,f,b} and {t,f,n}."""
-    for subset in (("t", "f", "b"), ("t", "f", "n")):
-        for args in itertools.product(subset, repeat=c.arity):
-            if c.table[args] not in subset:
-                return False
-    return True
+    m = Matrix(VALUES, DESIGNATED, Signature({c.name: c.arity}),
+               {c.name: c.table})
+    subsets = [{(VALUES.index(v),) for v in s} for s in ("tfb", "tfn")]
+    return first_broken(m, c.name, subsets) is None
 
 
 @dataclass(frozen=True)

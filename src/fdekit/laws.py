@@ -151,8 +151,7 @@ class FilterResult:
 
     @property
     def count(self) -> int:
-        return sum(2 ** sum(1 for b in cube if b is None)
-                   for cube in self.cubes)
+        return sum(2 ** cube.count(None) for cube in self.cubes)
 
     @property
     def is_all(self) -> bool:
@@ -167,24 +166,17 @@ class FilterResult:
                 yield base + sum(v << free[i] for i, v in enumerate(combo))
 
     def __contains__(self, index: int) -> bool:
-        for cube in self.cubes:
-            if all(b is None or ((index >> i) & 1) == b
-                   for i, b in enumerate(cube)):
-                return True
-        return False
+        return any(all(b is None or ((index >> i) & 1) == b
+                       for i, b in enumerate(cube)) for cube in self.cubes)
 
     def sample(self, k: int, seed: int = 0) -> list[int]:
         rng = random.Random(seed)
-        totals = [2 ** sum(1 for b in cube if b is None) for cube in self.cubes]
-        grand = sum(totals)
+        totals = [2 ** cube.count(None) for cube in self.cubes]
         out = []
-        for _ in range(min(k, grand)):
+        for _ in range(min(k, sum(totals))):
             cube = rng.choices(self.cubes, weights=totals)[0]
-            idx = 0
-            for i, b in enumerate(cube):
-                bit = rng.getrandbits(1) if b is None else b
-                idx |= bit << i
-            out.append(idx)
+            out.append(sum((rng.getrandbits(1) if b is None else b) << i
+                           for i, b in enumerate(cube)))
         return out
 
 

@@ -3,7 +3,11 @@
 A matrix is a finite carrier of truth values, a designated subset, and one
 tabulated interpretation per connective.  One kernel computes truth tables
 as value vectors (a value index per point, in `itertools.product` order) for
-consequence, equivalence and clone closure with minimal-size witnesses.
+consequence and equivalence.  One closure, `subpower`, computes the
+subuniverse of a power of the carrier generated by some tuples: the n-ary
+clone is the one generated by the n projections, and two values are
+separated by a unary term iff the one generated by the pair holds a pair
+with exactly one designated component, which decides simplicity.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import (
+    Callable, Collection, Iterable, Iterator, Mapping, Optional, Sequence)
 
 from .errors import (
     ArityCapError,
@@ -25,7 +30,7 @@ from .errors import (
     SignatureMismatchError,
     UnboundVariableError,
 )
-from .syntax import App, Formula, Signature, Var, formula_key, variables
+from .syntax import App, Formula, Signature, Var, variables
 
 DEFAULT_ARITY_CAP = 2
 
@@ -195,7 +200,68 @@ def equivalent(m: Matrix, a: Formula, b: Formula) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Term-function clones
+# Subpowers: clones, simplicity and invariant relations
+
+def _operations(m: Matrix, generators: Iterable[str]) -> list[tuple]:
+    """(name, index table, arity) of each generator, by name."""
+    gens = sorted(set(generators))
+    for g in gens:
+        if g not in m.signature:
+            raise SignatureMismatchError(f"generator {g!r} not in the signature")
+    return [(g, m.index_tables[g], m.signature.arity(g)) for g in gens]
+
+
+def subpower(m: Matrix, generators: Iterable[str],
+             seeds: Iterable[tuple[tuple[int, ...], Formula]],
+             target: Optional[Callable[[tuple[int, ...]], bool]] = None
+             ) -> dict[tuple[int, ...], Formula]:
+    """The subuniverse of carrier^k generated by the seeds, k-tuples of
+    value indices with witness formulas (k = 1 if there are none).
+
+    The nullary generators' constant tuples follow the seeds.  Each round
+    composes the other generators componentwise on the argument tuples
+    touching the last round's new tuples, witnessing each new tuple by its
+    generator applied to its arguments' witnesses.  Returns the tuples and
+    witnesses in discovery order, stopping after the first tuple that
+    satisfies `target`.
+    """
+    ops, nvals = _operations(m, generators), len(m.values)
+    seeds = list(seeds)
+    width = len(seeds[0][0]) if seeds else 1
+    seeds += [((table[0],) * width, App(g, ())) for g, table, k in ops if not k]
+    found: dict[tuple[int, ...], Formula] = {}
+    for tup, witness in seeds:
+        if tup not in found:
+            found[tup] = witness
+            if target is not None and target(tup):
+                return found
+    order, frontier = list(found), 0
+    while frontier < len(order):
+        new_from, frontier = frontier, len(order)
+        for g, table, k in ops:
+            for combo in itertools.product(range(frontier), repeat=k):
+                if not k or max(combo) < new_from:
+                    continue  # a constant, or composed in an earlier round
+                args = [order[i] for i in combo]
+                tup = _compose(table, nvals, width, args)
+                if tup not in found:
+                    found[tup] = App(g, tuple(found[a] for a in args))
+                    order.append(tup)
+                    if target is not None and target(tup):
+                        return found
+    return found
+
+
+def first_broken(m: Matrix, conn: str,
+                 relations: Iterable[Collection[tuple[int, ...]]]
+                 ) -> Optional[Collection[tuple[int, ...]]]:
+    """The first relation (a set of value-index tuples) that the connective
+    does not preserve, that is, that grows when closed under it alone."""
+    for rel in relations:
+        seeds = [(t, Var("r")) for t in rel]
+        if len(subpower(m, [conn], seeds, lambda t: t not in rel)) > len(rel):
+            return rel
+    return None
 
 
 @dataclass(frozen=True)
@@ -215,127 +281,53 @@ class TermFunction:
         return self.table[_radix(map(m.values.index, args), len(m.values))]
 
 
-def _witness_size(f: Formula) -> int:
-    if isinstance(f, Var):
-        return 1
-    return 1 + sum(_witness_size(a) for a in f.args)
+def _clone(m: Matrix, n: int, generators: Iterable[str], cap: Optional[int],
+           target: Optional[Callable] = None) -> dict:
+    """The subpower of carrier^(|carrier|^n) generated by p1..pn."""
+    if n < 0:
+        raise ValueError("arity must be non-negative")
+    limit = arity_cap() if cap is None else cap
+    if n > limit:
+        raise ArityCapError(
+            f"arity {n} exceeds the cap {limit}; raise FDEKIT_ARITY_CAP "
+            "or pass a larger cap")
+    return subpower(m, generators, [
+        (t, Var(f"p{i + 1}"))
+        for i, t in enumerate(_projections(len(m.values), n))], target)
 
 
-class _CloneBuilder:
-    """Closure of projections and generator compositions, as value vectors."""
-
-    def __init__(self, m: Matrix, n: int, generators: Iterable[str],
-                 cap: Optional[int]):
-        if n < 0:
-            raise ValueError("arity must be non-negative")
-        limit = arity_cap() if cap is None else cap
-        if n > limit:
-            raise ArityCapError(
-                f"arity {n} exceeds the cap {limit}; raise FDEKIT_ARITY_CAP "
-                "or pass a larger cap")
-        gens = sorted(set(generators))
-        for g in gens:
-            if g not in m.signature:
-                raise SignatureMismatchError(f"generator {g!r} not in the signature")
-        self.nvals = len(m.values)
-        self.npoints = self.nvals ** n
-        self.found: dict[tuple[int, ...], Formula] = {}
-        self.order: list[tuple[int, ...]] = []
-        self.seeds = [(table, Var(f"p{i + 1}"))
-                      for i, table in enumerate(_projections(self.nvals, n))]
-        self.seeds += [((m.index_tables[g][0],) * self.npoints, App(g, ()))
-                       for g in gens if m.signature.arity(g) == 0]
-        # generators of positive arity: (name, index table, arity)
-        self.ops = [(g, m.index_tables[g], m.signature.arity(g))
-                    for g in gens if m.signature.arity(g) > 0]
-
-    def _add(self, table: tuple[int, ...], witness: Formula) -> bool:
-        if table in self.found:
-            return False
-        self.found[table] = witness
-        self.order.append(table)
-        return True
-
-    def close(self, target: Optional[tuple[int, ...]] = None) -> bool:
-        """Run the closure; stop early (returning True) if target appears."""
-        for table, wit in self.seeds:
-            if self._add(table, wit) and table == target:
-                return True
-        frontier = 0
-        while frontier < len(self.order):
-            new_from = frontier
-            frontier = len(self.order)
-            for g, gtab, k in self.ops:
-                for combo in itertools.product(range(frontier), repeat=k):
-                    # only combinations touching the newest batch are unseen
-                    if max(combo) < new_from:
-                        continue
-                    args = [self.order[i] for i in combo]
-                    table = _compose(gtab, self.nvals, self.npoints, args)
-                    if table not in self.found:
-                        witness = App(
-                            g, tuple(self.found[self.order[i]] for i in combo)
-                        )
-                        self._add(table, witness)
-                        if table == target:
-                            return True
-        return target in self.found
-
-    def minimal_witnesses(self) -> dict[tuple[int, ...], Formula]:
-        """Recompute witnesses breadth-first by witness size.
-
-        Ties are broken by connective name, then by argument discovery
-        order, so the witness kept for each table is reproducible.
-        """
-        remaining = set(self.found)
-        wit: dict[tuple[int, ...], Formula] = {}
-        by_size: dict[int, list[tuple[int, ...]]] = {1: []}
-
-        def settle(table, witness, size):
-            if table in remaining:
-                remaining.discard(table)
-                wit[table] = witness
-                by_size.setdefault(size, []).append(table)
-
-        for table, witness in self.seeds:
-            settle(table, witness, 1)
-        size = 2
-        while remaining and size <= 64:
-            for g, gtab, k in self.ops:
-                for sizes in _compositions(size - 1, k):
-                    pools = [by_size.get(s, []) for s in sizes]
-                    if not all(pools):
-                        continue
-                    for args in itertools.product(*pools):
-                        table = _compose(gtab, self.nvals, self.npoints, args)
-                        if table in remaining:
-                            settle(table, App(g, tuple(wit[a] for a in args)),
-                                   size)
-            size += 1
-        # pathologically deep witnesses: keep the discovery-order ones
-        for table in remaining:
-            wit[table] = self.found[table]
-        return wit
-
-
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Ordered tuples of positive ints summing to total, lexicographic."""
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for head in range(1, total - parts + 2):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+def minimal_witnesses(m: Matrix, generators: Iterable[str],
+                      found: Mapping[tuple[int, ...], Formula]) -> dict:
+    """A closure's witnesses recomputed breadth-first by witness size from
+    its seeds, ties broken by connective name, then by argument discovery
+    order; past size 64 the closure's witness stays."""
+    ops, nvals = _operations(m, generators), len(m.values)
+    by_size = {1: [t for t, w in found.items()
+                   if isinstance(w, Var) or not w.args]}
+    wit = {t: found[t] for t in by_size[1]}
+    size = 2
+    while len(wit) < len(found) and size <= 64:
+        for g, gtab, k in ops:
+            for sizes in itertools.product(range(1, size), repeat=k):
+                pools = [by_size.get(s, []) for s in sizes]
+                if sum(sizes) != size - 1 or not all(pools):
+                    continue
+                for args in itertools.product(*pools):
+                    table = _compose(gtab, nvals, len(args[0]), args)
+                    if table not in wit:
+                        wit[table] = App(g, tuple(wit[a] for a in args))
+                        by_size.setdefault(size, []).append(table)
+        size += 1
+    return {t: wit.get(t, w) for t, w in found.items()}
 
 
 def term_functions(m: Matrix, n: int, generators: Iterable[str],
                    cap: Optional[int] = None) -> set[TermFunction]:
     """All n-ary term functions over the generators, with minimal witnesses."""
-    builder = _CloneBuilder(m, n, generators, cap)
-    builder.close()
+    generators = sorted(set(generators))
+    wit = minimal_witnesses(m, generators, _clone(m, n, generators, cap))
     return {TermFunction(n, tuple(m.values[i] for i in table), witness)
-            for table, witness in builder.minimal_witnesses().items()}
+            for table, witness in wit.items()}
 
 
 def unary_term_functions(m: Matrix, generators: Iterable[str]) -> set[TermFunction]:
@@ -345,46 +337,43 @@ def unary_term_functions(m: Matrix, generators: Iterable[str]) -> set[TermFuncti
 def find_term_function(m: Matrix, n: int, generators: Iterable[str],
                        target: Sequence[str],
                        cap: Optional[int] = None) -> Optional[TermFunction]:
-    """Search the clone for a specific table, stopping as soon as it appears.
-
-    Returns None only after the full fixpoint has been reached.
-    """
-    builder = _CloneBuilder(m, n, generators, cap)
-    idx_target = tuple(map(m.values.index, target))
-    if builder.close(target=idx_target):
-        return TermFunction(n, tuple(target), builder.found[idx_target])
-    return None
+    """Search the clone for a table, stopping as soon as it appears; None
+    only after the full fixpoint."""
+    idx = tuple(map(m.values.index, target))
+    found = _clone(m, n, generators, cap, target=idx.__eq__)
+    return TermFunction(n, tuple(target), found[idx]) if idx in found else None
 
 
 # ---------------------------------------------------------------------------
 # Simplicity
 
 def simplicity(m: Matrix) -> tuple[bool, dict[frozenset, TermFunction]]:
-    """Decide simplicity via unary separation.
+    """Decide simplicity by closing each pair of values.
 
-    The all-arity quantification in the definition of a simple matrix
-    reduces to the unary case: tuples differing at position i are separated
-    by composing a unary separator for the differing pair with the i-th
-    projection, so a matrix is simple iff every pair of distinct values is
-    separated (w.r.t. designatedness) by some unary term function.
+    Tuples differing at position i are separated by a unary separator of
+    the differing pair composed with the i-th projection, so a matrix is
+    simple iff a unary term function separates (w.r.t. designatedness) each
+    pair of distinct values.  The pairs (t(a), t(b)) over unary terms t are
+    the subpower of carrier^2 generated by (a, b) and the constants, so a
+    and b are separated iff it holds a pair with one designated component;
+    the closure stops there, and that pair's witness is the separator.
 
-    Returns (simple?, separator per unordered pair); pairs with no
-    separator are absent from the map.
+    Returns (simple?, separator per unordered pair); a non-simple matrix's
+    map stops before the first pair, in carrier order, with no separator.
     """
-    funcs = sorted(
-        unary_term_functions(m, m.signature.connectives),
-        key=lambda tf: (_witness_size(tf.witness), formula_key(tf.witness)),
-    )
+    conns, nvals = m.signature.connectives, len(m.values)
+    designated = [v in m.designated for v in m.values]
     separators: dict[frozenset, TermFunction] = {}
-    pairs = list(itertools.combinations(m.values, 2))
-    for a, b in pairs:
-        for tf in funcs:
-            fa = tf.apply(m, (a,)) in m.designated
-            fb = tf.apply(m, (b,)) in m.designated
-            if fa != fb:
-                separators[frozenset((a, b))] = tf
-                break
-    return len(separators) == len(pairs), separators
+    for a, b in itertools.combinations(range(nvals), 2):
+        found = subpower(m, conns, [((a, b), Var("p1"))],
+                         lambda t: designated[t[0]] != designated[t[1]])
+        (x, y), witness = next(reversed(found.items()))
+        if designated[x] == designated[y]:
+            return False, separators
+        table = _vector(m, witness, {"p1": tuple(range(nvals))}, nvals)
+        separators[frozenset((m.values[a], m.values[b]))] = TermFunction(
+            1, tuple(m.values[i] for i in table), witness)
+    return True, separators
 
 
 # ---------------------------------------------------------------------------

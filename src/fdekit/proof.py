@@ -100,9 +100,8 @@ class Sequent:
         )
 
     def __str__(self):
-        fmt = lambda side: ", ".join(
-            print_formula(f) for f in sorted(side, key=formula_key))
-        return f"{fmt(self.left)} |- {fmt(self.right)}"
+        return " |- ".join(", ".join(map(print_formula, side))
+                           for side in self.key())
 
 
 @dataclass(frozen=True)
@@ -340,12 +339,9 @@ def derivation_to_json(d: Derivation, system: str) -> dict:
     def node(x: Derivation) -> dict:
         return {
             "rule": x.rule,
-            "conclusion": {
-                "left": [print_formula(f)
-                         for f in sorted(x.conclusion.left, key=formula_key)],
-                "right": [print_formula(f)
-                          for f in sorted(x.conclusion.right, key=formula_key)],
-            },
+            "conclusion": {side: list(map(print_formula, formulas))
+                           for side, formulas in zip(
+                               (LEFT, RIGHT), x.conclusion.key())},
             "principal": None if x.principal is None
             else print_formula(x.principal),
             "premises": [node(p) for p in x.premises],

@@ -1,5 +1,8 @@
+import hashlib
 import json
+import re
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -123,6 +126,24 @@ class TestVerdicts:
                         "--target", "confl",
                         "--using", "not,and,or,impl,bot")
         assert code == 1
+        assert out == "NOT DEFINABLE  reason: clone exhausted without the table\n"
+
+    def test_not_definable_certificate(self, capsys):
+        # impl from ~, &, |, B, N: the binary clone search gives no verdict
+        # in 20 s, the relation check names the knowledge order at once
+        start = time.perf_counter()
+        code, out = run(capsys, "--json", "definable",
+                        "--matrix", "bd-impl-b-n-bot", "--target", "impl",
+                        "--using", "not,and,or,B,N")
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        reason = json.loads(out)["reason"]
+        members = reason.split("{", 1)[1].split("}", 1)[0]
+        knowledge_order = {(a, b) for a in bd.VALUES for b in bd.VALUES
+                           if a == b or a == "n" or b == "b"}
+        assert len(knowledge_order) == 9
+        assert set(re.findall(r"\((\w),(\w)\)", members)) == knowledge_order
+        assert members.count("(") == 9
 
     def test_interdef(self, capsys):
         code, _ = run(capsys, "interdef", "--a", "bd-impl-bot",
@@ -262,6 +283,13 @@ class TestFamilyCommands:
         assert json.loads(out)["count"] == 2 ** 36
 
 
+# sha256 of the output of `fdekit --json repro` and of `fdekit repro`
+REPRO_JSON_SHA256 = (
+    "8796c6f9e55cec026689c9ec5a6d314898e23d89103823383a6f3f122d6ef523")
+REPRO_TEXT_SHA256 = (
+    "10b4c70f52770dd30efa6f6d098ff1467c6a8d818641bb003a051498216f8d28")
+
+
 class TestRepro:
     def test_repro_all_pass(self, capsys):
         code, out = run(capsys, "--json", "repro")
@@ -269,3 +297,9 @@ class TestRepro:
         results = json.loads(out)
         assert len(results) == len(claims.CLAIMS)
         assert all(r["pass"] for r in results)
+        assert hashlib.sha256(out.encode()).hexdigest() == REPRO_JSON_SHA256
+
+    def test_repro_text_output(self, capsys):
+        code, out = run(capsys, "repro")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == REPRO_TEXT_SHA256

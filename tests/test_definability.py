@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import re
 import weakref
 
 import pytest
@@ -13,6 +14,7 @@ from fdekit.definability import (
     definable,
     interdefinable,
     logic_definable_in,
+    relation_certificate,
     synonymity_via_consequence,
     synonymous,
 )
@@ -21,7 +23,14 @@ from fdekit.errors import (
     NotCommonExpansionError,
     NotSimpleError,
 )
-from fdekit.matrix import Matrix, equivalent, evaluate, unary_term_functions
+from fdekit.matrix import (
+    Matrix,
+    equivalent,
+    evaluate,
+    find_term_function,
+    term_functions,
+    unary_term_functions,
+)
 from fdekit.presets import handle
 from fdekit.syntax import App, Signature, Var, parse
 
@@ -98,6 +107,85 @@ class TestDefinable:
             definable(m, "delta", ["not"])
         with pytest.raises(ValueError):
             definable(m, "impl", ["impl", "bot"])
+
+
+def _named_relation(reason):
+    """The relation a certificate names, as tuples of value names."""
+    members = reason.split("{", 1)[1].split("}", 1)[0]
+    return {tuple(t.split(",")) for t in re.findall(r"\(([^)]*)\)", members)}
+
+
+def _preserves(m, conn, rel):
+    """Brute force, over value names: conn maps members into rel."""
+    width = len(next(iter(rel)))
+    return all(
+        tuple(m.tables[conn][col]
+              for col in (zip(*args) if args else [()] * width)) in rel
+        for args in itertools.product(rel, repeat=m.signature.arity(conn)))
+
+
+class TestRelationCertificate:
+    def test_preset_binary_targets(self):
+        # a certificate is a relation that every allowed connective
+        # preserves and the target breaks, so no witness exists; without
+        # one, the clone search finds a witness on every preset
+        for name in presets.PRESET_NAMES:
+            m = presets.preset(name)
+            for c, k in sorted(m.signature.connectives.items()):
+                if k != 2:
+                    continue
+                rest = sorted(set(m.signature.connectives) - {c})
+                certificate = relation_certificate(m, c, rest)
+                if certificate is None:
+                    table = [m.values[i] for i in m.index_tables[c]]
+                    assert find_term_function(m, 2, rest, table), (name, c)
+                    continue
+                rel = _named_relation(certificate)
+                assert all(_preserves(m, g, rel) for g in rest), (name, c)
+                assert not _preserves(m, c, rel), (name, c)
+
+    def test_certificate_agrees_with_exhausted_clone(self):
+        m = presets.preset("bd-impl-bot")
+        allowed = ["not", "and", "or", "bot"]
+        table = [m.values[i] for i in m.index_tables["impl"]]
+        assert find_term_function(m, 2, allowed, table) is None
+        assert relation_certificate(m, "impl", allowed) is not None
+
+    @pytest.mark.parametrize("name,stride", [
+        ("cl", 1), ("lp", 1), ("k3", 1), ("bd", 4)])
+    def test_binary_term_functions_break_nothing(self, name, stride):
+        m = presets.preset(name)
+        conns = sorted(m.signature.connectives)
+        funcs = sorted(term_functions(m, 2, conns), key=lambda tf: tf.table)
+        for tf in funcs[::stride]:
+            table = dict(zip(itertools.product(m.values, repeat=2), tf.table))
+            expanded = bd.expand(m, bd.NamedConnective("c", 2, table))
+            assert relation_certificate(expanded, "c", conns) is None, tf
+
+    def test_relation_of_two_generators(self):
+        # every relation generated by one tuple is preserved; {t,f,b},
+        # generated by t and b, is not
+        m = presets.preset("bd")
+        outputs = iter("tftbtfttnfbtfnnn")
+        table = {args: next(outputs)
+                 for args in itertools.product(m.values, repeat=2)}
+        m = bd.expand(m, bd.NamedConnective("c", 2, table))
+        verdict = definable(m, "c", ["not", "and", "or"])
+        assert not verdict.definable
+        assert _named_relation(verdict.reason) == {("t",), ("f",), ("b",)}
+        assert find_term_function(
+            m, 2, ["not", "and", "or"], list(table.values())) is None
+
+    def test_verdict_names_the_relation(self):
+        m = presets.preset("bd-impl-b-n-bot")
+        allowed = ["not", "and", "or", "B", "N"]
+        verdict = definable(m, "impl", allowed)
+        assert not verdict.definable and verdict.witness is None
+        assert verdict.reason.startswith("breaks the relation {")
+        assert verdict.reason.endswith("which the allowed connectives preserve")
+        rel = _named_relation(verdict.reason)
+        assert all(_preserves(m, g, rel) for g in allowed)
+        assert not _preserves(m, "impl", rel)
 
 
 class TestPreservationCriterion:

@@ -235,7 +235,62 @@ class TestClones:
         assert term_functions(BD, 3, ["and"], cap=3)
 
 
+def _reference_simple(m):
+    """The unary clone, then a search for a separator of every pair."""
+    funcs = unary_term_functions(m, m.signature.connectives)
+    return all(any((tf.apply(m, (a,)) in m.designated)
+                   != (tf.apply(m, (b_,)) in m.designated) for tf in funcs)
+               for a, b_ in itertools.combinations(m.values, 2))
+
+
+def _oracle_matrices():
+    """The presets and their table-closed restrictions, 200 seeded family
+    members, and the proper reducts of bd and bd-impl-bot."""
+    for name in presets.PRESET_NAMES:
+        m = presets.preset(name)
+        yield name, m
+        for r in range(2, len(m.values)):
+            for sub in itertools.combinations(m.values, r):
+                try:
+                    yield f"{name} on {sub}", restrict(m, sub)
+                except (NotClosedError, DegenerateDesignatedError):
+                    pass
+    rng = random.Random(11)
+    for _ in range(200):
+        index = rng.randrange(bd.count_strongly_regular())
+        yield f"family member {index}", bd.sr_decode(index)
+    for name in ("bd", "bd-impl-bot"):
+        m = presets.preset(name)
+        conns = sorted(m.signature.connectives)
+        for keep in itertools.chain.from_iterable(
+                itertools.combinations(conns, r) for r in range(1, len(conns))):
+            sig = Signature({c: m.signature.arity(c) for c in keep})
+            yield (f"{name} reduct {keep}",
+                   Matrix(m.values, m.designated, sig,
+                          {c: m.tables[c] for c in keep}))
+
+
 class TestSimplicity:
+    def test_pair_closure_matches_unary_clone_oracle(self):
+        verdicts = []
+        for name, m in _oracle_matrices():
+            simple, separators = simplicity(m)
+            assert simple == _reference_simple(m), name
+            pairs = [frozenset(pair)
+                     for pair in itertools.combinations(m.values, 2)]
+            assert set(separators) <= set(pairs), name
+            if simple:
+                assert len(separators) == len(pairs), name
+            for pair, tf in separators.items():
+                a, b_ = sorted(pair)
+                assert list(tf.table) == [
+                    evaluate(m, tf.witness, {"p1": v}) for v in m.values], name
+                assert (tf.apply(m, (a,)) in m.designated) != (
+                    tf.apply(m, (b_,)) in m.designated), name
+            verdicts.append(simple)
+        assert len(verdicts) >= 19 + 200 + 10
+        assert verdicts.count(False) >= 2  # the oracle sees both verdicts
+
     def test_bd_is_simple_with_separators(self):
         simple, separators = simplicity(BD)
         assert simple
@@ -244,6 +299,17 @@ class TestSimplicity:
             da = tf.apply(BD, (a,)) in BD.designated
             db = tf.apply(BD, (b_,)) in BD.designated
             assert da != db
+
+    def test_separation_through_a_constant(self):
+        # only g(p1, c) separates y from z
+        m = Matrix(
+            ("x", "y", "z"), frozenset(["x"]), Signature({"g": 2, "c": 0}),
+            {"g": {(a, b_): "x" if a == b_ else "y"
+                   for a in "xyz" for b_ in "xyz"}, "c": {(): "z"}})
+        simple, separators = simplicity(m)
+        assert simple and _reference_simple(m)
+        assert separators[frozenset("yz")].witness == App(
+            "g", (Var("p1"), App("c", ())))
 
     def test_expansions_are_simple(self):
         assert BDI.simple
