@@ -100,13 +100,13 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _countermodel_verdict(args, key: str, counter) -> int:
+def _countermodel_verdict(args, key: str, counter, no: str = "NO") -> int:
     if counter is None:
         _emit(args, {key: True}, "YES")
         return EXIT_OK
     shown = ", ".join(f"{k}={v}" for k, v in sorted(counter.items()))
     _emit(args, {key: False, "countermodel": counter},
-          f"NO  countermodel: {shown}")
+          f"{no}  countermodel: {shown}")
     return EXIT_NO
 
 
@@ -200,8 +200,8 @@ def cmd_prove(args) -> int:
     seq = proof.Sequent.of(gamma, delta)
     d = proof.prove(seq, args.system)
     if d is None:
-        _emit(args, {"proved": False}, "NOT PROVED")
-        return EXIT_NO
+        return _countermodel_verdict(
+            args, "proved", proof.countermodel(seq, args.system), "NOT PROVED")
     if args.json:
         print(json.dumps(proof.derivation_to_json(d, args.system)))
     else:
@@ -210,13 +210,14 @@ def cmd_prove(args) -> int:
     return EXIT_OK
 
 
-def _print_derivation(d: proof.Derivation, indent: int = 0) -> None:
-    pad = "  " * indent
-    principal = ("" if d.principal is None
-                 else f"  [{syntax.print_formula(d.principal)}]")
-    print(f"{pad}{d.rule}{principal}: {d.conclusion}")
-    for p in d.premises:
-        _print_derivation(p, indent + 1)
+def _print_derivation(d: proof.Derivation) -> None:
+    stack = [(d, 0)]
+    while stack:
+        x, indent = stack.pop()
+        principal = ("" if x.principal is None
+                     else f"  [{syntax.print_formula(x.principal)}]")
+        print(f"{'  ' * indent}{x.rule}{principal}: {x.conclusion}")
+        stack.extend((p, indent + 1) for p in reversed(x.premises))
 
 
 @command("check", "check a derivation JSON file",

@@ -4,22 +4,23 @@ proof search.
 
 Sequents are pairs of finite formula sets over {not, and, or, impl, bot}.
 One table, `RULES`, defines the logical rules for search, checking and
-`derived-rule` alike.  Backward search keeps the principal formula in the
-context, so premises only ever grow within the subformula-and-single-negation
-closure of the goal; termination follows without any depth bound.  The
-checker also accepts derivations that drop the principal formula, and
-accepts Cut.
+`derived-rule` alike.  Every rule is invertible, so search applies one rule
+that fits (one-premise rules first), drops its principal formula and never
+backtracks; each step shrinks the sequent, so search ends.  An open branch,
+which no rule fits and no axiom closes, gives a countermodel.  The checker
+also accepts derivations that keep the principal formula, and accepts Cut.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from functools import lru_cache, reduce
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import FdekitError, UnknownNameError
 from .syntax import (
-    BOT, TOP, App, Formula, Var, formula_key, neg, print_formula)
+    BOT, TOP, App, Formula, Var, disj, formula_key, impl, neg, print_formula,
+    variables)
 
 BD = "BD"
 CL = "CL"
@@ -69,13 +70,13 @@ CLASSICAL_ONLY_RULES = ("not-L", "not-R")
 RULE_IDS = ("Id", "Cut", "bot-L", "not-bot-R", *RULES)
 
 
-# system -> side -> (connective, negated) -> (rule, premises, classical-only)
+# system -> side -> (connective, negated) -> (rule, premises, branches)
 _SEARCH: dict = {BD: {LEFT: {}, RIGHT: {}}, CL: {LEFT: {}, RIGHT: {}}}
 for _name, _rule in RULES.items():
-    _classical = _name in CLASSICAL_ONLY_RULES
-    for _system in (CL,) if _classical else (BD, CL):
+    for _system in (CL,) if _name in CLASSICAL_ONLY_RULES else (BD, CL):
         _SEARCH[_system][_rule.side][_rule.conn, _rule.negated] = (
-            _name, _rule.premises, _classical)
+            _name, _rule.premises, len(_rule.premises(
+                *[BOT] * (1 if _rule.conn == "not" else 2))) > 1)
 
 
 def _principal(rule: Rule, args: tuple) -> App:
@@ -94,10 +95,8 @@ class Sequent:
         return Sequent(frozenset(left), frozenset(right))
 
     def key(self):
-        return (
-            tuple(sorted(self.left, key=formula_key)),
-            tuple(sorted(self.right, key=formula_key)),
-        )
+        return tuple(tuple(sorted(side, key=formula_key))
+                     for side in (self.left, self.right))
 
     def __str__(self):
         return " |- ".join(", ".join(map(print_formula, side))
@@ -112,125 +111,116 @@ class Derivation:
     premises: tuple["Derivation", ...] = field(default=())
 
 
-def _axiom(seq: Sequent, system: str) -> Optional[Derivation]:
-    common = seq.left & seq.right
-    if common:
-        principal = min(common, key=formula_key)
-        return Derivation(seq, "Id", principal)
-    if BOT in seq.left:
-        return Derivation(seq, "bot-L")
-    if TOP in seq.right:
-        return Derivation(seq, "not-bot-R")
-    return None
+def _axiom(left: frozenset, right: frozenset) -> Optional[tuple]:
+    """The axiom step (rule, principal, no premises) closing the sequent."""
+    if not left.isdisjoint(right):
+        return "Id", min(left & right, key=_order), ()
+    if BOT in left:
+        return "bot-L", None, ()
+    return ("not-bot-R", None, ()) if TOP in right else None
 
 
-def _applications(seq: Sequent, system: str) -> list[tuple]:
-    """Backward rule applications (rule, principal, premises), keeping the
-    principal in the context; single-premise rules first, then two-premise
-    rules, then not-L/not-R, each group left side first in formula order.
-    not-L/not-R apply to every negation, including ones the negation-prefixed
-    rules also handle; tried last, they only matter when those rules are
-    unavailable (restricted searches) or fail."""
-    l, r = seq.left, seq.right
-    groups: tuple[list, list, list] = ([], [], [])
-    for side, formulas in ((LEFT, l), (RIGHT, r)):
-        index = _SEARCH[system][side]
-        for p in sorted(formulas, key=formula_key):
+def _step(left: frozenset, right: frozenset, index: dict, key):
+    """The first one-premise rule of `index` that fits, else the first that
+    fits, as (rule, principal, premises) with each premise a (left, right)
+    pair that drops the principal.  Left formulas come first, in `key` order
+    if a key is given, and a negated shape before plain not-L/not-R."""
+    branching = None
+    for side, formulas in ((LEFT, left), (RIGHT, right)):
+        rules = index[side]
+        for p in sorted(formulas, key=key) if key else formulas:
             if isinstance(p, Var):
                 continue
-            shapes = [(p.conn, False, p.args)]
+            hit = None
             if p.conn == "not" and isinstance(p.args[0], App):
-                shapes.append((p.args[0].conn, True, p.args[0].args))
-            for conn, negated, args in shapes:
-                hit = index.get((conn, negated))
-                if hit is not None:
-                    rule, additions, classical = hit
-                    premises = tuple([
-                        Sequent(l | frozenset(ladd), r | frozenset(radd))
-                        for ladd, radd in additions(*args)])
-                    groups[2 if classical else len(premises) - 1].append(
-                        (rule, p, premises))
-    return groups[0] + groups[1] + groups[2]
+                args = p.args[0].args
+                hit = rules.get((p.args[0].conn, True))
+            if hit is None:
+                args = p.args
+                hit = rules.get((p.conn, False))
+            if hit is not None:
+                if not hit[2]:
+                    return _apply(left, right, side, p, hit, args)
+                branching = branching or (left, right, side, p, hit, args)
+    return branching and _apply(*branching)
+
+
+def _apply(left, right, side, p, hit, args):
+    left, right = ((left - {p}, right) if side == LEFT
+                   else (left, right - {p}))
+    return hit[0], p, [(left.union(ladd), right.union(radd))
+                       for ladd, radd in hit[1](*args)]
+
+
+_order = lru_cache(maxsize=1 << 12)(formula_key)  # keys recur across steps
+
+
+def _walk(seq: Sequent, index: dict, closes, key=None) -> Iterator[tuple]:
+    """(left, right, step) per sequent of the loop, in pre-order: the axiom
+    `closes` finds, else the `_step` applied, else None (an open branch)."""
+    stack = [(seq.left, seq.right)]
+    while stack:
+        left, right = stack.pop()
+        step = closes(left, right) or _step(left, right, index, key)
+        yield left, right, step
+        if step:
+            stack.extend(reversed(step[2]))
+
+
+def _assemble(nodes: list) -> Derivation:
+    """The derivation of pre-order nodes (sequent, rule, principal, arity)."""
+    built: list = []
+    for conclusion, rule, principal, n in reversed(nodes):
+        premises = tuple(built.pop() for _ in range(n))  # first on top
+        built.append(Derivation(conclusion, rule, principal, premises))
+    return built[0]
 
 
 class Prover:
-    """Backward proof search with a persistent provability memo.
+    """Backward proof search by one pass of invertible rules.  Any rule that
+    fits decides a sequent, so `provable` takes formulas in any order and
+    `derivation` in `formula_key` order; `memo` holds `provable`'s verdicts."""
 
-    Failures are sound to memoize globally because the search is a pure
-    function of the sequent; successes are memoized as booleans and the
-    derivation is rebuilt on demand.
-    """
-
-    def __init__(self, system: str, extra_axioms: Iterable[Sequent] = (),
-                 enabled_rules: Optional[frozenset] = None):
-        if system not in (BD, CL):
+    def __init__(self, system: str):
+        if system not in _SEARCH:
             raise UnknownNameError(f"unknown proof system {system!r}")
         self.system = system
-        self.extra_axioms = tuple(extra_axioms)
-        self.enabled_rules = enabled_rules
+        self.index = _SEARCH[system]
         self.memo: dict = {}
 
-    def _closes(self, seq: Sequent) -> Optional[Derivation]:
-        d = _axiom(seq, self.system)
-        if d is not None and self._enabled(d.rule):
-            return d
-        for ax in self.extra_axioms:
-            if ax.left <= seq.left and ax.right <= seq.right:
-                return Derivation(seq, "Axiom")
-        return None
-
-    def _enabled(self, rule: str) -> bool:
-        return self.enabled_rules is None or rule in self.enabled_rules
-
-    def _axiom_cuts(self, seq: Sequent) -> Iterator[tuple]:
-        # An extra axiom G0 |- D0 yields the goal once every member of G0
-        # is provable on the right and every member of D0 on the left
-        # (a multicut against the weakened axiom).
-        for ax in self.extra_axioms:
-            premises = tuple(
-                [Sequent(seq.left, seq.right | {a}) for a in ax.left]
-                + [Sequent(seq.left | {b}, seq.right) for b in ax.right]
-            )
-            if premises:
-                yield ("Axiom", None, premises)
-
-    def _moves(self, seq: Sequent) -> Iterator[tuple]:
-        """Enabled backward steps (rule, principal, premises) whose premises
-        all differ from the goal, in search order."""
-        for move in chain(_applications(seq, self.system),
-                          self._axiom_cuts(seq)):
-            if (move[0] == "Axiom" or self._enabled(move[0])) \
-                    and seq not in move[2]:
-                yield move
-
     def provable(self, seq: Sequent) -> bool:
-        key = seq.key()
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        result = self._closes(seq) is not None or any(
-            all(self.provable(p) for p in premises)
-            for _rule, _principal, premises in self._moves(seq))
-        self.memo[key] = result
-        return result
+        hit = self.memo.get(seq)
+        if hit is None:
+            hit = self.memo[seq] = all(
+                step for _, _, step in _walk(seq, self.index, _axiom))
+        return hit
 
     def derivation(self, seq: Sequent) -> Optional[Derivation]:
-        if not self.provable(seq):
-            return None
-        d = self._closes(seq)
-        if d is not None:
-            return d
-        for rule, principal, premises in self._moves(seq):
-            if all(self.provable(p) for p in premises):
-                return Derivation(
-                    seq, rule, principal,
-                    tuple(self.derivation(p) for p in premises))
-        raise AssertionError("provable sequent lost its proof")
+        nodes = []
+        for left, right, step in _walk(seq, self.index, _axiom, _order):
+            if step is None:
+                return None
+            nodes.append((Sequent(left, right), *step[:2], len(step[2])))
+        return _assemble(nodes)
 
 
 def prove(seq: Sequent, system: str) -> Optional[Derivation]:
-    """Cut-free backward search; None when the search space is exhausted."""
+    """Cut-free backward search; None when a branch stays open."""
     return Prover(system).derivation(seq)
+
+
+def countermodel(seq: Sequent, system: str) -> Optional[dict]:
+    """Variable -> value designating every left formula and no right one,
+    read off the first open branch (None if there is none): in BD, b, t, f
+    or n as p and ~p, p alone, ~p alone or neither are on its left; in CL,
+    where no ~p stays there, t if p is and f if not."""
+    names = sorted(set().union(*map(variables, seq.left | seq.right)))
+    values = "ft" if system == CL else "ntfb"
+    for left, _, step in _walk(seq, Prover(system).index, _axiom, _order):
+        if step is None:
+            return {v: values[(Var(v) in left) + 2 * (neg(Var(v)) in left)]
+                    for v in names}
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -276,20 +266,21 @@ def _check_node(d: Derivation, system: str) -> bool:
         keep = Sequent(seq.left | frozenset(ladd), seq.right | frozenset(radd))
         drop = (Sequent(keep.left - {p}, keep.right) if spec.side == LEFT
                 else Sequent(keep.left, keep.right - {p}))
-        if sub.conclusion not in (keep, drop):
+        if sub.conclusion not in (drop, keep):
             return False
     return True
 
 
 def check_with_path(d: Derivation, system: str):
-    """(ok, path) where path locates the first offending node as a list of
-    premise indices from the root."""
-    if not _check_node(d, system):
-        return False, []
-    for i, sub in enumerate(d.premises):
-        ok, path = check_with_path(sub, system)
-        if not ok:
-            return False, [i] + path
+    """(ok, path), path the premise indices from the root to the first
+    offending node in pre-order; None when every node checks."""
+    stack = [(d, [])]
+    while stack:
+        x, path = stack.pop()
+        if not _check_node(x, system):
+            return False, path
+        stack.extend([(sub, path + [i])
+                      for i, sub in enumerate(x.premises)][::-1])
     return True, None
 
 
@@ -300,58 +291,51 @@ def check(d: Derivation, system: str) -> bool:
 # ---------------------------------------------------------------------------
 # Derived rules
 
-_A1 = Var("a1")
-_A2 = Var("a2")
-
-
-def _rule_instance(rule: str):
-    """Schematic instance (premises, conclusion) with empty contexts."""
-    if rule == "not-bot-R":
-        return [], Sequent.of([], [TOP])
-    spec = RULES.get(rule)
-    if spec is None or not (spec.negated or spec.conn == "not"):
-        raise UnknownNameError(f"rule {rule!r} has no negation prefix")
-    args = (_A1,) if spec.conn == "not" else (_A1, _A2)
-    principal = _principal(spec, args)
-    premises = [Sequent.of(ladd, radd) for ladd, radd in spec.premises(*args)]
-    sides = ([principal], []) if spec.side == LEFT else ([], [principal])
-    return premises, Sequent.of(*sides)
-
-
-_BASE_RULES = frozenset(
-    ["Id", "bot-L", "and-L", "and-R", "or-L", "or-R", "impl-L", "impl-R"])
-
-
 def derived_rule_check(rule: str, system: str = CL) -> bool:
-    """Is the rule's conclusion provable from its premises using only the
-    positive rules (plus not-L/not-R in the classical system)?"""
-    premises, conclusion = _rule_instance(rule)
-    enabled = _BASE_RULES | (frozenset(CLASSICAL_ONLY_RULES)
-                             if system == CL else frozenset())
-    prover = Prover(system, extra_axioms=premises, enabled_rules=enabled)
-    return prover.provable(conclusion)
+    """Is the negation rule derivable with only Id, bot-L and the rules for
+    and, or and impl (plus not-L/not-R in CL)?  These are invertible and
+    decide classical logic over the formulas none of them decomposes, so
+    the rule is derived exactly when they prove its schematic conclusion
+    with each premise G |- D added on the left as G -> (bot | D)."""
+    goal = Sequent.of([], [TOP])
+    if rule != "not-bot-R":
+        spec = RULES.get(rule)
+        if spec is None or not (spec.negated or spec.conn == "not"):
+            raise UnknownNameError(f"rule {rule!r} has no negation prefix")
+        args = (Var("a1"), Var("a2"))[:1 if spec.conn == "not" else 2]
+        left = [reduce(lambda f, g: impl(g, f), ladd, reduce(disj, radd, BOT))
+                for ladd, radd in spec.premises(*args)]
+        principal = _principal(spec, args)
+        goal = (Sequent.of(left + [principal], []) if spec.side == LEFT
+                else Sequent.of(left, [principal]))
+    index = {side: {shape: hit for shape, hit in rules.items() if not shape[1]}
+             for side, rules in Prover(system).index.items()}
+    closes = lambda l, r: (  # noqa: E731  Id and bot-L, not not-bot-R
+        _axiom(l, r) if not l.isdisjoint(r) or BOT in l else None)
+    return all(step for _, _, step in _walk(goal, index, closes))
 
 
 # ---------------------------------------------------------------------------
 # JSON interchange
 
+# Deepest premise nesting written and read, within what `json` handles.
+MAX_DERIVATION_DEPTH = 400
+
+
 def derivation_to_json(d: Derivation, system: str) -> dict:
-    def node(x: Derivation) -> dict:
-        return {
-            "rule": x.rule,
-            "conclusion": {side: list(map(print_formula, formulas))
-                           for side, formulas in zip(
-                               (LEFT, RIGHT), x.conclusion.key())},
-            "principal": None if x.principal is None
-            else print_formula(x.principal),
-            "premises": [node(p) for p in x.premises],
-        }
-
-    return {"system": system, **node(d)}
-
-
-# Deepest premise nesting accepted; loading and checking recurse once per level.
-MAX_DERIVATION_DEPTH = 200
+    out = {"system": system}
+    stack = [(d, out, 0)]
+    while stack:
+        x, node, depth = stack.pop()
+        if depth > MAX_DERIVATION_DEPTH:
+            raise FdekitError(f"derivation deeper than {MAX_DERIVATION_DEPTH}")
+        node.update(rule=x.rule, conclusion=dict(zip((LEFT, RIGHT), (
+            list(map(print_formula, side)) for side in x.conclusion.key()))),
+            principal=x.principal and print_formula(x.principal),
+            premises=[{} for _ in x.premises])
+        stack.extend((p, n, depth + 1)
+                     for p, n in zip(x.premises, node["premises"]))
+    return out
 
 
 def derivation_from_json(data, parse_formula) -> tuple[Derivation, str]:
@@ -360,12 +344,18 @@ def derivation_from_json(data, parse_formula) -> tuple[Derivation, str]:
         if not ok:
             raise FdekitError(f"malformed derivation: {what}")
 
+    # a context formula recurs in every node down to the step that uses it
+    formula = lru_cache(maxsize=None)(parse_formula)
+
     def side(items) -> frozenset:
         need(isinstance(items, list) and all(isinstance(s, str) for s in items),
              "each side of a conclusion must be a list of formula strings")
-        return frozenset(parse_formula(s) for s in items)
+        return frozenset(map(formula, items))
 
-    def node(x, depth: int) -> Derivation:
+    nodes = []
+    stack = [(data, 0)]
+    while stack:
+        x, depth = stack.pop()
         need(depth <= MAX_DERIVATION_DEPTH,
              f"premises nest deeper than {MAX_DERIVATION_DEPTH}")
         need(isinstance(x, dict), "every node must be an object")
@@ -376,15 +366,12 @@ def derivation_from_json(data, parse_formula) -> tuple[Derivation, str]:
         need(principal is None or isinstance(principal, str),
              "'principal' must be a formula string or null")
         need(isinstance(premises, list), "'premises' must be a list")
-        return Derivation(
-            Sequent(side(x["conclusion"].get(LEFT)),
-                    side(x["conclusion"].get(RIGHT))),
-            x["rule"],
-            None if principal is None else parse_formula(principal),
-            tuple(node(p, depth + 1) for p in premises),
-        )
-
-    d = node(data, 0)
+        sides = x["conclusion"]
+        nodes.append((Sequent(side(sides.get(LEFT)), side(sides.get(RIGHT))),
+                      x["rule"], None if principal is None
+                      else formula(principal), len(premises)))
+        stack.extend((p, depth + 1) for p in reversed(premises))
+    d = _assemble(nodes)
     system = data.get("system", BD)
     need(system in (BD, CL), f"unknown proof system {system!r}")
     return d, system

@@ -69,10 +69,22 @@ class Var:
         return f"Var({self.name!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class App:
     conn: str
     args: tuple["Formula", ...] = field(default=())
+
+    def __init__(self, conn: str, args: tuple = ()):
+        # hashed once from the arguments' hashes: hashing never recurses
+        object.__setattr__(self, "conn", conn)
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "_hash", hash((conn, args)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):  # rehash: string hashes differ between processes
+        return App, (self.conn, self.args)
 
     def __repr__(self):
         return f"App({self.conn!r}, {list(self.args)!r})"
@@ -146,10 +158,10 @@ def variables(f: Formula) -> set:
 
 
 def formula_key(f: Formula):
-    """Total order on formulas, used for canonical enumeration order."""
+    """Total order on formulas, flat so that keys compare in linear time."""
     if isinstance(f, Var):
         return (0, f.name)
-    return (1, f.conn, tuple(formula_key(a) for a in f.args))
+    return sum(map(formula_key, f.args), (1, f.conn, len(f.args)))
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +184,10 @@ def _tokenize(text: str) -> Iterator[tuple[str, int]]:
         pos = m.end()
 
 
-# Deepest nesting of prefix operators, parentheses and right operands of
-# `->` that the parser accepts, and the greatest height of a formula it
-# returns (each link of an `&` or `|` chain adds one).  It keeps the parser
-# and the recursive printer, evaluator and prover inside the recursion limit.
+# Deepest nesting of prefix operators, parentheses and `->` right operands
+# the parser accepts, and the greatest height of a formula it returns (each
+# `&` or `|` chain link adds one), so that recursion over formulas (parser,
+# printer, evaluator, `formula_key`) stays inside the recursion limit.
 MAX_NESTING = 100
 
 

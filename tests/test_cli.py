@@ -185,6 +185,34 @@ class TestProofCommands:
         assert run(capsys, "prove", "|- p | ~p")[0] == 1
         assert run(capsys, "prove", "--system", "CL", "|- p | ~p")[0] == 0
 
+    def test_prove_prints_countermodel(self, capsys):
+        assert run(capsys, "prove", "p, ~q |- q | r, bot") == (
+            1, "NOT PROVED  countermodel: p=t, q=f, r=n\n")
+        code, out = run(capsys, "--json", "prove", "--system", "CL",
+                        "|- p | ~~q")
+        assert code == 1 and json.loads(out) == {
+            "proved": False, "countermodel": {"p": "f", "q": "f"}}
+
+    def test_classical_negation_tower_answers_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out = run(capsys, "prove", "--system", "CL",
+                        "|- " + "~" * 24 + "p")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "NOT PROVED  countermodel: p=f\n")
+
+    @pytest.mark.parametrize("system", ["BD", "CL"])
+    def test_deep_negations_prove_and_check(self, capsys, tmp_path, system):
+        # the derivation is 201 premise levels deep
+        sequent = ", ".join("~" * 100 + v for v in "pqr") + " |- " + \
+            " & ".join(f"({'~' * 98}{v})" for v in "pqr")
+        assert run(capsys, "prove", "--system", system, sequent)[0] == 0
+        code, out = run(capsys, "--json", "prove", "--system", system,
+                        sequent)
+        assert code == 0
+        path = tmp_path / "derivation.json"
+        path.write_text(out)
+        assert run(capsys, "check", str(path)) == (0, "VALID\n")
+
     def test_prove_json_checks(self, capsys, tmp_path):
         code, out = run(capsys, "--json", "prove", "~(p & q) |- ~p | ~q")
         assert code == 0

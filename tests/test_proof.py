@@ -4,7 +4,7 @@ import pytest
 
 from fdekit import presets
 from fdekit.errors import UnknownNameError
-from fdekit.matrix import consequence
+from fdekit.matrix import assignments, consequence, evaluate
 from fdekit.proof import (
     BD,
     CL,
@@ -16,6 +16,7 @@ from fdekit.proof import (
     Sequent,
     check,
     check_with_path,
+    countermodel,
     derivation_from_json,
     derivation_to_json,
     derived_rule_check,
@@ -197,6 +198,11 @@ class TestDerivedRules:
     def test_negation_rules_not_derived_in_bd(self, rule):
         assert not derived_rule_check(rule, BD)
 
+    @pytest.mark.parametrize("rule", CLASSICAL_ONLY_RULES)
+    def test_classical_rules_derived_only_classically(self, rule):
+        assert derived_rule_check(rule, CL)
+        assert not derived_rule_check(rule, BD)
+
     def test_unknown_rule(self):
         with pytest.raises(UnknownNameError):
             derived_rule_check("and-L", CL)
@@ -218,6 +224,56 @@ class TestSoundness:
                            list(d.conclusion.right))
         for sub in d.premises:
             self._assert_sound(sub)
+
+
+def _corpus():
+    """The sequents of acceptance test 07: 33 formulas over p, q and bot,
+    sides of at most two formulas."""
+    atoms = [p, q, BOT]
+    formulas = atoms + [neg(a) for a in atoms] + [
+        App(conn, (a, b)) for conn in ("and", "or", "impl")
+        for a in atoms for b in atoms]
+    sides = [()] + [(i,) for i in range(33)] + list(
+        itertools.combinations(range(33), 2))
+    return formulas, [(left, right) for left in sides for right in sides]
+
+
+class TestCountermodel:
+    @pytest.mark.parametrize("system, m", [(BD, M), (CL, MCL)])
+    def test_refutes_every_16th_unprovable_corpus_sequent(self, system, m):
+        formulas, corpus = _corpus()
+        envs = list(assignments(m, ["p", "q"]))
+        # per formula, the valuations designating it, as a bit mask
+        masks = [sum(1 << i for i, env in enumerate(envs)
+                     if evaluate(m, f, env) in m.designated)
+                 for f in formulas]
+        full = (1 << len(envs)) - 1
+        unprovable = []
+        for left, right in corpus:
+            gamma, delta = full, 0
+            for i in left:
+                gamma &= masks[i]
+            for j in right:
+                delta |= masks[j]
+            if gamma & ~delta:
+                unprovable.append(([formulas[i] for i in left],
+                                   [formulas[j] for j in right]))
+        # the totals of test 07: 251,408 and 257,452 of 315,844 proved
+        assert len(unprovable) == {BD: 64_436, CL: 58_392}[system]
+        tower = parse("~" * 24 + "p", M.signature)
+        sample = unprovable[::16] + [([], [tower])]
+        for left, right in sample:
+            counter = countermodel(Sequent.of(left, right), system)
+            assert counter is not None
+            assert all(evaluate(m, f, counter) in m.designated for f in left)
+            assert all(evaluate(m, f, counter) not in m.designated
+                       for f in right)
+
+    def test_small_cases(self):
+        assert countermodel(seq("|- p -> p"), BD) is None
+        assert countermodel(seq("|- p | ~p"), BD) == {"p": "n"}
+        assert countermodel(seq("p, ~p |- q"), BD) == {"p": "b", "q": "n"}
+        assert countermodel(seq("|- p | ~p"), CL) is None
 
 
 class TestProverInternals:

@@ -7,6 +7,7 @@ from fdekit.errors import (
     ParseError,
     UnknownConnectiveError,
 )
+from fdekit.proof import Sequent
 from fdekit.syntax import (
     MAX_NESTING,
     App,
@@ -173,6 +174,16 @@ class TestStructure:
         assert well_formed(impl(p, BOT), SIG)
         assert not well_formed(App("delta", (p,)), SIG)
         assert not well_formed(App("and", (p,)), SIG)
+
+    def test_deep_formula_hashes(self):
+        # built in code, past the parser's nesting limit: hashing reads
+        # each node's cached hash and does not recurse
+        f = p
+        for _ in range(1000):
+            f = neg(f)
+        assert f in {f, p}
+        assert Sequent.of([f], [p]).left == frozenset([f])
+        assert hash(neg(neg(p))) == hash(parse("~~p", SIG))
 
     def test_formula_key_total_order(self):
         items = [p, q, BOT, TOP, conj(p, q), conj(q, p)]
