@@ -65,7 +65,7 @@ def _sampled_regular() -> bool:
     rng = random.Random(7)
     p = syntax.Var("p")
     for _ in range(100):
-        m = bd.sr_decode(rng.randrange(2 ** 38))
+        m = bd.sr_decode(rng.randrange(bd.count_strongly_regular()))
         if not bd.is_strongly_regular(m):
             return False
         if mx.consequence(m, [p], [syntax.neg(p)]):
@@ -130,7 +130,7 @@ CLAIMS = (
     ("conflation not definable from the classical connectives",
      lambda: not definability.definable(
          presets.preset("bd-impl-bot-confl"), "confl",
-         ["not", "and", "or", "impl", "bot"]).definable),
+         bd.SR_SIGNATURE.connectives).definable),
     ("preservation criterion rejects conflation",
      lambda: not definability.bd_preservation_criterion(bd.CONFL)),
     ("preservation criterion accepts circ and the whole heart family",

@@ -283,7 +283,7 @@ def cmd_laws_filter(args) -> int:
         return EXIT_OK
     if args.json:
         payload: dict = {"all": False, "count": result.count}
-        if result.count <= 4096:
+        if result.count <= laws.VERIFY_LIMIT:
             payload["indices"] = list(result.indices())
         print(json.dumps(payload))
     else:

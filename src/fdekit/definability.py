@@ -104,11 +104,13 @@ def relation_certificate(m: Matrix, target: str,
             "connectives preserve")
 
 
-def definable(m: Matrix, target: str, allowed: Iterable[str],
-              cap: Optional[int] = None) -> DefinabilityVerdict:
+def definable(m: Matrix, target: str,
+              allowed: Iterable[str]) -> DefinabilityVerdict:
     """Is the target connective's table in the clone over `allowed`?  A
     witness is a formula over p1..pn, or over the fixed fresh variable p
-    for a nullary target defined by a constant unary term."""
+    for a nullary target defined by a constant unary term.  A target that
+    passes the cheap checks and has an arity above `matrix.MAX_CLONE_ARITY`
+    raises `ArityCapError`."""
     allowed = sorted(set(allowed))
     if target not in m.signature:
         raise ValueError(f"target {target!r} not in the signature")
@@ -123,20 +125,20 @@ def definable(m: Matrix, target: str, allowed: Iterable[str],
         # defining term specializes under p1 = ... = pn to a unary term,
         # so the target's diagonal must lie in the unary clone
         diagonal = tuple(m.tables[target][(v,) * n] for v in m.values)
-        if find_term_function(m, 1, allowed, diagonal, cap=max(1, n)) is None:
+        if find_term_function(m, 1, allowed, diagonal) is None:
             return DefinabilityVerdict(
                 False, reason="diagonal missing from the unary clone")
         certificate = relation_certificate(m, target, allowed)
         if certificate is not None:
             return DefinabilityVerdict(False, reason=certificate)
-    found = find_term_function(m, n, allowed, target_table, cap=cap)
+    found = find_term_function(m, n, allowed, target_table)
     if found is not None:
         return DefinabilityVerdict(True, found.witness)
     if n == 0:
         # a defining formula may mention a fixed but arbitrary variable, so
         # a constant-valued unary term also counts
-        found = find_term_function(m, 1, allowed, target_table * len(m.values),
-                                   cap=1)
+        found = find_term_function(m, 1, allowed,
+                                   target_table * len(m.values))
         if found is not None:
             return DefinabilityVerdict(
                 True, substitute(found.witness, {"p1": Var("p")}))
@@ -177,25 +179,18 @@ def _check_common(handle: LogicHandle, common: Matrix):
                 f"common matrix does not interpret {name!r} compatibly")
 
 
-def logic_definable_in(a: LogicHandle, b: LogicHandle, common: Matrix,
-                       cap: Optional[int] = None) -> bool:
+def logic_definable_in(a: LogicHandle, b: LogicHandle, common: Matrix) -> bool:
     """Every connective of a is definable in the common expansion in terms
     of b's connectives."""
     _check_common(a, common)
     _check_common(b, common)
     if not common.simple:
         raise NotSimpleError("interdefinability needs a simple common matrix")
-    for name in sorted(a.connectives):
-        if name in b.connectives:
-            continue
-        verdict = definable(common, name, b.connectives, cap=cap)
-        if not verdict.definable:
-            return False
-    return True
+    return all(definable(common, name, b.connectives).definable
+               for name in sorted(a.connectives - b.connectives))
 
 
-def interdefinable(a: LogicHandle, b: LogicHandle, common: Matrix,
-                   cap: Optional[int] = None) -> bool:
+def interdefinable(a: LogicHandle, b: LogicHandle, common: Matrix) -> bool:
     """Both directions of definability within the common expansion.
 
     The direction whose missing connectives have the smaller maximal arity
@@ -208,4 +203,4 @@ def interdefinable(a: LogicHandle, b: LogicHandle, common: Matrix,
 
     directions = [(a, b), (b, a)]
     directions.sort(key=lambda d: cost(*d))
-    return all(logic_definable_in(x, y, common, cap=cap) for x, y in directions)
+    return all(logic_definable_in(x, y, common) for x, y in directions)

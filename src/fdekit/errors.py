@@ -42,7 +42,7 @@ class DuplicateConnectiveError(FdekitError):
 
 
 class ArityCapError(FdekitError):
-    """Requested term-function arity exceeds the configured cap."""
+    """Requested clone arity is outside 0..`matrix.MAX_CLONE_ARITY`."""
 
 
 class NotSimpleError(FdekitError):

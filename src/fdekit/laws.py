@@ -6,8 +6,8 @@ iff it holds with the metavariables read as distinct fresh propositional
 variables, which is how `holds` decides it.  The family filter propagates
 the value-level constraints of the chosen laws over the 38 free table
 cells and only branches where propagation stalls, then re-verifies every
-surviving candidate (or a sample, when the survivors are too many to
-materialize) with `holds`.
+surviving candidate (or a sample of `SAMPLE_SIZE`, when there are more than
+`VERIFY_LIMIT`) with `holds`.
 """
 
 from __future__ import annotations
@@ -18,10 +18,15 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .bd import (
-    CELLS, FREE_CELLS, SR_BITS, VALUES, count_strongly_regular, sr_decode)
+    CELLS, FREE_CELLS, SR_BITS, SR_SIGNATURE, VALUES, count_strongly_regular,
+    sr_decode)
 from .errors import SignatureMismatchError, UnknownNameError
 from .matrix import Matrix, equivalence_countermodel, equivalent
 from .syntax import BOT, TOP, Formula, Var, conj, disj, impl, neg, variables
+
+# The filter re-verifies every survivor up to this many, else a sample.
+VERIFY_LIMIT = 4096
+SAMPLE_SIZE = 64
 
 _A = Var("A")
 _A1 = Var("A1")
@@ -80,7 +85,7 @@ def law_by_name(name: str) -> Law:
 
 
 def holds(m: Matrix, law: Law) -> bool:
-    for conn in ("not", "and", "or", "impl", "bot"):
+    for conn in SR_SIGNATURE.connectives:
         if conn not in m.signature:
             raise SignatureMismatchError(
                 f"law evaluation needs connective {conn!r}")
@@ -143,11 +148,11 @@ def _compile_constraints(laws: Iterable[Law]) -> list[_Constraint]:
     return out
 
 
+@dataclass
 class FilterResult:
     """Disjoint cubes of family indices surviving a law set."""
 
-    def __init__(self, cubes: list):
-        self.cubes = cubes
+    cubes: list
 
     @property
     def count(self) -> int:
@@ -180,15 +185,19 @@ class FilterResult:
         return out
 
 
-def _propagate(constraints: list[_Constraint], bits: list) -> bool:
-    changed = True
-    while changed:
-        changed = False
+def _propagate(constraints: list[_Constraint], bits: list):
+    """Pin the cells that constraints blocked on one cell force, until a
+    pass pins none.  False if a constraint is violated, None if all hold,
+    else the first undecided constraint's smallest blocking cell."""
+    while True:
+        changed, branch = False, None
         for c in constraints:
             status, blockers = c.status(bits)
             if status == "violated":
                 return False
-            if status == "unknown" and len(blockers) == 1:
+            if status == "sat":
+                continue
+            if len(blockers) == 1:
                 (cell,) = blockers
                 feasible = []
                 for v in (0, 1):
@@ -201,40 +210,39 @@ def _propagate(constraints: list[_Constraint], bits: list) -> bool:
                 if len(feasible) == 1:
                     bits[cell] = feasible[0]
                     changed = True
-    return True
+                    continue
+            if branch is None:
+                branch = min(blockers)
+        if not changed:
+            return branch
 
 
-def filter_strongly_regular(laws: Iterable[Law],
-                            verify_limit: int = 4096,
-                            sample_size: int = 64) -> FilterResult:
+def filter_strongly_regular(laws: Iterable[Law]) -> FilterResult:
     """Family members satisfying every law.
 
     Propagation pins or branches free cells; the result is re-verified
-    candidate by candidate with `holds` (exhaustively when the survivor
-    count is at most `verify_limit`, otherwise on a deterministic sample).
+    candidate by candidate with `holds`, exhaustively when at most
+    `VERIFY_LIMIT` members survive, otherwise on a deterministic sample of
+    `SAMPLE_SIZE`.
     """
     laws = list(laws)
     constraints = _compile_constraints(laws)
     cubes: list = []
 
     def solve(bits: list):
-        if not _propagate(constraints, bits):
-            return
-        for c in constraints:
-            status, blockers = c.status(bits)
-            if status == "unknown":
-                cell = min(blockers)
-                for v in (0, 1):
-                    child = list(bits)
-                    child[cell] = v
-                    solve(child)
-                return
-        cubes.append(tuple(bits))
+        cell = _propagate(constraints, bits)
+        if cell is None:
+            cubes.append(tuple(bits))
+        elif cell is not False:
+            for v in (0, 1):
+                child = list(bits)
+                child[cell] = v
+                solve(child)
 
     solve([None] * SR_BITS)
     result = FilterResult(cubes)
-    survivors = (list(result.indices()) if result.count <= verify_limit
-                 else result.sample(sample_size))
+    survivors = (list(result.indices()) if result.count <= VERIFY_LIMIT
+                 else result.sample(SAMPLE_SIZE))
     for index in survivors:
         m = sr_decode(index)
         if not all(holds(m, law) for law in laws):

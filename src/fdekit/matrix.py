@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -32,11 +31,9 @@ from .errors import (
 )
 from .syntax import App, Formula, Signature, Var, variables
 
-DEFAULT_ARITY_CAP = 2
-
-
-def arity_cap() -> int:
-    return int(os.environ.get("FDEKIT_ARITY_CAP", DEFAULT_ARITY_CAP))
+# The largest clone arity: an n-ary clone is a subset of
+# carrier^(|carrier|^n), far too large at arity 3 over four values.
+MAX_CLONE_ARITY = 2
 
 
 @dataclass(frozen=True)
@@ -281,16 +278,11 @@ class TermFunction:
         return self.table[_radix(map(m.values.index, args), len(m.values))]
 
 
-def _clone(m: Matrix, n: int, generators: Iterable[str], cap: Optional[int],
+def _clone(m: Matrix, n: int, generators: Iterable[str],
            target: Optional[Callable] = None) -> dict:
     """The subpower of carrier^(|carrier|^n) generated by p1..pn."""
-    if n < 0:
-        raise ValueError("arity must be non-negative")
-    limit = arity_cap() if cap is None else cap
-    if n > limit:
-        raise ArityCapError(
-            f"arity {n} exceeds the cap {limit}; raise FDEKIT_ARITY_CAP "
-            "or pass a larger cap")
+    if not 0 <= n <= MAX_CLONE_ARITY:
+        raise ArityCapError(f"clone arity {n} is outside 0..{MAX_CLONE_ARITY}")
     return subpower(m, generators, [
         (t, Var(f"p{i + 1}"))
         for i, t in enumerate(_projections(len(m.values), n))], target)
@@ -321,26 +313,26 @@ def minimal_witnesses(m: Matrix, generators: Iterable[str],
     return {t: wit.get(t, w) for t, w in found.items()}
 
 
-def term_functions(m: Matrix, n: int, generators: Iterable[str],
-                   cap: Optional[int] = None) -> set[TermFunction]:
-    """All n-ary term functions over the generators, with minimal witnesses."""
+def term_functions(m: Matrix, n: int,
+                   generators: Iterable[str]) -> set[TermFunction]:
+    """All n-ary term functions over the generators, with minimal witnesses;
+    an arity outside 0..`MAX_CLONE_ARITY` raises `ArityCapError`."""
     generators = sorted(set(generators))
-    wit = minimal_witnesses(m, generators, _clone(m, n, generators, cap))
+    wit = minimal_witnesses(m, generators, _clone(m, n, generators))
     return {TermFunction(n, tuple(m.values[i] for i in table), witness)
             for table, witness in wit.items()}
 
 
 def unary_term_functions(m: Matrix, generators: Iterable[str]) -> set[TermFunction]:
-    return term_functions(m, 1, generators, cap=max(1, arity_cap()))
+    return term_functions(m, 1, generators)
 
 
 def find_term_function(m: Matrix, n: int, generators: Iterable[str],
-                       target: Sequence[str],
-                       cap: Optional[int] = None) -> Optional[TermFunction]:
+                       target: Sequence[str]) -> Optional[TermFunction]:
     """Search the clone for a table, stopping as soon as it appears; None
     only after the full fixpoint."""
     idx = tuple(map(m.values.index, target))
-    found = _clone(m, n, generators, cap, target=idx.__eq__)
+    found = _clone(m, n, generators, target=idx.__eq__)
     return TermFunction(n, tuple(target), found[idx]) if idx in found else None
 
 
@@ -485,4 +477,7 @@ def matrix_from_json(data) -> Matrix:
 
 def load_matrix(path: str) -> Matrix:
     with open(path) as fh:
-        return matrix_from_json(json.load(fh))
+        try:
+            return matrix_from_json(json.load(fh))
+        except RecursionError:
+            raise FdekitError("malformed matrix: too deeply nested") from None

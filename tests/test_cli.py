@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import re
 import shlex
@@ -6,12 +8,13 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fdekit import bd, claims, presets
+from fdekit import bd, claims, laws, presets
 from fdekit.cli import main
-from fdekit.matrix import evaluate, matrix_to_json
+from fdekit.matrix import MAX_CLONE_ARITY, evaluate, matrix_to_json
 from fdekit.proof import (
-    BD, MAX_DERIVATION_DEPTH, Sequent, derivation_to_json, prove)
+    BD, MAX_DERIVATION_DEPTH, RULE_IDS, Sequent, derivation_to_json, prove)
 from fdekit.syntax import MAX_NESTING, parse
 
 
@@ -178,6 +181,25 @@ class TestVerdicts:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", [["clone", "--matrix"], ["sr-encode"]])
+    def test_matrix_file_nested_too_deep(self, capsys, tmp_path, command):
+        # json.load recurses once per level (json.dumps fails here too)
+        path = tmp_path / "deep.json"
+        path.write_text(
+            '{"values": ["t", "f"], "designated": ["t"], "connectives": '
+            '{"c": {"arity": 1, "table": ' + "[" * 1200 + '"t"' + "]" * 1200
+            + "}}}")
+        assert main([*command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_clone_arity_limit(self, capsys):
+        assert main(["clone", "--matrix", "bd", "--arity",
+                     str(MAX_CLONE_ARITY + 1)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"outside 0..{MAX_CLONE_ARITY}" in err
+
 
 class TestProofCommands:
     def test_prove_and_exit_codes(self, capsys):
@@ -331,3 +353,71 @@ class TestRepro:
         code, out = run(capsys, "repro")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == REPRO_TEXT_SHA256
+
+    def test_repro_ignores_the_environment(self, capsys, monkeypatch):
+        # the clone arity limit is a constant, which no variable lowers
+        monkeypatch.setenv("FDEKIT_ARITY_CAP", "1")
+        code, out = run(capsys, "--json", "repro")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == REPRO_JSON_SHA256
+
+
+# Random token strings, and small well-formed formulas, for the subcommands
+# that stay fast on small input.
+# clone, definable and interdef are left out: some binary clones have no
+# budget yet and run without end.
+_VARIABLES = ("p", "q", "r", "s")
+_TOKENS = _VARIABLES + (
+    "~", "&", "|", "->", "(", ")", "bot", "top", "delta", "B", ",", "|-", "@")
+_FORMULAS = st.one_of(
+    st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=12).map(" ".join),
+    st.recursive(st.sampled_from(_VARIABLES + ("bot",)), lambda sub: st.one_of(
+        sub.map("~{}".format),
+        st.tuples(sub, st.sampled_from(["&", "|", "->"]), sub).map(
+            "({0[0]} {0[1]} {0[2]})".format)), max_leaves=4))
+_SIDES = st.lists(_FORMULAS, max_size=2).map(", ".join)
+_LAW_NAMES = [law.name for law in laws.TABLE2_LAWS + laws.CLASSICAL_ONLY_LAWS]
+
+
+@st.composite
+def _argv(draw) -> list:
+    command = draw(st.sampled_from([
+        "parse", "eval", "entails", "equiv", "synonymous", "prove",
+        "derived-rule", "sr-decode", "count-sr", "laws-filter"]))
+    argv = ["--json"] if draw(st.booleans()) else []
+    argv.append(command)
+    if command in ("parse", "eval", "entails", "equiv", "synonymous"):
+        argv += ["--matrix", draw(st.sampled_from(
+            ["bd", "bd-impl-bot", "bd-impl-bot-delta", "lp", "cl", "nope"]))]
+    if command in ("prove", "derived-rule") and draw(st.booleans()):
+        argv += ["--system", draw(st.sampled_from(["BD", "CL", "LP"]))]
+    if command == "eval":
+        for name in draw(st.lists(st.sampled_from(_VARIABLES), max_size=4)):
+            value = draw(st.sampled_from(["t", "f", "b", "n", "x"]))
+            argv += ["--assign", f"{name}={value}"]
+    if command in ("parse", "eval"):
+        argv.append(draw(_FORMULAS))
+    elif command in ("equiv", "synonymous"):
+        argv += [draw(_FORMULAS), draw(_FORMULAS)]
+    elif command in ("entails", "prove"):
+        argv.append(f"{draw(_SIDES)} |- {draw(_SIDES)}")
+    elif command == "derived-rule":
+        argv.append(draw(st.sampled_from([*RULE_IDS, "nope"])))
+    elif command == "sr-decode":
+        index = draw(st.integers(-1, 2 * bd.count_strongly_regular()))
+        argv.append(str(index))
+    elif command == "laws-filter":
+        for name in draw(st.lists(st.sampled_from([*_LAW_NAMES, "nope"]),
+                                  max_size=3)):
+            argv += ["--law", name]
+    return argv
+
+
+class TestFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(_argv())
+    def test_main_exits_0_1_or_2(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), argv

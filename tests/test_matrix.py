@@ -232,7 +232,6 @@ class TestClones:
     def test_arity_cap(self):
         with pytest.raises(ArityCapError):
             term_functions(BD, 3, ["and"])
-        assert term_functions(BD, 3, ["and"], cap=3)
 
 
 def _reference_simple(m):
