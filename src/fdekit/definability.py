@@ -80,7 +80,8 @@ def _relations(m: Matrix, allowed: list[str]) -> Iterator[dict]:
     by one or two tuples, skipping a pair that one of its tuples generates."""
     nvals, p1, p2 = len(m.values), Var("p1"), Var("p2")
     for width in (1, 2)[:1 + (nvals <= BINARY_RELATIONS_MAX_CARRIER)]:
-        points = list(itertools.product(range(nvals), repeat=width))
+        points = list(map(bytes, itertools.product(range(nvals),
+                                                   repeat=width)))
         single = {s: subpower(m, allowed, [(s, p1)]) for s in points}
         pairs = (subpower(m, allowed, [(s, p1), (t, p2)])
                  for s, t in itertools.combinations(points, 2)
@@ -150,7 +151,7 @@ def bd_preservation_criterion(c: NamedConnective) -> bool:
     preservation of {t,f,b} and {t,f,n}."""
     m = Matrix(VALUES, DESIGNATED, Signature({c.name: c.arity}),
                {c.name: c.table})
-    subsets = [{(VALUES.index(v),) for v in s} for s in ("tfb", "tfn")]
+    subsets = [{bytes([VALUES.index(v)]) for v in s} for s in ("tfb", "tfn")]
     return first_broken(m, c.name, subsets) is None
 
 

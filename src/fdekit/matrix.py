@@ -2,9 +2,11 @@
 
 A matrix is a finite carrier of truth values, a designated subset, and one
 tabulated interpretation per connective.  One kernel computes truth tables
-as value vectors (a value index per point, in `itertools.product` order) for
-consequence and equivalence.  One closure, `subpower`, computes the
-subuniverse of a power of the carrier generated by some tuples: the n-ary
+as value vectors for consequence and equivalence: `bytes` holding a value
+index per point, in `itertools.product` order, so a carrier has at most 256
+values; connectives apply by `bytes.translate`, and only a countermodel's
+point becomes an assignment.  One closure, `subpower`, computes the
+subuniverse of a power of the carrier generated by byte tuples: the n-ary
 clone is the one generated by the n projections, and two values are
 separated by a unary term iff the one generated by the pair holds a pair
 with exactly one designated component, which decides simplicity.
@@ -55,6 +57,8 @@ class Matrix:
         carrier = set(self.values)
         if len(self.values) != len(carrier):
             raise ValueError("duplicate truth-value names")
+        if len(carrier) > 256:
+            raise ValueError("more than 256 truth values")
         if not (self.designated and self.designated < carrier):
             raise ValueError("designated set must be non-empty and proper")
         tables = {}
@@ -70,13 +74,19 @@ class Matrix:
         object.__setattr__(self, "tables", MappingProxyType(tables))
 
     @cached_property
-    def index_tables(self) -> Mapping[str, tuple[int, ...]]:
+    def index_tables(self) -> Mapping[str, bytes]:
         """Each table as value indices, its argument tuples in radix order
         (first argument most significant)."""
         return MappingProxyType({
-            name: tuple(self.values.index(self.tables[name][args])
+            name: bytes(self.values.index(self.tables[name][args])
                         for args in itertools.product(self.values, repeat=k))
             for name, k in self.signature.connectives.items()})
+
+    @cached_property
+    def byte_tables(self) -> Mapping[str, bytes]:
+        """Index tables padded to `bytes.translate` tables (see `_compose`)."""
+        return MappingProxyType({
+            n: t.ljust(256, b"\0") for n, t in self.index_tables.items()})
 
     @cached_property
     def simple(self) -> bool:
@@ -101,32 +111,34 @@ def evaluate(m: Matrix, f: Formula, assignment: Mapping[str, str]) -> str:
     return m.tables[f.conn][tuple(evaluate(m, a, assignment) for a in f.args)]
 
 
-def assignments(m: Matrix, names: Iterable[str]) -> Iterator[dict]:
-    """All assignments, variables in sorted name order, values in carrier order."""
-    ordered = sorted(set(names))
-    for combo in itertools.product(m.values, repeat=len(ordered)):
-        yield dict(zip(ordered, combo))
+def assignments(m: Matrix, names: Iterable[str],
+                start: int = 0) -> Iterator[dict]:
+    """Assignments from index `start` on, each computed from its index:
+    variables in sorted name order, values in carrier order."""
+    ordered, nvals = sorted(set(names)), len(m.values)
+    for index in range(start, nvals ** len(ordered)):
+        yield {name: m.values[index // nvals ** (len(ordered) - 1 - i) % nvals]
+               for i, name in enumerate(ordered)}
 
 
-def _projections(nvals: int, k: int) -> list[tuple[int, ...]]:
+def _projections(nvals: int, k: int) -> list[bytes]:
     """The vectors of k variables, the first one most significant."""
-    return [
-        tuple(v for v in range(nvals) for _ in range(nvals ** (k - 1 - i)))
-        * nvals ** i
-        for i in range(k)
-    ]
+    return [b"".join(bytes([v]) * nvals ** (k - 1 - i) for v in range(nvals))
+            * nvals ** i for i in range(k)]
 
 
-def _compose(table: tuple[int, ...], nvals: int, npoints: int,
-             args: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
-    """A connective's index table applied pointwise to argument vectors."""
-    if not args:
-        return (table[0],) * npoints
+def _compose(table: bytes, nvals: int, npoints: int,
+             args: Sequence[bytes]) -> bytes:
+    """A connective's byte table applied pointwise to argument vectors; one
+    of at most 256 cells translates their radix-nvals packing (no carries)."""
+    if len(table) > 256:
+        return bytes(table[_radix(point, nvals)] for point in zip(*args))
     if len(args) == 1:
-        return tuple(map(table.__getitem__, args[0]))
-    if len(args) == 2:
-        return tuple([table[x * nvals + y] for x, y in zip(*args)])
-    return tuple(table[_radix(point, nvals)] for point in zip(*args))
+        return args[0].translate(table)
+    packed = 0
+    for a in args:
+        packed = packed * nvals + int.from_bytes(a, "big")
+    return packed.to_bytes(npoints, "big").translate(table)
 
 
 def _radix(digits: Iterable[int], base: int) -> int:
@@ -141,26 +153,31 @@ def _radix(digits: Iterable[int], base: int) -> int:
 _BLOCK_VARS = 8
 
 
-def _blocks(m: Matrix, formulas: Sequence[Formula]) -> Iterator[tuple]:
-    """(assignments, each formula's vector) per block of points, in order."""
+def _first_point(m: Matrix, formulas: Sequence[Formula],
+                 mask: Callable[[list[bytes], int], int]) -> Optional[dict]:
+    """The assignment at the first point where mask(the formulas' vectors,
+    their length) has a nonzero big-endian byte, blocks built in order."""
     names = sorted(set().union(*map(variables, formulas)))
     nvals, lead = len(m.values), max(0, len(names) - _BLOCK_VARS)
     npoints = nvals ** (len(names) - lead)
     tail = _projections(nvals, len(names) - lead)
-    points = assignments(m, names)
-    for prefix in itertools.product(range(nvals), repeat=lead):
-        columns = dict(zip(names, [(v,) * npoints for v in prefix] + tail))
-        yield (itertools.islice(points, npoints),
-               [_vector(m, f, columns, npoints) for f in formulas])
+    for i, prefix in enumerate(itertools.product(range(nvals), repeat=lead)):
+        columns = dict(zip(names, [bytes([v]) * npoints for v in prefix] + tail))
+        bits = mask([_vector(m, f, columns, npoints) for f in formulas],
+                    npoints)
+        if bits:
+            start = (i + 1) * npoints - 1 - (bits.bit_length() - 1) // 8
+            return next(assignments(m, names, start))
+    return None
 
 
-def _vector(m: Matrix, f: Formula, columns: Mapping[str, tuple[int, ...]],
-            npoints: int) -> tuple[int, ...]:
+def _vector(m: Matrix, f: Formula, columns: Mapping[str, bytes],
+            npoints: int) -> bytes:
     """f's value vector, given the vectors of its variables."""
     if isinstance(f, Var):
         return columns[f.name]
     _interpreted(m, f)
-    return _compose(m.index_tables[f.conn], len(m.values), npoints,
+    return _compose(m.byte_tables[f.conn], len(m.values), npoints,
                     [_vector(m, a, columns, npoints) for a in f.args])
 
 
@@ -169,14 +186,14 @@ def consequence_countermodel(
 ) -> Optional[dict]:
     """First assignment (in enumeration order) refuting gamma |= delta."""
     gamma, delta = list(gamma), list(delta)
-    designated, n = [v in m.designated for v in m.values], len(gamma)
-    for points, vectors in _blocks(m, gamma + delta):
-        for a, *values in zip(points, *vectors):
-            if all(designated[v] for v in values[:n]) and not any(
-                designated[v] for v in values[n:]
-            ):
-                return a
-    return None
+    designated = bytes(v in m.designated for v in m.values).ljust(256, b"\0")
+    def refuting(vectors: list[bytes], npoints: int) -> int:
+        bits = int.from_bytes(b"\1" * npoints, "big")
+        for i, v in enumerate(vectors):
+            held = int.from_bytes(v.translate(designated), "big")
+            bits &= held if i < len(gamma) else ~held
+        return bits
+    return _first_point(m, gamma + delta, refuting)
 
 
 def consequence(m: Matrix, gamma: Iterable[Formula], delta: Iterable[Formula]) -> bool:
@@ -185,11 +202,8 @@ def consequence(m: Matrix, gamma: Iterable[Formula], delta: Iterable[Formula]) -
 
 def equivalence_countermodel(m: Matrix, a: Formula, b: Formula) -> Optional[dict]:
     """First assignment on which a and b take different values."""
-    for points, (va, vb) in _blocks(m, [a, b]):
-        for asg, x, y in zip(points, va, vb):
-            if x != y:
-                return asg
-    return None
+    return _first_point(m, [a, b], lambda vectors, _: (
+        int.from_bytes(vectors[0], "big") ^ int.from_bytes(vectors[1], "big")))
 
 
 def equivalent(m: Matrix, a: Formula, b: Formula) -> bool:
@@ -200,20 +214,20 @@ def equivalent(m: Matrix, a: Formula, b: Formula) -> bool:
 # Subpowers: clones, simplicity and invariant relations
 
 def _operations(m: Matrix, generators: Iterable[str]) -> list[tuple]:
-    """(name, index table, arity) of each generator, by name."""
+    """(name, byte table, arity) of each generator, by name."""
     gens = sorted(set(generators))
     for g in gens:
         if g not in m.signature:
             raise SignatureMismatchError(f"generator {g!r} not in the signature")
-    return [(g, m.index_tables[g], m.signature.arity(g)) for g in gens]
+    return [(g, m.byte_tables[g], m.signature.arity(g)) for g in gens]
 
 
 def subpower(m: Matrix, generators: Iterable[str],
-             seeds: Iterable[tuple[tuple[int, ...], Formula]],
-             target: Optional[Callable[[tuple[int, ...]], bool]] = None
-             ) -> dict[tuple[int, ...], Formula]:
+             seeds: Iterable[tuple[bytes, Formula]],
+             target: Optional[Callable[[bytes], bool]] = None
+             ) -> dict[bytes, Formula]:
     """The subuniverse of carrier^k generated by the seeds, k-tuples of
-    value indices with witness formulas (k = 1 if there are none).
+    value-index bytes with witness formulas (k = 1 if there are none).
 
     The nullary generators' constant tuples follow the seeds.  Each round
     composes the other generators componentwise on the argument tuples
@@ -225,8 +239,8 @@ def subpower(m: Matrix, generators: Iterable[str],
     ops, nvals = _operations(m, generators), len(m.values)
     seeds = list(seeds)
     width = len(seeds[0][0]) if seeds else 1
-    seeds += [((table[0],) * width, App(g, ())) for g, table, k in ops if not k]
-    found: dict[tuple[int, ...], Formula] = {}
+    seeds += [(table[:1] * width, App(g, ())) for g, table, k in ops if not k]
+    found: dict[bytes, Formula] = {}
     for tup, witness in seeds:
         if tup not in found:
             found[tup] = witness
@@ -250,9 +264,9 @@ def subpower(m: Matrix, generators: Iterable[str],
 
 
 def first_broken(m: Matrix, conn: str,
-                 relations: Iterable[Collection[tuple[int, ...]]]
-                 ) -> Optional[Collection[tuple[int, ...]]]:
-    """The first relation (a set of value-index tuples) that the connective
+                 relations: Iterable[Collection[bytes]]
+                 ) -> Optional[Collection[bytes]]:
+    """The first relation (a set of value-index bytes) that the connective
     does not preserve, that is, that grows when closed under it alone."""
     for rel in relations:
         seeds = [(t, Var("r")) for t in rel]
@@ -289,7 +303,7 @@ def _clone(m: Matrix, n: int, generators: Iterable[str],
 
 
 def minimal_witnesses(m: Matrix, generators: Iterable[str],
-                      found: Mapping[tuple[int, ...], Formula]) -> dict:
+                      found: Mapping[bytes, Formula]) -> dict:
     """A closure's witnesses recomputed breadth-first by witness size from
     its seeds, ties broken by connective name, then by argument discovery
     order; past size 64 the closure's witness stays."""
@@ -331,7 +345,7 @@ def find_term_function(m: Matrix, n: int, generators: Iterable[str],
                        target: Sequence[str]) -> Optional[TermFunction]:
     """Search the clone for a table, stopping as soon as it appears; None
     only after the full fixpoint."""
-    idx = tuple(map(m.values.index, target))
+    idx = bytes(map(m.values.index, target))
     found = _clone(m, n, generators, target=idx.__eq__)
     return TermFunction(n, tuple(target), found[idx]) if idx in found else None
 
@@ -357,12 +371,12 @@ def simplicity(m: Matrix) -> tuple[bool, dict[frozenset, TermFunction]]:
     designated = [v in m.designated for v in m.values]
     separators: dict[frozenset, TermFunction] = {}
     for a, b in itertools.combinations(range(nvals), 2):
-        found = subpower(m, conns, [((a, b), Var("p1"))],
+        found = subpower(m, conns, [(bytes((a, b)), Var("p1"))],
                          lambda t: designated[t[0]] != designated[t[1]])
         (x, y), witness = next(reversed(found.items()))
         if designated[x] == designated[y]:
             return False, separators
-        table = _vector(m, witness, {"p1": tuple(range(nvals))}, nvals)
+        table = _vector(m, witness, {"p1": bytes(range(nvals))}, nvals)
         separators[frozenset((m.values[a], m.values[b]))] = TermFunction(
             1, tuple(m.values[i] for i in table), witness)
     return True, separators

@@ -193,6 +193,18 @@ class TestVerdicts:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_matrix_past_256_values(self, capsys, tmp_path):
+        # value vectors hold one value index per byte
+        values = [f"v{i}" for i in range(257)]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({
+            "values": values, "designated": ["v0"],
+            "connectives": {"not": {"arity": 1, "table": values[::-1]}}}))
+        assert main(["clone", "--matrix", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "more than 256 truth values" in err
+
     def test_clone_arity_limit(self, capsys):
         assert main(["clone", "--matrix", "bd", "--arity",
                      str(MAX_CLONE_ARITY + 1)]) == 2

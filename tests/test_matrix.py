@@ -14,6 +14,7 @@ from fdekit.errors import (
 )
 from fdekit.matrix import (
     Matrix,
+    assignments,
     consequence,
     consequence_countermodel,
     equivalence_countermodel,
@@ -135,17 +136,40 @@ def _random_formula(rng, sig, names, size):
                            for _ in range(k)))
 
 
+def _nested(k, fn, args=()):
+    """A JSON table over the values v0..v4 of `fn` on value indices."""
+    if len(args) == k:
+        return f"v{fn(*args)}"
+    return [_nested(k, fn, args + (i,)) for i in range(5)]
+
+
+# A De Morgan chain of five values with a 4-ary polynomial, (a & b) | (c &
+# ~d): its table has 625 cells, more than a `bytes.translate` table holds,
+# so `_compose` applies it point by point.
+WIDE_TABLE = matrix_from_json({
+    "values": [f"v{i}" for i in range(5)],
+    "designated": ["v3", "v4"],
+    "connectives": {
+        "not": {"arity": 1, "table": _nested(1, lambda a: 4 - a)},
+        "and": {"arity": 2, "table": _nested(2, min)},
+        "m4": {"arity": 4, "table": _nested(
+            4, lambda a, b, c, d: max(min(a, b), min(c, 4 - d)))},
+    },
+})
+
+
 class TestKernelAgainstEvaluate:
     """Countermodels from value vectors equal the first refuting
     assignment found by `evaluate` over `itertools.product`."""
 
     @pytest.mark.parametrize("name", [
-        "bd", "bd-impl-bot", "bd-b-n", "lp", "k3", "cl-impl-bot"])
-    @pytest.mark.parametrize("block_vars", [1, matrix._BLOCK_VARS],
-                             ids=["blocks", "one-block"])
+        "bd", "bd-impl-bot", "bd-b-n", "lp", "k3", "cl-impl-bot",
+        "wide-table"])
+    @pytest.mark.parametrize("block_vars", [1, 2, matrix._BLOCK_VARS],
+                             ids=["blocks", "two-var-blocks", "one-block"])
     def test_random_queries(self, name, block_vars, monkeypatch):
         monkeypatch.setattr(matrix, "_BLOCK_VARS", block_vars)
-        m = presets.preset(name)
+        m = WIDE_TABLE if name == "wide-table" else presets.preset(name)
         rng = random.Random(name)
         for _ in range(150):
             names = ["p", "q", "r", "s"][:rng.randrange(5)]
@@ -161,6 +185,25 @@ class TestKernelAgainstEvaluate:
             a, b = some(2)
             assert equivalence_countermodel(m, a, b) \
                 == _reference_equivalence(m, a, b)
+
+    def test_assignments_from_every_start(self):
+        names = ["r", "p", "q"]
+        full = list(assignments(BD, names))
+        assert full == [dict(zip("pqr", combo))
+                        for combo in itertools.product(BD.values, repeat=3)]
+        for start in range(len(full) + 1):
+            assert list(assignments(BD, names, start)) == full[start:]
+
+    def test_wide_table_term_functions(self):
+        # the unary clone over not and m4 is {p, ~p, p & ~p, p | ~p}
+        excluded_middle = tuple(f"v{max(i, 4 - i)}" for i in range(5))
+        found = find_term_function(WIDE_TABLE, 1, ["not", "m4"],
+                                   excluded_middle)
+        assert found.table == excluded_middle
+        assert tuple(evaluate(WIDE_TABLE, found.witness, {"p1": v})
+                     for v in WIDE_TABLE.values) == excluded_middle
+        assert find_term_function(WIDE_TABLE, 1, ["not", "m4"],
+                                  ("v4",) * 5) is None
 
     def test_empty_sides(self):
         assert consequence_countermodel(BD, [], []) == {}
