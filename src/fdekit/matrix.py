@@ -6,8 +6,9 @@ as value vectors for consequence and equivalence: `bytes` holding a value
 index per point, in `itertools.product` order, so a carrier has at most 256
 values; connectives apply by `bytes.translate`, and only a countermodel's
 point becomes an assignment.  One closure, `subpower`, computes the
-subuniverse of a power of the carrier generated by byte tuples: the n-ary
-clone is the one generated by the n projections, and two values are
+subuniverse of a power of the carrier generated by byte tuples, in order
+of witness size, so every witness it reports has the least size: the
+n-ary clone is the one generated by the n projections, and two values are
 separated by a unary term iff the one generated by the pair holds a pair
 with exactly one designated component, which decides simplicity.
 """
@@ -229,36 +230,44 @@ def subpower(m: Matrix, generators: Iterable[str],
     """The subuniverse of carrier^k generated by the seeds, k-tuples of
     value-index bytes with witness formulas (k = 1 if there are none).
 
-    The nullary generators' constant tuples follow the seeds.  Each round
-    composes the other generators componentwise on the argument tuples
-    touching the last round's new tuples, witnessing each new tuple by its
-    generator applied to its arguments' witnesses.  Returns the tuples and
-    witnesses in discovery order, stopping after the first tuple that
-    satisfies `target`.
+    Tuples are found in order of witness size: the seeds and then the
+    nullary generators' constant tuples have size 1, and g(a1..ak) has
+    size 1 plus its arguments' sizes.  Size by size, each generator in
+    name order composes argument pools whose sizes sum to one less, sizes
+    ascending and each pool in discovery order, so every witness has the
+    least size, ties broken by generator name, then by argument discovery
+    order.  It steps from one size to the next that some argument sizes
+    of the tuples found add up to, and stops when none is left.  Returns
+    the tuples and witnesses in discovery order, stopping after the first
+    tuple that satisfies `target`.
     """
     ops, nvals = _operations(m, generators), len(m.values)
     seeds = list(seeds)
     width = len(seeds[0][0]) if seeds else 1
     seeds += [(table[:1] * width, App(g, ())) for g, table, k in ops if not k]
     found: dict[bytes, Formula] = {}
+    by_size: dict[int, list[bytes]] = {}
+
+    def add(tup: bytes, witness: Formula, size: int) -> bool:
+        found[tup] = witness
+        by_size.setdefault(size, []).append(tup)
+        return target is not None and target(tup)
+
     for tup, witness in seeds:
-        if tup not in found:
-            found[tup] = witness
-            if target is not None and target(tup):
-                return found
-    order, frontier = list(found), 0
-    while frontier < len(order):
-        new_from, frontier = frontier, len(order)
+        if tup not in found and add(tup, witness, 1):
+            return found
+    size = 1
+    while size := min((1 + sum(sizes) for *_, k in ops if k
+                       for sizes in itertools.product(by_size, repeat=k)
+                       if sum(sizes) >= size), default=0):
         for g, table, k in ops:
-            for combo in itertools.product(range(frontier), repeat=k):
-                if not k or max(combo) < new_from:
-                    continue  # a constant, or composed in an earlier round
-                args = [order[i] for i in combo]
-                tup = _compose(table, nvals, width, args)
-                if tup not in found:
-                    found[tup] = App(g, tuple(found[a] for a in args))
-                    order.append(tup)
-                    if target is not None and target(tup):
+            for sizes in itertools.product(by_size, repeat=k):
+                if sum(sizes) != size - 1:
+                    continue
+                for args in itertools.product(*map(by_size.get, sizes)):
+                    tup = _compose(table, nvals, width, args)
+                    if tup not in found and add(
+                            tup, App(g, tuple(map(found.get, args))), size):
                         return found
     return found
 
@@ -267,10 +276,12 @@ def first_broken(m: Matrix, conn: str,
                  relations: Iterable[Collection[bytes]]
                  ) -> Optional[Collection[bytes]]:
     """The first relation (a set of value-index bytes) that the connective
-    does not preserve, that is, that grows when closed under it alone."""
+    does not preserve: applied to some of its tuples, it leaves it."""
+    [(_, table, k)] = _operations(m, [conn])
     for rel in relations:
-        seeds = [(t, Var("r")) for t in rel]
-        if len(subpower(m, [conn], seeds, lambda t: t not in rel)) > len(rel):
+        width = len(next(iter(rel), b""))
+        if any(_compose(table, len(m.values), width, args) not in rel
+               for args in itertools.product(rel, repeat=k)):
             return rel
     return None
 
@@ -302,39 +313,13 @@ def _clone(m: Matrix, n: int, generators: Iterable[str],
         for i, t in enumerate(_projections(len(m.values), n))], target)
 
 
-def minimal_witnesses(m: Matrix, generators: Iterable[str],
-                      found: Mapping[bytes, Formula]) -> dict:
-    """A closure's witnesses recomputed breadth-first by witness size from
-    its seeds, ties broken by connective name, then by argument discovery
-    order; past size 64 the closure's witness stays."""
-    ops, nvals = _operations(m, generators), len(m.values)
-    by_size = {1: [t for t, w in found.items()
-                   if isinstance(w, Var) or not w.args]}
-    wit = {t: found[t] for t in by_size[1]}
-    size = 2
-    while len(wit) < len(found) and size <= 64:
-        for g, gtab, k in ops:
-            for sizes in itertools.product(range(1, size), repeat=k):
-                pools = [by_size.get(s, []) for s in sizes]
-                if sum(sizes) != size - 1 or not all(pools):
-                    continue
-                for args in itertools.product(*pools):
-                    table = _compose(gtab, nvals, len(args[0]), args)
-                    if table not in wit:
-                        wit[table] = App(g, tuple(wit[a] for a in args))
-                        by_size.setdefault(size, []).append(table)
-        size += 1
-    return {t: wit.get(t, w) for t, w in found.items()}
-
-
 def term_functions(m: Matrix, n: int,
                    generators: Iterable[str]) -> set[TermFunction]:
-    """All n-ary term functions over the generators, with minimal witnesses;
-    an arity outside 0..`MAX_CLONE_ARITY` raises `ArityCapError`."""
-    generators = sorted(set(generators))
-    wit = minimal_witnesses(m, generators, _clone(m, n, generators))
+    """All n-ary term functions over the generators, each with a witness of
+    least size (see `subpower`); an arity outside 0..`MAX_CLONE_ARITY`
+    raises `ArityCapError`."""
     return {TermFunction(n, tuple(m.values[i] for i in table), witness)
-            for table, witness in wit.items()}
+            for table, witness in _clone(m, n, generators).items()}
 
 
 def unary_term_functions(m: Matrix, generators: Iterable[str]) -> set[TermFunction]:
@@ -376,7 +361,14 @@ def simplicity(m: Matrix) -> tuple[bool, dict[frozenset, TermFunction]]:
         (x, y), witness = next(reversed(found.items()))
         if designated[x] == designated[y]:
             return False, separators
-        table = _vector(m, witness, {"p1": bytes(range(nvals))}, nvals)
+        # every witness's table in discovery order, its arguments' first,
+        # so a witness that shares its arguments costs its distinct nodes
+        tables: dict[int, bytes] = {}
+        for w in found.values():
+            tables[id(w)] = bytes(range(nvals)) if isinstance(w, Var) else (
+                _compose(m.byte_tables[w.conn], nvals, nvals,
+                         [tables[id(u)] for u in w.args]))
+        table = tables[id(witness)]
         separators[frozenset((m.values[a], m.values[b]))] = TermFunction(
             1, tuple(m.values[i] for i in table), witness)
     return True, separators
@@ -490,8 +482,13 @@ def matrix_from_json(data) -> Matrix:
 
 
 def load_matrix(path: str) -> Matrix:
-    with open(path) as fh:
-        try:
+    """The matrix in a UTF-8 JSON file; any failure to read it raises
+    FdekitError naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
             return matrix_from_json(json.load(fh))
-        except RecursionError:
-            raise FdekitError("malformed matrix: too deeply nested") from None
+    except RecursionError:
+        reason = "too deeply nested"
+    except (FdekitError, OSError, ValueError) as e:
+        reason = str(e)
+    raise FdekitError(f"cannot read matrix file {path}: {reason}")

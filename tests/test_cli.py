@@ -173,13 +173,17 @@ class TestVerdicts:
          "connectives": {"not": {"arity": True, "table": ["f", "t"]}}},
         {"values": ["t", "f"], "designated": ["t"],
          "connectives": {"not": {"arity": 1, "table": [["f"], "t"]}}},
+        pytest.param(b"", id="empty"),                 # what /dev/null reads
+        pytest.param(b"\xff\xfe{}", id="not-utf8"),
     ])
     def test_entails_malformed_matrix(self, capsys, tmp_path, data):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(data))
+        path.write_bytes(
+            data if isinstance(data, bytes) else json.dumps(data).encode())
         assert main(["entails", "--matrix", str(path), "p |- p"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith(f"error: cannot read matrix file {path}: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command", [["clone", "--matrix"], ["sr-encode"]])
     def test_matrix_file_nested_too_deep(self, capsys, tmp_path, command):
@@ -191,7 +195,8 @@ class TestVerdicts:
             + "}}}")
         assert main([*command, str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err == (f"error: cannot read matrix file {path}: "
+                       "too deeply nested\n")
 
     def test_matrix_past_256_values(self, capsys, tmp_path):
         # value vectors hold one value index per byte

@@ -101,6 +101,19 @@ class TestDefinable:
         for a in m.values:
             assert evaluate(m, verdict.witness, {"p": a}) == "f"
 
+    @pytest.mark.parametrize("name, target, allowed", [
+        ("bd-delta-cons-det", "cons", "and,delta,not"),
+        *((name, c, ",".join(sorted(set(m.signature.connectives) - {c})))
+          for name in presets.PRESET_NAMES
+          for m in [presets.preset(name)]
+          for c, k in sorted(m.signature.connectives.items()) if k == 1)])
+    def test_witness_is_the_clone_witness(self, name, target, allowed):
+        m, allowed = presets.preset(name), allowed.split(",")
+        clone = {tf.table: tf.witness
+                 for tf in term_functions(m, 1, allowed)}
+        table = tuple(m.tables[target][(v,)] for v in m.values)
+        assert definable(m, target, allowed).witness == clone.get(table)
+
     def test_target_validation(self):
         m = presets.preset("bd-impl-bot")
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import signal
 
 import pytest
 
@@ -275,6 +276,65 @@ class TestClones:
     def test_arity_cap(self):
         with pytest.raises(ArityCapError):
             term_functions(BD, 3, ["and"])
+
+    @pytest.mark.parametrize("name, n, largest", [
+        ("cl", 1, 4), ("cl", 2, 8), ("lp", 1, 4), ("k3", 1, 4),
+        ("bd-circ", 1, 5), ("bd-cons-det", 1, 8)])
+    def test_witnesses_have_least_size(self, name, n, largest):
+        # every formula over p1..pn with at most `largest` nodes, evaluated
+        # point by point: the least size of each table, found without the
+        # closure
+        m = presets.preset(name)
+        conns = sorted(m.signature.connectives.items())
+        names = [f"p{i + 1}" for i in range(n)]
+        by_size = {1: [*map(Var, names),
+                       *(App(c, ()) for c, k in conns if not k)]}
+        for size in range(2, largest + 1):
+            by_size[size] = [
+                App(c, args) for c, k in conns
+                for sizes in itertools.product(range(1, size), repeat=k)
+                if sum(sizes) == size - 1
+                for args in itertools.product(*map(by_size.get, sizes))]
+        least = {}
+        for size, formulas in by_size.items():
+            for f in formulas:
+                least.setdefault(tuple(
+                    evaluate(m, f, dict(zip(names, point)))
+                    for point in itertools.product(m.values, repeat=n)), size)
+        witnessed = {tf.table: _size(tf.witness)
+                     for tf in term_functions(m, n, m.signature.connectives)}
+        assert max(witnessed.values()) == largest
+        assert witnessed == least
+
+    def test_sizes_far_apart(self):
+        # g(x, x) = x + 1 and g(x, y) = x otherwise, so p1 + j first appears
+        # at witness size 2^(j+1) - 1: the closure must step from one size
+        # found to the next, not through every size in between
+        n = 24
+        values = [str(i) for i in range(n)]
+        m = matrix_from_json({
+            "values": values, "designated": ["0"],
+            "connectives": {"g": {"arity": 2, "table": [
+                [values[(x + 1) % n] if x == y else values[x]
+                 for y in range(n)] for x in range(n)]}}})
+
+        def expire(*_):
+            raise TimeoutError("closure did not finish in 20 s")
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(20)
+        try:
+            simple, separators = simplicity(m)
+            constant = find_term_function(m, 1, ["g"], ("0",) * n)
+            clone = term_functions(m, 1, ["g"])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert simple and len(separators) == n * (n - 1) // 2
+        assert constant is None and len(clone) == n
+
+
+def _size(f):
+    return 1 + sum(map(_size, getattr(f, "args", ())))
 
 
 def _reference_simple(m):
