@@ -63,7 +63,6 @@ from .syntax import (
     parse,
     print_formula,
     substitute,
-    subformulas,
     variables,
 )
 

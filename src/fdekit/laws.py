@@ -15,14 +15,15 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 from .bd import (
     CELLS, FREE_CELLS, SR_BITS, SR_SIGNATURE, VALUES, count_strongly_regular,
     sr_decode)
 from .errors import SignatureMismatchError, UnknownNameError
-from .matrix import Matrix, equivalence_countermodel, equivalent
-from .syntax import BOT, TOP, Formula, Var, conj, disj, impl, neg, variables
+from .matrix import Matrix, Program, compile_formulas, first_difference
+from .syntax import BOT, TOP, Formula, Var, conj, disj, impl, neg
 
 # The filter re-verifies every survivor up to this many, else a sample.
 VERIFY_LIMIT = 4096
@@ -38,6 +39,11 @@ class Law:
     name: str
     lhs: Formula
     rhs: Formula
+
+    @cached_property
+    def program(self) -> Program:
+        """Both sides compiled once, to run on every matrix checked."""
+        return compile_formulas([self.lhs, self.rhs])
 
 
 TABLE2_LAWS: tuple[Law, ...] = (
@@ -89,11 +95,11 @@ def holds(m: Matrix, law: Law) -> bool:
         if conn not in m.signature:
             raise SignatureMismatchError(
                 f"law evaluation needs connective {conn!r}")
-    return equivalent(m, law.lhs, law.rhs)
+    return first_difference(m, law.program) is None
 
 
 def holds_countermodel(m: Matrix, law: Law) -> Optional[dict]:
-    return equivalence_countermodel(m, law.lhs, law.rhs)
+    return first_difference(m, law.program)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +148,7 @@ class _Constraint:
 def _compile_constraints(laws: Iterable[Law]) -> list[_Constraint]:
     out = []
     for law in laws:
-        metavars = sorted(variables(law.lhs) | variables(law.rhs))
+        metavars = law.program.names
         for combo in itertools.product(VALUES, repeat=len(metavars)):
             out.append(_Constraint(law.lhs, law.rhs, dict(zip(metavars, combo))))
     return out

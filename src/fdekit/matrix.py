@@ -2,19 +2,23 @@
 
 A matrix is a finite carrier of truth values, a designated subset, and one
 tabulated interpretation per connective.  One kernel computes truth tables
-as value vectors for consequence and equivalence: `bytes` holding a value
-index per point, in `itertools.product` order, so a carrier has at most 256
-values; connectives apply by `bytes.translate`, and only a countermodel's
-point becomes an assignment.  One closure, `subpower`, computes the
-subuniverse of a power of the carrier generated by byte tuples, in order
-of witness size, so every witness it reports has the least size: the
-n-ary clone is the one generated by the n projections, and two values are
-separated by a unary term iff the one generated by the pair holds a pair
-with exactly one designated component, which decides simplicity.
+as value vectors for consequence, equivalence and the law checks: `bytes`
+holding a value index per point, in `itertools.product` order, so a carrier
+has at most 256 values.  Formulas are compiled once, without recursion,
+into a flat `Program` with one step per distinct subformula object, which
+runs on any matrix: each step applies a connective to whole vectors by
+`bytes.translate`, and only a countermodel's point becomes an assignment.
+One closure, `subpower`, computes the subuniverse of a power of the carrier
+generated by byte tuples, in order of witness size, so every witness it
+reports has the least size: the n-ary clone is the one generated by the n
+projections, and two values are separated by a unary term iff the one
+generated by the pair holds a pair with exactly one designated component,
+which decides simplicity.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -32,7 +36,7 @@ from .errors import (
     SignatureMismatchError,
     UnboundVariableError,
 )
-from .syntax import App, Formula, Signature, Var, variables
+from .syntax import App, Formula, Signature, Var
 
 # The largest clone arity: an n-ary clone is a subset of
 # carrier^(|carrier|^n), far too large at arity 3 over four values.
@@ -95,10 +99,10 @@ class Matrix:
         return simplicity(self)[0]
 
 
-def _interpreted(m: Matrix, f: App) -> None:
-    if m.signature.connectives.get(f.conn) != len(f.args):
+def _interpreted(m: Matrix, conn: str, arity: int) -> None:
+    if m.signature.connectives.get(conn) != arity:
         raise SignatureMismatchError(
-            f"connective {f.conn!r} not interpreted with arity {len(f.args)}")
+            f"connective {conn!r} not interpreted with arity {arity}")
 
 
 def evaluate(m: Matrix, f: Formula, assignment: Mapping[str, str]) -> str:
@@ -108,7 +112,7 @@ def evaluate(m: Matrix, f: Formula, assignment: Mapping[str, str]) -> str:
             return assignment[f.name]
         except KeyError:
             raise UnboundVariableError(f"variable {f.name!r} is unbound") from None
-    _interpreted(m, f)
+    _interpreted(m, f.conn, len(f.args))
     return m.tables[f.conn][tuple(evaluate(m, a, assignment) for a in f.args)]
 
 
@@ -122,10 +126,13 @@ def assignments(m: Matrix, names: Iterable[str],
                for i, name in enumerate(ordered)}
 
 
-def _projections(nvals: int, k: int) -> list[bytes]:
-    """The vectors of k variables, the first one most significant."""
-    return [b"".join(bytes([v]) * nvals ** (k - 1 - i) for v in range(nvals))
-            * nvals ** i for i in range(k)]
+@functools.cache
+def _projections(nvals: int, k: int) -> tuple[bytes, ...]:
+    """The vectors of k variables, the first one most significant; k is at
+    most `_BLOCK_VARS` or `MAX_CLONE_ARITY`, so the cache stays small."""
+    return tuple(b"".join(bytes([v]) * nvals ** (k - 1 - i)
+                          for v in range(nvals)) * nvals ** i
+                 for i in range(k))
 
 
 def _compose(table: bytes, nvals: int, npoints: int,
@@ -149,37 +156,86 @@ def _radix(digits: Iterable[int], base: int) -> int:
     return idx
 
 
+@dataclass(frozen=True)
+class Program:
+    """Formulas compiled for the kernel, independent of any matrix.
+
+    Slot i holds the vector of `names[i]` (the variables, sorted) and slot
+    len(names) + j the result of `steps[j]`, a connective applied to the
+    vectors in its argument slots; each step comes after its arguments, and
+    `slots` gives each formula's slot.  `connectives` holds each (name,
+    arity) in pre-order of first appearance, so a matrix that interprets
+    some of them wrongly is refused for the first one `evaluate` meets.
+    """
+
+    names: tuple[str, ...]
+    steps: tuple[tuple[str, tuple[int, ...]], ...]
+    slots: tuple[int, ...]
+    connectives: tuple[tuple[str, int], ...]
+
+
+def compile_formulas(formulas: Iterable[Formula]) -> Program:
+    """The formulas as one program, one step per distinct subformula object
+    (a shared subterm is compiled once), built without recursion."""
+    formulas = list(formulas)
+    step: dict[int, int] = {}  # id of an App -> its step, -1 until compiled
+    order: list[App] = []
+    names: set[str] = set()
+    connectives: dict[tuple[str, int], None] = {}
+    stack: list = formulas[::-1]
+    while stack:
+        f = stack.pop()
+        if f is None:  # the App below has all its arguments compiled
+            f = stack.pop()
+            step[id(f)] = len(order)
+            order.append(f)
+        elif isinstance(f, Var):
+            names.add(f.name)
+        elif id(f) not in step:
+            step[id(f)] = -1
+            connectives[f.conn, len(f.args)] = None
+            stack += (f, None)
+            stack += reversed(f.args)
+    ordered = sorted(names)
+    var_slot = {name: i for i, name in enumerate(ordered)}
+
+    def slot(f: Formula) -> int:
+        if isinstance(f, Var):
+            return var_slot[f.name]
+        return len(ordered) + step[id(f)]
+
+    return Program(tuple(ordered),
+                   tuple([(f.conn, tuple(map(slot, f.args))) for f in order]),
+                   tuple(map(slot, formulas)), tuple(connectives))
+
+
 # Variables that vary within one block of points: a vector covers one block
 # at a time, so memory stays bounded however many variables a query has.
 _BLOCK_VARS = 8
 
 
-def _first_point(m: Matrix, formulas: Sequence[Formula],
+def _first_point(m: Matrix, program: Program,
                  mask: Callable[[list[bytes], int], int]) -> Optional[dict]:
-    """The assignment at the first point where mask(the formulas' vectors,
-    their length) has a nonzero big-endian byte, blocks built in order."""
-    names = sorted(set().union(*map(variables, formulas)))
+    """The assignment at the first point where mask(the program's formula
+    vectors, their length) has a nonzero big-endian byte, blocks built in
+    order."""
+    for conn, arity in program.connectives:
+        _interpreted(m, conn, arity)
+    names, tables = program.names, m.byte_tables
     nvals, lead = len(m.values), max(0, len(names) - _BLOCK_VARS)
     npoints = nvals ** (len(names) - lead)
     tail = _projections(nvals, len(names) - lead)
     for i, prefix in enumerate(itertools.product(range(nvals), repeat=lead)):
-        columns = dict(zip(names, [bytes([v]) * npoints for v in prefix] + tail))
-        bits = mask([_vector(m, f, columns, npoints) for f in formulas],
-                    npoints)
+        vectors = [bytes([v]) * npoints for v in prefix]
+        vectors += tail
+        for conn, args in program.steps:
+            vectors.append(_compose(tables[conn], nvals, npoints,
+                                    [vectors[a] for a in args]))
+        bits = mask([vectors[s] for s in program.slots], npoints)
         if bits:
             start = (i + 1) * npoints - 1 - (bits.bit_length() - 1) // 8
             return next(assignments(m, names, start))
     return None
-
-
-def _vector(m: Matrix, f: Formula, columns: Mapping[str, bytes],
-            npoints: int) -> bytes:
-    """f's value vector, given the vectors of its variables."""
-    if isinstance(f, Var):
-        return columns[f.name]
-    _interpreted(m, f)
-    return _compose(m.byte_tables[f.conn], len(m.values), npoints,
-                    [_vector(m, a, columns, npoints) for a in f.args])
 
 
 def consequence_countermodel(
@@ -194,17 +250,26 @@ def consequence_countermodel(
             held = int.from_bytes(v.translate(designated), "big")
             bits &= held if i < len(gamma) else ~held
         return bits
-    return _first_point(m, gamma + delta, refuting)
+    return _first_point(m, compile_formulas(gamma + delta), refuting)
 
 
 def consequence(m: Matrix, gamma: Iterable[Formula], delta: Iterable[Formula]) -> bool:
     return consequence_countermodel(m, gamma, delta) is None
 
 
+def _differing(vectors: list[bytes], _npoints: int) -> int:
+    return int.from_bytes(vectors[0], "big") ^ int.from_bytes(vectors[1], "big")
+
+
+def first_difference(m: Matrix, program: Program) -> Optional[dict]:
+    """First assignment on which the program's two formulas take different
+    values."""
+    return _first_point(m, program, _differing)
+
+
 def equivalence_countermodel(m: Matrix, a: Formula, b: Formula) -> Optional[dict]:
     """First assignment on which a and b take different values."""
-    return _first_point(m, [a, b], lambda vectors, _: (
-        int.from_bytes(vectors[0], "big") ^ int.from_bytes(vectors[1], "big")))
+    return first_difference(m, compile_formulas([a, b]))
 
 
 def equivalent(m: Matrix, a: Formula, b: Formula) -> bool:

@@ -117,35 +117,11 @@ BOT = App("bot", ())
 TOP = App("not", (App("bot", ()),))
 
 
-def well_formed(f: Formula, sig: Signature) -> bool:
-    if isinstance(f, Var):
-        return True
-    if f.conn not in sig or sig.arity(f.conn) != len(f.args):
-        return False
-    return all(well_formed(a, sig) for a in f.args)
-
-
 def substitute(f: Formula, s: Substitution) -> Formula:
     """Apply the homomorphic extension of s to f."""
     if isinstance(f, Var):
         return s.get(f.name, f)
     return App(f.conn, tuple(substitute(a, s) for a in f.args))
-
-
-def compose(s2: Substitution, s1: Substitution) -> dict:
-    """The substitution p -> substitute(s1(p), s2)."""
-    out = {p: substitute(a, s2) for p, a in s1.items()}
-    for p, a in s2.items():
-        out.setdefault(p, a)
-    return out
-
-
-def subformulas(f: Formula) -> set:
-    out = {f}
-    if isinstance(f, App):
-        for a in f.args:
-            out |= subformulas(a)
-    return out
 
 
 def variables(f: Formula) -> set:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -14,6 +15,8 @@ from fdekit.laws import (
     holds_countermodel,
     law_by_name,
 )
+from fdekit.matrix import evaluate
+from fdekit.syntax import variables
 
 M = presets.preset("bd-impl-bot")
 BD_INDEX = 13129950543
@@ -56,6 +59,38 @@ class TestHolds:
         assert law_by_name("double-negation") in TABLE2_LAWS
         with pytest.raises(UnknownNameError):
             law_by_name("modus-ponens")
+
+
+def _reference_countermodel(m, law):
+    """The first assignment, in product order, where the sides differ."""
+    names = sorted(variables(law.lhs) | variables(law.rhs))
+    for combo in itertools.product(m.values, repeat=len(names)):
+        assignment = dict(zip(names, combo))
+        if evaluate(m, law.lhs, assignment) != evaluate(m, law.rhs,
+                                                        assignment):
+            return assignment
+    return None
+
+
+class TestAgainstEvaluate:
+    """The compiled law programs against `evaluate`, on family members."""
+
+    def test_seeded_family_members(self):
+        rng = random.Random(11)
+        failing = 0
+        for _ in range(100):
+            m = bd.sr_decode(rng.randrange(2 ** 38))
+            for law in TABLE2_LAWS + CLASSICAL_ONLY_LAWS:
+                expected = _reference_countermodel(m, law)
+                assert holds_countermodel(m, law) == expected, law.name
+                assert holds(m, law) == (expected is None), law.name
+                failing += expected is not None
+        assert failing  # the sample refutes some law somewhere
+
+    def test_program_compiled_once(self):
+        law = law_by_name("de-morgan-and")
+        assert law.program is law.program
+        assert law.program.names == ("A1", "A2")
 
 
 class TestFilter:

@@ -1,6 +1,8 @@
 import itertools
 import random
+import re
 import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -16,6 +18,7 @@ from fdekit.errors import (
 from fdekit.matrix import (
     Matrix,
     assignments,
+    compile_formulas,
     consequence,
     consequence_countermodel,
     equivalence_countermodel,
@@ -32,7 +35,7 @@ from fdekit.matrix import (
     unary_term_functions,
 )
 from fdekit.syntax import (
-    App, Signature, Var, conj, disj, neg, parse, variables)
+    App, Signature, Var, conj, disj, neg, parse, substitute, variables)
 
 BD = presets.preset("bd")
 BDI = presets.preset("bd-impl-bot")
@@ -186,6 +189,14 @@ class TestKernelAgainstEvaluate:
             a, b = some(2)
             assert equivalence_countermodel(m, a, b) \
                 == _reference_equivalence(m, a, b)
+            # subformula objects used more than once: b stands for every
+            # variable of a, and a for p in b
+            shared = substitute(a, dict.fromkeys(names, b))
+            nested = substitute(b, {"p": a})
+            assert consequence_countermodel(m, [shared, a], [nested, b]) \
+                == _reference_consequence(m, [shared, a], [nested, b])
+            assert equivalence_countermodel(m, shared, nested) \
+                == _reference_equivalence(m, shared, nested)
 
     def test_assignments_from_every_start(self):
         names = ["r", "p", "q"]
@@ -220,12 +231,70 @@ class TestKernelAgainstEvaluate:
         assert equivalence_countermodel(m, conj(b, n), neg(disj(b, n))) is None
 
     @pytest.mark.parametrize("formula", [
-        App("impl", (p, q)), App("not", (p, q)), App("delta", (p,))])
+        App("impl", (p, q)), App("not", (p, q)), App("delta", (p,)),
+        App("impl", (App("delta", (p,)), q))])
     def test_uninterpreted_connective(self, formula):
-        with pytest.raises(SignatureMismatchError):
+        # the error names the connective `evaluate` meets first, in
+        # pre-order: impl, not delta, in the last formula
+        with pytest.raises(SignatureMismatchError) as first:
+            evaluate(BD, formula, {"p": "t", "q": "t"})
+        message = re.escape(str(first.value))
+        with pytest.raises(SignatureMismatchError, match=message):
             consequence_countermodel(BD, [p], [formula])
-        with pytest.raises(SignatureMismatchError):
+        with pytest.raises(SignatureMismatchError, match=message):
             equivalence_countermodel(BD, formula, p)
+
+    def test_shared_subformulas_compile_once(self):
+        a = conj(p, neg(q))
+        program = compile_formulas([disj(a, a), neg(a), q])
+        assert program.names == ("p", "q")
+        # ~q, a, a | a, ~a: the second a is the same object
+        assert [conn for conn, _ in program.steps] \
+            == ["not", "and", "or", "not"]
+        assert program.steps[2] == ("or", (3, 3))
+        assert program.slots == (4, 5, 1)
+        assert program.connectives == (("or", 2), ("and", 2), ("not", 1))
+
+
+@contextmanager
+def _within(seconds):
+    """Fail with TimeoutError once `seconds` of wall time have passed."""
+    def expire(*_):
+        raise TimeoutError(f"not decided in {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestFormulasBuiltInCode:
+    """Formulas past the parser's limits: compiled without recursion, one
+    step per distinct subformula object, and decided at once."""
+
+    def test_negation_chain(self):
+        chain = p
+        for _ in range(1000):
+            chain = neg(chain)
+        with _within(1):
+            assert equivalent(BD, chain, p)
+            assert consequence(BD, [neg(chain)], [neg(p)])
+            assert equivalence_countermodel(BD, neg(chain), p) == {"p": "t"}
+            assert len(compile_formulas([chain]).steps) == 1000
+
+    def test_doublings(self):
+        # 2^40 conjunctions as a tree, 41 distinct objects
+        g = conj(p, q)
+        for _ in range(40):
+            g = conj(g, g)
+        with _within(1):
+            assert equivalent(BD, g, conj(p, q))
+            assert consequence(BD, [g], [p])
+            assert consequence_countermodel(BD, [p], [g]) \
+                == _reference_consequence(BD, [p], [conj(p, q)])
+            assert len(compile_formulas([g]).steps) == 41
 
 
 class TestClones:
@@ -317,18 +386,10 @@ class TestClones:
             "connectives": {"g": {"arity": 2, "table": [
                 [values[(x + 1) % n] if x == y else values[x]
                  for y in range(n)] for x in range(n)]}}})
-
-        def expire(*_):
-            raise TimeoutError("closure did not finish in 20 s")
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.alarm(20)
-        try:
+        with _within(20):
             simple, separators = simplicity(m)
             constant = find_term_function(m, 1, ["g"], ("0",) * n)
             clone = term_functions(m, 1, ["g"])
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
         assert simple and len(separators) == n * (n - 1) // 2
         assert constant is None and len(clone) == n
 

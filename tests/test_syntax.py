@@ -15,7 +15,6 @@ from fdekit.syntax import (
     Signature,
     TOP,
     Var,
-    compose,
     conj,
     disj,
     formula_key,
@@ -23,10 +22,8 @@ from fdekit.syntax import (
     neg,
     parse,
     print_formula,
-    subformulas,
     substitute,
     variables,
-    well_formed,
 )
 
 SIG = presets.preset("bd-impl-bot").signature
@@ -151,29 +148,11 @@ class TestSubstitution:
     def test_identity_outside_domain(self):
         assert substitute(r, {"p": BOT}) == r
 
-    @settings(max_examples=150, deadline=None)
-    @given(_formulas(RICH_SIG, 4), _formulas(RICH_SIG, 3),
-           _formulas(RICH_SIG, 3))
-    def test_composition(self, f, a, b):
-        s1 = {"p": a}
-        s2 = {"q": b}
-        assert substitute(substitute(f, s1), s2) == substitute(
-            f, compose(s2, s1))
-
 
 class TestStructure:
-    def test_subformulas(self):
-        f = impl(conj(p, neg(q)), BOT)
-        assert subformulas(f) == {f, conj(p, neg(q)), p, neg(q), q, BOT}
-
     def test_variables(self):
         assert variables(impl(conj(p, neg(q)), BOT)) == {"p", "q"}
         assert variables(BOT) == set()
-
-    def test_well_formed(self):
-        assert well_formed(impl(p, BOT), SIG)
-        assert not well_formed(App("delta", (p,)), SIG)
-        assert not well_formed(App("and", (p,)), SIG)
 
     def test_deep_formula_hashes(self):
         # built in code, past the parser's nesting limit: hashing reads
