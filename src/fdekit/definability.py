@@ -8,16 +8,17 @@ table in the term-function clone over the allowed connectives.
 Before that clone, a target of arity two or more must preserve every
 relation the allowed connectives preserve, since term functions do
 (Geiger 1968; Bodnarcuk, Kaluznin, Kotov and Romov 1969).  The relations
-tried are the subuniverses of the carrier, and of its square on carriers
-of at most `BINARY_RELATIONS_MAX_CARRIER` values, generated by one or two
-tuples; a relation the target breaks certifies that it is not definable.
+tried are the clone restricted to one or two rows of the target's table:
+the subpower generated by the projections on those rows, closed until the
+target's own restriction appears.  A closure without it is a relation the
+target breaks, which certifies that it is not definable.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .bd import DESIGNATED, VALUES, NamedConnective, bd_matrix
 from .errors import (
@@ -36,9 +37,6 @@ from .matrix import (
 )
 from .syntax import Formula, Signature, Var, neg, substitute
 
-# Carriers up to this size also try the relations on the square generated
-# by one or two pairs: |A|^2 + C(|A|^2, 2) closures, 136 on four values.
-BINARY_RELATIONS_MAX_CARRIER = 4
 
 def synonymous(m: Matrix, a: Formula, b: Formula) -> bool:
     """Intersubstitutability in all contexts, via induced equivalence.
@@ -75,34 +73,35 @@ class DefinabilityVerdict:
     reason: Optional[str] = None
 
 
-def _relations(m: Matrix, allowed: list[str]) -> Iterator[dict]:
-    """The proper subuniverses of the carrier, then of its square, generated
-    by one or two tuples, skipping a pair that one of its tuples generates."""
-    nvals, p1, p2 = len(m.values), Var("p1"), Var("p2")
-    for width in (1, 2)[:1 + (nvals <= BINARY_RELATIONS_MAX_CARRIER)]:
-        points = list(map(bytes, itertools.product(range(nvals),
-                                                   repeat=width)))
-        single = {s: subpower(m, allowed, [(s, p1)]) for s in points}
-        pairs = (subpower(m, allowed, [(s, p1), (t, p2)])
-                 for s, t in itertools.combinations(points, 2)
-                 if t not in single[s] and s not in single[t])
-        yield from (rel for rel in itertools.chain(single.values(), pairs)
-                    if len(rel) < nvals ** width)
-
-
 def relation_certificate(m: Matrix, target: str,
                          allowed: Iterable[str]) -> Optional[str]:
-    """A relation generated by one or two tuples that the allowed
-    connectives preserve and the target breaks, described; None if the
-    target preserves every such relation."""
+    """A relation that the allowed connectives preserve and the target
+    breaks, described; None if there is none on one or two rows.
+
+    The rows are the points of carrier^n, n the target's arity.  On each
+    set of one, then two rows, in descending index order, the projections
+    restricted to the rows generate a relation, closed only until the
+    target's restriction appears; one without it is the certificate.
+    There is no cap on the carrier size.
+    """
     allowed = sorted(set(allowed))
-    rel = first_broken(m, target, _relations(m, allowed))
-    if rel is None:
-        return None
-    members = ", ".join(f"({','.join(m.values[i] for i in t)})"
-                        for t in sorted(rel))
-    return (f"breaks the relation {{{members}}}, which the allowed "
-            "connectives preserve")
+    n, nvals = m.signature.arity(target), len(m.values)
+    # a nullary target counts as a constant unary one, as in `definable`
+    table = m.index_tables[target] * (nvals if n == 0 else 1)
+    points = list(itertools.product(range(nvals), repeat=max(n, 1)))
+    for k in (1, 2):
+        for rows in itertools.combinations(range(len(points))[::-1], k):
+            want = bytes(table[r] for r in rows)
+            rel = subpower(m, allowed, [
+                (bytes(column), Var(f"p{i + 1}")) for i, column in
+                enumerate(zip(*(points[r] for r in rows)))], want.__eq__)
+            if want not in rel:
+                members = ", ".join(
+                    f"({','.join(m.values[i] for i in t)})"
+                    for t in sorted(rel))
+                return (f"breaks the relation {{{members}}}, which the "
+                        "allowed connectives preserve")
+    return None
 
 
 def definable(m: Matrix, target: str,

@@ -90,16 +90,16 @@ def law_by_name(name: str) -> Law:
         raise UnknownNameError(f"unknown law {name!r}") from None
 
 
-def holds(m: Matrix, law: Law) -> bool:
+def holds_countermodel(m: Matrix, law: Law) -> Optional[dict]:
     for conn in SR_SIGNATURE.connectives:
         if conn not in m.signature:
             raise SignatureMismatchError(
                 f"law evaluation needs connective {conn!r}")
-    return first_difference(m, law.program) is None
-
-
-def holds_countermodel(m: Matrix, law: Law) -> Optional[dict]:
     return first_difference(m, law.program)
+
+
+def holds(m: Matrix, law: Law) -> bool:
+    return holds_countermodel(m, law) is None
 
 
 # ---------------------------------------------------------------------------

@@ -364,9 +364,6 @@ class TermFunction:
     table: tuple[str, ...]
     witness: Formula
 
-    def apply(self, m: Matrix, args: Sequence[str]) -> str:
-        return self.table[_radix(map(m.values.index, args), len(m.values))]
-
 
 def _clone(m: Matrix, n: int, generators: Iterable[str],
            target: Optional[Callable] = None) -> dict:

@@ -86,7 +86,7 @@ def test_05_preservation_criterion_equals_clone_membership():
     for images in itertools.product(bd.VALUES, repeat=4):
         c = NamedConnective(
             "c", 1, {(v,): images[i] for i, v in enumerate(bd.VALUES)})
-        # no relation generated by one or two tuples is broken
+        # no closure on one or two rows of its table lacks its restriction
         unbroken = relation_certificate(
             bd.expand(BDI, c), "c", ["not", "and", "or", "impl", "bot"]) is None
         ok = ok and (bd_preservation_criterion(c) == unbroken ==
@@ -174,9 +174,8 @@ def test_09_simplicity_and_equivalence_characterization():
     simple, separators = simplicity(BDM)
     ok = simple
     for a, b in itertools.combinations(BDM.values, 2):
-        tf = separators[frozenset((a, b))]
-        ok = ok and ((tf.apply(BDM, (a,)) in BDM.designated)
-                     != (tf.apply(BDM, (b,)) in BDM.designated))
+        f = dict(zip(BDM.values, separators[frozenset((a, b))].table))
+        ok = ok and ((f[a] in BDM.designated) != (f[b] in BDM.designated))
 
     # all formulas of depth <= 2 over p, q in the base signature
     atoms = [Var("p"), Var("q")]

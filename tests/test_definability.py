@@ -28,6 +28,8 @@ from fdekit.matrix import (
     equivalent,
     evaluate,
     find_term_function,
+    first_broken,
+    subpower,
     term_functions,
     unary_term_functions,
 )
@@ -100,6 +102,8 @@ class TestDefinable:
         assert verdict.definable
         for a in m.values:
             assert evaluate(m, verdict.witness, {"p": a}) == "f"
+        # so no relation certifies the contrary, the empty one included
+        assert relation_certificate(m, "bot", ["not", "and", "delta"]) is None
 
     @pytest.mark.parametrize("name, target, allowed", [
         ("bd-delta-cons-det", "cons", "and,delta,not"),
@@ -137,25 +141,70 @@ def _preserves(m, conn, rel):
         for args in itertools.product(rel, repeat=m.signature.arity(conn)))
 
 
+def _binary_targets():
+    """Each preset's binary connectives, with the others in name order."""
+    for name in presets.PRESET_NAMES:
+        m = presets.preset(name)
+        for c, k in sorted(m.signature.connectives.items()):
+            if k == 2:
+                yield name, m, c, sorted(set(m.signature.connectives) - {c})
+
+
+def _catalogue_certificate(m, target, allowed):
+    """The relation catalogue that the row ladder replaced, kept as its
+    oracle: the proper subuniverses of the carrier, then, on at most four
+    values, of its square, generated by one or two tuples (skipping a pair
+    that one of its tuples generates); the first the target breaks."""
+    allowed = sorted(set(allowed))
+    nvals, p1, p2 = len(m.values), Var("p1"), Var("p2")
+
+    def relations():
+        for width in (1, 2)[:1 + (nvals <= 4)]:
+            points = list(map(bytes, itertools.product(range(nvals),
+                                                       repeat=width)))
+            single = {s: subpower(m, allowed, [(s, p1)]) for s in points}
+            pairs = (subpower(m, allowed, [(s, p1), (t, p2)])
+                     for s, t in itertools.combinations(points, 2)
+                     if t not in single[s] and s not in single[t])
+            yield from (rel for rel in itertools.chain(single.values(), pairs)
+                        if len(rel) < nvals ** width)
+
+    return first_broken(m, target, relations())
+
+
 class TestRelationCertificate:
     def test_preset_binary_targets(self):
         # a certificate is a relation that every allowed connective
         # preserves and the target breaks, so no witness exists; without
-        # one, the clone search finds a witness on every preset
-        for name in presets.PRESET_NAMES:
-            m = presets.preset(name)
-            for c, k in sorted(m.signature.connectives.items()):
-                if k != 2:
-                    continue
-                rest = sorted(set(m.signature.connectives) - {c})
-                certificate = relation_certificate(m, c, rest)
-                if certificate is None:
-                    table = [m.values[i] for i in m.index_tables[c]]
-                    assert find_term_function(m, 2, rest, table), (name, c)
-                    continue
-                rel = _named_relation(certificate)
-                assert all(_preserves(m, g, rel) for g in rest), (name, c)
-                assert not _preserves(m, c, rel), (name, c)
+        # one over all the other connectives, the clone search finds a
+        # witness on every preset
+        for name, m, c, rest in _binary_targets():
+            for r in range(1, len(rest) + 1):
+                for allowed in itertools.combinations(rest, r):
+                    certificate = relation_certificate(m, c, allowed)
+                    if certificate is None:
+                        if r == len(rest):
+                            table = [m.values[i] for i in m.index_tables[c]]
+                            assert find_term_function(m, 2, rest, table), \
+                                (name, c)
+                        continue
+                    rel = _named_relation(certificate)
+                    assert all(_preserves(m, g, rel) for g in allowed), \
+                        (name, c, allowed)
+                    assert not _preserves(m, c, rel), (name, c, allowed)
+
+    def test_same_verdicts_as_the_catalogue(self):
+        # over all the other connectives, and over each set that leaves out
+        # one other binary connective (the catalogue takes about 2 s here)
+        verdicts = []
+        for name, m, c, rest in _binary_targets():
+            for allowed in [rest] + [[g for g in rest if g != x] for x in rest
+                                     if m.signature.arity(x) == 2]:
+                verdicts.append(relation_certificate(m, c, allowed) is None)
+                assert verdicts[-1] == \
+                    (_catalogue_certificate(m, c, allowed) is None), \
+                    (name, c, allowed)
+        assert verdicts.count(True) >= 40 and verdicts.count(False) >= 50
 
     def test_certificate_agrees_with_exhausted_clone(self):
         m = presets.preset("bd-impl-bot")
@@ -228,7 +277,8 @@ class TestCircBlindness:
         # or sends both to the same classical value
         m = bd.expand(bd.bd_matrix(), bd.CIRC)
         for tf in unary_term_functions(m, m.signature.connectives):
-            gb, gn = tf.apply(m, ("b",)), tf.apply(m, ("n",))
+            f = dict(zip(m.values, tf.table))
+            gb, gn = f["b"], f["n"]
             assert (gb == "b" and gn == "n") or (gb == gn and gb in ("t", "f"))
 
 

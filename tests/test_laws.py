@@ -55,6 +55,18 @@ class TestHolds:
         with pytest.raises(SignatureMismatchError):
             holds(presets.preset("bd"), TABLE2_LAWS[0])
 
+    @pytest.mark.parametrize("name", ["double-negation", "and-false"])
+    def test_both_entry_points_check_the_family_signature(self, name):
+        # bd lacks impl and bot: double-negation mentions neither, and
+        # and-false mentions bot, yet both are refused alike
+        errors = []
+        for check in (holds, holds_countermodel):
+            with pytest.raises(SignatureMismatchError) as e:
+                check(presets.preset("bd"), law_by_name(name))
+            errors.append(str(e.value))
+        assert errors[0] == errors[1] == \
+            "law evaluation needs connective 'impl'"
+
     def test_law_by_name(self):
         assert law_by_name("double-negation") in TABLE2_LAWS
         with pytest.raises(UnknownNameError):

@@ -297,38 +297,43 @@ class TestFormulasBuiltInCode:
             assert len(compile_formulas([g]).steps) == 41
 
 
+def _binary(tf):
+    """A binary term function of BD as a map from argument pairs; its
+    table lists the cells in radix order, as product does."""
+    return dict(zip(itertools.product(BD.values, repeat=2), tf.table))
+
+
 class TestClones:
     def test_witnesses_are_pointwise_correct(self):
         for tf in term_functions(BDI, 1, ["not", "impl", "bot"]):
-            for a in BDI.values:
-                assert evaluate(BDI, tf.witness, {"p1": a}) == tf.apply(
-                    BDI, (a,))
+            for a, value in zip(BDI.values, tf.table):
+                assert evaluate(BDI, tf.witness, {"p1": a}) == value
 
     def test_binary_witnesses_are_pointwise_correct(self):
         funcs = term_functions(BD, 2, ["and", "or"])
         for tf in funcs:
-            for a, b_ in itertools.product(BD.values, repeat=2):
+            for (a, b_), value in _binary(tf).items():
                 assert evaluate(
-                    BD, tf.witness, {"p1": a, "p2": b_}) == tf.apply(
-                        BD, (a, b_))
+                    BD, tf.witness, {"p1": a, "p2": b_}) == value
 
     def test_lattice_clone_is_monotone(self):
         for tf in term_functions(BD, 2, ["and", "or"]):
+            f = _binary(tf)
             for a1, a2, b1, b2 in itertools.product(BD.values, repeat=4):
                 if bd.leq(a1, a2) and bd.leq(b1, b2):
-                    assert bd.leq(tf.apply(BD, (a1, b1)),
-                                  tf.apply(BD, (a2, b2)))
+                    assert bd.leq(f[a1, b1], f[a2, b2])
 
     def test_lattice_clone_is_idempotent(self):
         # every {and,or}-term satisfies f(a,a) = a
         for tf in term_functions(BD, 2, ["and", "or"]):
             for a in BD.values:
-                assert tf.apply(BD, (a, a)) == a
+                assert _binary(tf)[a, a] == a
 
     def test_unary_bd_clone_fixes_b_and_n(self):
         funcs = unary_term_functions(BD, BD.signature.connectives)
-        assert {tf.apply(BD, ("b",)) for tf in funcs} == {"b"}
-        assert {tf.apply(BD, ("n",)) for tf in funcs} == {"n"}
+        b_, n = BD.values.index("b"), BD.values.index("n")
+        assert {tf.table[b_] for tf in funcs} == {"b"}
+        assert {tf.table[n] for tf in funcs} == {"n"}
 
     def test_find_term_function_positive(self):
         # delta's table from the classical connectives
@@ -401,9 +406,14 @@ def _size(f):
 def _reference_simple(m):
     """The unary clone, then a search for a separator of every pair."""
     funcs = unary_term_functions(m, m.signature.connectives)
-    return all(any((tf.apply(m, (a,)) in m.designated)
-                   != (tf.apply(m, (b_,)) in m.designated) for tf in funcs)
+    return all(any(_separates(m, tf, a, b_) for tf in funcs)
                for a, b_ in itertools.combinations(m.values, 2))
+
+
+def _separates(m, tf, a, b_):
+    """The unary term function designates exactly one of a and b_."""
+    f = dict(zip(m.values, tf.table))
+    return (f[a] in m.designated) != (f[b_] in m.designated)
 
 
 def _oracle_matrices():
@@ -448,8 +458,7 @@ class TestSimplicity:
                 a, b_ = sorted(pair)
                 assert list(tf.table) == [
                     evaluate(m, tf.witness, {"p1": v}) for v in m.values], name
-                assert (tf.apply(m, (a,)) in m.designated) != (
-                    tf.apply(m, (b_,)) in m.designated), name
+                assert _separates(m, tf, a, b_), name
             verdicts.append(simple)
         assert len(verdicts) >= 19 + 200 + 10
         assert verdicts.count(False) >= 2  # the oracle sees both verdicts
@@ -458,10 +467,7 @@ class TestSimplicity:
         simple, separators = simplicity(BD)
         assert simple
         for a, b_ in itertools.combinations(BD.values, 2):
-            tf = separators[frozenset((a, b_))]
-            da = tf.apply(BD, (a,)) in BD.designated
-            db = tf.apply(BD, (b_,)) in BD.designated
-            assert da != db
+            assert _separates(BD, separators[frozenset((a, b_))], a, b_)
 
     def test_separation_through_a_constant(self):
         # only g(p1, c) separates y from z
