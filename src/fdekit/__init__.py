@@ -36,7 +36,6 @@ from .matrix import (
     restrict,
     simplicity,
     term_functions,
-    unary_term_functions,
 )
 from .laws import (
     CLASSICAL_ONLY_LAWS,

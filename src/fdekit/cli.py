@@ -173,8 +173,10 @@ def cmd_interdef(args) -> int:
          _arg("--using", metavar="NAMES"))
 def cmd_clone(args) -> int:
     m = _get_matrix(args.matrix)
-    gens = args.using.split(",") if args.using else list(
-        m.signature.connectives)
+    if args.using is None:
+        gens = list(m.signature.connectives)
+    else:
+        gens = args.using.split(",") if args.using else []
     funcs = sorted(
         mx.term_functions(m, args.arity, gens),
         key=lambda tf: tf.table,

@@ -5,13 +5,20 @@ induced equivalence relation, so both are decided by exhaustive valuation
 enumeration.  Definability of a connective reduces to membership of its
 table in the term-function clone over the allowed connectives.
 
-Before that clone, a target of arity two or more must preserve every
-relation the allowed connectives preserve, since term functions do
-(Geiger 1968; Bodnarcuk, Kaluznin, Kotov and Romov 1969).  The relations
-tried are the clone restricted to one or two rows of the target's table:
-the subpower generated by the projections on those rows, closed until the
-target's own restriction appears.  A closure without it is a relation the
-target breaks, which certifies that it is not definable.
+`definable` climbs one ladder of closures, each `matrix.subpower` on some
+rows of the target's table (points of carrier^n), stopped as soon as the
+target's restriction to those rows appears.  A term function preserves
+every relation the allowed connectives preserve (Geiger 1968; Bodnarcuk,
+Kaluznin, Kotov and Romov 1969), and the closure on some rows is such a
+relation, so a closure without the target's restriction shows that the
+target is not definable.  The rungs, in order:
+- for arity two or more, the diagonal, whose closure is the unary clone;
+- every set of one row, then of two rows, in descending index order, for
+  every arity; a nullary target counts as a constant unary one, and the
+  closure that lacks it is the relation named in the verdict;
+- the clone, on all the rows, which holds the target's table exactly when
+  it is definable; for a nullary target, its closed terms and then its
+  constant unary terms.
 """
 
 from __future__ import annotations
@@ -22,15 +29,16 @@ from typing import Iterable, Optional
 
 from .bd import DESIGNATED, VALUES, NamedConnective, bd_matrix
 from .errors import (
+    ArityCapError,
     NotBdExpansionError,
     NotCommonExpansionError,
     NotSimpleError,
 )
 from .matrix import (
+    MAX_CLONE_ARITY,
     Matrix,
     consequence,
     equivalent,
-    find_term_function,
     first_broken,
     is_expansion,
     subpower,
@@ -64,44 +72,14 @@ def synonymity_via_consequence(m: Matrix, a: Formula, b: Formula) -> bool:
 
 @dataclass(frozen=True)
 class DefinabilityVerdict:
-    """`witness` defines the target; `reason` says why none exists: its
-    diagonal is not a unary term function, it breaks a named relation that
-    the allowed connectives preserve, or the clone lacks its table."""
+    """`witness` defines the target; `reason` says why none exists, from
+    the rung of `definable`'s ladder that lacks the target's restriction:
+    its diagonal is not a unary term function, it breaks a named relation
+    that the allowed connectives preserve, or the clone lacks its table."""
 
     definable: bool
     witness: Optional[Formula] = None
     reason: Optional[str] = None
-
-
-def relation_certificate(m: Matrix, target: str,
-                         allowed: Iterable[str]) -> Optional[str]:
-    """A relation that the allowed connectives preserve and the target
-    breaks, described; None if there is none on one or two rows.
-
-    The rows are the points of carrier^n, n the target's arity.  On each
-    set of one, then two rows, in descending index order, the projections
-    restricted to the rows generate a relation, closed only until the
-    target's restriction appears; one without it is the certificate.
-    There is no cap on the carrier size.
-    """
-    allowed = sorted(set(allowed))
-    n, nvals = m.signature.arity(target), len(m.values)
-    # a nullary target counts as a constant unary one, as in `definable`
-    table = m.index_tables[target] * (nvals if n == 0 else 1)
-    points = list(itertools.product(range(nvals), repeat=max(n, 1)))
-    for k in (1, 2):
-        for rows in itertools.combinations(range(len(points))[::-1], k):
-            want = bytes(table[r] for r in rows)
-            rel = subpower(m, allowed, [
-                (bytes(column), Var(f"p{i + 1}")) for i, column in
-                enumerate(zip(*(points[r] for r in rows)))], want.__eq__)
-            if want not in rel:
-                members = ", ".join(
-                    f"({','.join(m.values[i] for i in t)})"
-                    for t in sorted(rel))
-                return (f"breaks the relation {{{members}}}, which the "
-                        "allowed connectives preserve")
-    return None
 
 
 def definable(m: Matrix, target: str,
@@ -109,8 +87,8 @@ def definable(m: Matrix, target: str,
     """Is the target connective's table in the clone over `allowed`?  A
     witness is a formula over p1..pn, or over the fixed fresh variable p
     for a nullary target defined by a constant unary term.  A target that
-    passes the cheap checks and has an arity above `matrix.MAX_CLONE_ARITY`
-    raises `ArityCapError`."""
+    passes the rungs below the clone and has an arity above
+    `matrix.MAX_CLONE_ARITY` raises `ArityCapError`."""
     allowed = sorted(set(allowed))
     if target not in m.signature:
         raise ValueError(f"target {target!r} not in the signature")
@@ -118,30 +96,41 @@ def definable(m: Matrix, target: str,
         raise ValueError("allowed set must not contain the target")
     if not m.simple:
         raise NotSimpleError("definability needs a simple matrix")
-    n = m.signature.arity(target)
-    target_table = [m.values[i] for i in m.index_tables[target]]
-    if n >= 2:
-        # necessary condition, far cheaper than the n-ary fixpoint: a
-        # defining term specializes under p1 = ... = pn to a unary term,
+    n, nvals = m.signature.arity(target), len(m.values)
+    # the target's table by point; below the clone a nullary target counts
+    # as a constant unary one, which reads no component of its rows
+    cells = dict(zip(itertools.product(range(nvals), repeat=n),
+                     m.index_tables[target]))
+    points = list(itertools.product(range(nvals), repeat=max(n, 1)))
+
+    def closure(rows) -> tuple[bytes, dict[bytes, Formula]]:
+        want = bytes(cells[row[:n]] for row in rows)
+        return want, subpower(m, allowed, rows, want.__eq__)
+
+    rungs = itertools.chain(
+        # a defining term specializes under p1 = ... = pn to a unary term,
         # so the target's diagonal must lie in the unary clone
-        diagonal = tuple(m.tables[target][(v,) * n] for v in m.values)
-        if find_term_function(m, 1, allowed, diagonal) is None:
-            return DefinabilityVerdict(
-                False, reason="diagonal missing from the unary clone")
-        certificate = relation_certificate(m, target, allowed)
-        if certificate is not None:
-            return DefinabilityVerdict(False, reason=certificate)
-    found = find_term_function(m, n, allowed, target_table)
-    if found is not None:
-        return DefinabilityVerdict(True, found.witness)
-    if n == 0:
-        # a defining formula may mention a fixed but arbitrary variable, so
-        # a constant-valued unary term also counts
-        found = find_term_function(m, 1, allowed,
-                                   target_table * len(m.values))
-        if found is not None:
-            return DefinabilityVerdict(
-                True, substitute(found.witness, {"p1": Var("p")}))
+        [([(v,) * n for v in range(nvals)],
+          "diagonal missing from the unary clone")] if n >= 2 else [],
+        ((rows, None) for k in (1, 2)
+         for rows in itertools.combinations(points[::-1], k)))
+    for rows, reason in rungs:
+        want, rel = closure(rows)
+        if want not in rel:
+            return DefinabilityVerdict(False, reason=reason or (
+                "breaks the relation {" + ", ".join(
+                    f"({','.join(m.values[i] for i in t)})"
+                    for t in sorted(rel))
+                + "}, which the allowed connectives preserve"))
+    if n > MAX_CLONE_ARITY:
+        raise ArityCapError(f"clone arity {n} is outside 0..{MAX_CLONE_ARITY}")
+    # a nullary target's closed terms first; a defining formula may also
+    # mention a fixed but arbitrary variable p, so constant unary terms count
+    for rows in ([[()], points] if n == 0 else [points]):
+        want, clone = closure(rows)
+        if want in clone:
+            return DefinabilityVerdict(True, substitute(
+                clone[want], {"p1": Var("p")}) if n == 0 else clone[want])
     return DefinabilityVerdict(False, reason="clone exhausted without the table")
 
 

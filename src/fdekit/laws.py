@@ -108,50 +108,36 @@ def holds(m: Matrix, law: Law) -> bool:
 _CELL_INDEX = {cell: i for i, cell in enumerate(FREE_CELLS)}
 
 
-def _eval_partial(f: Formula, env: dict, bits: list):
-    """(value or None, blocking free-cell indices) under a partial family
-    member."""
-    if isinstance(f, Var):
-        return env[f.name], frozenset()
-    vals = []
-    blockers = frozenset()
-    for a in f.args:
-        v, bl = _eval_partial(a, env, bits)
-        blockers |= bl
-        vals.append(v)
-    if any(v is None for v in vals):
-        return None, blockers
-    key = (f.conn, tuple(vals))
-    outputs = CELLS[key]
-    if len(outputs) == 1:
-        return outputs[0], blockers
-    idx = _CELL_INDEX[key]
-    if bits[idx] is None:
-        return None, blockers | {idx}
-    return outputs[bits[idx]], blockers
+def _status(instance: tuple[Program, tuple[str, ...]], bits: list):
+    """("sat" | "violated" | "unknown", blocking free-cell indices) of a law
+    instance, its program with one value per variable, under a partial
+    family member.  A step whose arguments are known but whose free cell
+    is unpinned blocks on that cell."""
+    program, values = instance
+    vals: list = list(values)
+    blockers = set()
+    for conn, args in program.steps:
+        known = tuple([vals[a] for a in args])
+        key, value = (conn, known), None
+        if None not in known:
+            cell = _CELL_INDEX.get(key)
+            if cell is None:
+                value = CELLS[key][0]
+            elif bits[cell] is None:
+                blockers.add(cell)
+            else:
+                value = CELLS[key][bits[cell]]
+        vals.append(value)
+    lhs, rhs = (vals[s] for s in program.slots)
+    if lhs is None or rhs is None:
+        return "unknown", blockers
+    return ("sat" if lhs == rhs else "violated"), blockers
 
 
-@dataclass(frozen=True)
-class _Constraint:
-    lhs: Formula
-    rhs: Formula
-    env: dict
-
-    def status(self, bits: list):
-        lv, lb = _eval_partial(self.lhs, self.env, bits)
-        rv, rb = _eval_partial(self.rhs, self.env, bits)
-        if lv is not None and rv is not None:
-            return ("sat" if lv == rv else "violated"), frozenset()
-        return "unknown", lb | rb
-
-
-def _compile_constraints(laws: Iterable[Law]) -> list[_Constraint]:
-    out = []
-    for law in laws:
-        metavars = law.program.names
-        for combo in itertools.product(VALUES, repeat=len(metavars)):
-            out.append(_Constraint(law.lhs, law.rhs, dict(zip(metavars, combo))))
-    return out
+def _instances(laws: Iterable[Law]) -> list[tuple[Program, tuple[str, ...]]]:
+    return [(law.program, combo) for law in laws
+            for combo in itertools.product(
+                VALUES, repeat=len(law.program.names))]
 
 
 @dataclass
@@ -191,14 +177,14 @@ class FilterResult:
         return out
 
 
-def _propagate(constraints: list[_Constraint], bits: list):
-    """Pin the cells that constraints blocked on one cell force, until a
-    pass pins none.  False if a constraint is violated, None if all hold,
-    else the first undecided constraint's smallest blocking cell."""
+def _propagate(instances: list, bits: list):
+    """Pin the cells that law instances blocked on one cell force, until a
+    pass pins none.  False if an instance is violated, None if all hold,
+    else the first undecided instance's smallest blocking cell."""
     while True:
         changed, branch = False, None
-        for c in constraints:
-            status, blockers = c.status(bits)
+        for c in instances:
+            status, blockers = _status(c, bits)
             if status == "violated":
                 return False
             if status == "sat":
@@ -208,7 +194,7 @@ def _propagate(constraints: list[_Constraint], bits: list):
                 feasible = []
                 for v in (0, 1):
                     bits[cell] = v
-                    if c.status(bits)[0] != "violated":
+                    if _status(c, bits)[0] != "violated":
                         feasible.append(v)
                 bits[cell] = None
                 if not feasible:
@@ -232,11 +218,11 @@ def filter_strongly_regular(laws: Iterable[Law]) -> FilterResult:
     `SAMPLE_SIZE`.
     """
     laws = list(laws)
-    constraints = _compile_constraints(laws)
+    instances = _instances(laws)
     cubes: list = []
 
     def solve(bits: list):
-        cell = _propagate(constraints, bits)
+        cell = _propagate(instances, bits)
         if cell is None:
             cubes.append(tuple(bits))
         elif cell is not False:

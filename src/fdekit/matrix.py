@@ -9,11 +9,11 @@ into a flat `Program` with one step per distinct subformula object, which
 runs on any matrix: each step applies a connective to whole vectors by
 `bytes.translate`, and only a countermodel's point becomes an assignment.
 One closure, `subpower`, computes the subuniverse of a power of the carrier
-generated by byte tuples, in order of witness size, so every witness it
-reports has the least size: the n-ary clone is the one generated by the n
-projections, and two values are separated by a unary term iff the one
-generated by the pair holds a pair with exactly one designated component,
-which decides simplicity.
+generated by the projections p1..pn restricted to some rows (points of
+carrier^n), in order of witness size, so every witness it reports has the
+least size: the n-ary clone is the one on all the rows, and two values are
+separated by a unary term iff the one on the two rows (a) and (b) holds a
+pair with exactly one designated component, which decides simplicity.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ def assignments(m: Matrix, names: Iterable[str],
 @functools.cache
 def _projections(nvals: int, k: int) -> tuple[bytes, ...]:
     """The vectors of k variables, the first one most significant; k is at
-    most `_BLOCK_VARS` or `MAX_CLONE_ARITY`, so the cache stays small."""
+    most `_BLOCK_VARS`, so the cache stays small."""
     return tuple(b"".join(bytes([v]) * nvals ** (k - 1 - i)
                           for v in range(nvals)) * nvals ** i
                  for i in range(k))
@@ -289,14 +289,17 @@ def _operations(m: Matrix, generators: Iterable[str]) -> list[tuple]:
 
 
 def subpower(m: Matrix, generators: Iterable[str],
-             seeds: Iterable[tuple[bytes, Formula]],
+             rows: Iterable[tuple[int, ...]],
              target: Optional[Callable[[bytes], bool]] = None
              ) -> dict[bytes, Formula]:
-    """The subuniverse of carrier^k generated by the seeds, k-tuples of
-    value-index bytes with witness formulas (k = 1 if there are none).
+    """The subuniverse of carrier^k generated by the projections p1..pn
+    restricted to k rows, points of carrier^n as value indices: pi is the
+    byte tuple of the rows' i-th components.  Each tuple found maps to its
+    witness formula.  All the points of carrier^n, in radix order, give
+    the n-ary clone; carrier^0 has one point, the empty row.
 
-    Tuples are found in order of witness size: the seeds and then the
-    nullary generators' constant tuples have size 1, and g(a1..ak) has
+    Tuples are found in order of witness size: the projections and then
+    the nullary generators' constant tuples have size 1, and g(a1..ak) has
     size 1 plus its arguments' sizes.  Size by size, each generator in
     name order composes argument pools whose sizes sum to one less, sizes
     ascending and each pool in discovery order, so every witness has the
@@ -307,8 +310,10 @@ def subpower(m: Matrix, generators: Iterable[str],
     tuple that satisfies `target`.
     """
     ops, nvals = _operations(m, generators), len(m.values)
-    seeds = list(seeds)
-    width = len(seeds[0][0]) if seeds else 1
+    rows = list(rows)
+    width = len(rows)
+    seeds = [(bytes(column), Var(f"p{i + 1}"))
+             for i, column in enumerate(zip(*rows))]
     seeds += [(table[:1] * width, App(g, ())) for g, table, k in ops if not k]
     found: dict[bytes, Formula] = {}
     by_size: dict[int, list[bytes]] = {}
@@ -365,36 +370,16 @@ class TermFunction:
     witness: Formula
 
 
-def _clone(m: Matrix, n: int, generators: Iterable[str],
-           target: Optional[Callable] = None) -> dict:
-    """The subpower of carrier^(|carrier|^n) generated by p1..pn."""
-    if not 0 <= n <= MAX_CLONE_ARITY:
-        raise ArityCapError(f"clone arity {n} is outside 0..{MAX_CLONE_ARITY}")
-    return subpower(m, generators, [
-        (t, Var(f"p{i + 1}"))
-        for i, t in enumerate(_projections(len(m.values), n))], target)
-
-
 def term_functions(m: Matrix, n: int,
                    generators: Iterable[str]) -> set[TermFunction]:
     """All n-ary term functions over the generators, each with a witness of
     least size (see `subpower`); an arity outside 0..`MAX_CLONE_ARITY`
     raises `ArityCapError`."""
+    if not 0 <= n <= MAX_CLONE_ARITY:
+        raise ArityCapError(f"clone arity {n} is outside 0..{MAX_CLONE_ARITY}")
+    rows = itertools.product(range(len(m.values)), repeat=n)
     return {TermFunction(n, tuple(m.values[i] for i in table), witness)
-            for table, witness in _clone(m, n, generators).items()}
-
-
-def unary_term_functions(m: Matrix, generators: Iterable[str]) -> set[TermFunction]:
-    return term_functions(m, 1, generators)
-
-
-def find_term_function(m: Matrix, n: int, generators: Iterable[str],
-                       target: Sequence[str]) -> Optional[TermFunction]:
-    """Search the clone for a table, stopping as soon as it appears; None
-    only after the full fixpoint."""
-    idx = bytes(map(m.values.index, target))
-    found = _clone(m, n, generators, target=idx.__eq__)
-    return TermFunction(n, tuple(target), found[idx]) if idx in found else None
+            for table, witness in subpower(m, generators, rows).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +403,7 @@ def simplicity(m: Matrix) -> tuple[bool, dict[frozenset, TermFunction]]:
     designated = [v in m.designated for v in m.values]
     separators: dict[frozenset, TermFunction] = {}
     for a, b in itertools.combinations(range(nvals), 2):
-        found = subpower(m, conns, [(bytes((a, b)), Var("p1"))],
+        found = subpower(m, conns, [(a,), (b,)],
                          lambda t: designated[t[0]] != designated[t[1]])
         (x, y), witness = next(reversed(found.items()))
         if designated[x] == designated[y]:

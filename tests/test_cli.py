@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import re
 import shlex
@@ -129,7 +130,17 @@ class TestVerdicts:
                         "--target", "confl",
                         "--using", "not,and,or,impl,bot")
         assert code == 1
-        assert out == "NOT DEFINABLE  reason: clone exhausted without the table\n"
+        assert out == ("NOT DEFINABLE  reason: breaks the relation "
+                       "{(t), (f), (n)}, which the allowed connectives "
+                       "preserve\n")
+        # by brute force: each allowed connective maps {t,f,n} into itself,
+        # and conflation sends n to b
+        m, tfn = presets.preset("bd-impl-bot-confl"), "tfn"
+        for c in ["not", "and", "or", "impl", "bot"]:
+            k = m.signature.arity(c)
+            assert all(m.tables[c][args] in tfn
+                       for args in itertools.product(tfn, repeat=k)), c
+        assert m.tables["confl"]["n",] == "b"
 
     def test_not_definable_certificate(self, capsys):
         # impl from ~, &, |, B, N: the binary clone search gives no verdict
@@ -216,6 +227,11 @@ class TestVerdicts:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"outside 0..{MAX_CLONE_ARITY}" in err
+
+    def test_clone_using_nothing(self, capsys):
+        # an empty list reads no connectives, as in definable
+        assert run(capsys, "clone", "--matrix", "bd", "--using", "") == (
+            0, "1 term functions of arity 1\n  t,f,b,n  <-  p1\n")
 
 
 class TestProofCommands:

@@ -6,7 +6,7 @@ import weakref
 
 import pytest
 
-from fdekit import bd, presets
+from fdekit import bd, definability, presets
 from fdekit.claims import SYNONYMITIES
 from fdekit.definability import (
     LogicHandle,
@@ -14,11 +14,11 @@ from fdekit.definability import (
     definable,
     interdefinable,
     logic_definable_in,
-    relation_certificate,
     synonymity_via_consequence,
     synonymous,
 )
 from fdekit.errors import (
+    ArityCapError,
     NotBdExpansionError,
     NotCommonExpansionError,
     NotSimpleError,
@@ -27,11 +27,9 @@ from fdekit.matrix import (
     Matrix,
     equivalent,
     evaluate,
-    find_term_function,
     first_broken,
     subpower,
     term_functions,
-    unary_term_functions,
 )
 from fdekit.presets import handle
 from fdekit.syntax import App, Signature, Var, parse
@@ -102,8 +100,17 @@ class TestDefinable:
         assert verdict.definable
         for a in m.values:
             assert evaluate(m, verdict.witness, {"p": a}) == "f"
-        # so no relation certifies the contrary, the empty one included
-        assert relation_certificate(m, "bot", ["not", "and", "delta"]) is None
+        # so every closure on one or two rows holds its constant restriction
+        f = bytes([m.values.index("f")])
+        for k in (1, 2):
+            for rows in itertools.combinations([(v,) for v in range(4)], k):
+                assert f * k in subpower(m, ["not", "and", "delta"], rows)
+
+    def test_nullary_prefers_closed_terms(self):
+        # ~(N -> p) is as small, but closed terms are searched first
+        m = presets.preset("bd-impl-b-n-bot")
+        verdict = definable(m, "bot", ["N", "impl", "not"])
+        assert verdict.witness == parse("~(N -> N)", m.signature)
 
     @pytest.mark.parametrize("name, target, allowed", [
         ("bd-delta-cons-det", "cons", "and,delta,not"),
@@ -141,29 +148,45 @@ def _preserves(m, conn, rel):
         for args in itertools.product(rel, repeat=m.signature.arity(conn)))
 
 
-def _binary_targets():
-    """Each preset's binary connectives, with the others in name order."""
+def _targets(arities=(0, 1, 2)):
+    """Each preset's connectives of these arities, with the others in name
+    order."""
     for name in presets.PRESET_NAMES:
         m = presets.preset(name)
         for c, k in sorted(m.signature.connectives.items()):
-            if k == 2:
+            if k in arities:
                 yield name, m, c, sorted(set(m.signature.connectives) - {c})
+
+
+def _rung_reason(m, target, allowed):
+    """`definable`'s reason from the rungs below the clone, None if the
+    target passes them all: with the clone arity cap just below the
+    target's arity, `definable` then raises ArityCapError instead of
+    closing the clone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(definability, "MAX_CLONE_ARITY",
+                   m.signature.arity(target) - 1)
+        try:
+            return definable(m, target, allowed).reason
+        except ArityCapError:
+            return None
 
 
 def _catalogue_certificate(m, target, allowed):
     """The relation catalogue that the row ladder replaced, kept as its
     oracle: the proper subuniverses of the carrier, then, on at most four
     values, of its square, generated by one or two tuples (skipping a pair
-    that one of its tuples generates); the first the target breaks."""
+    that one of its tuples generates); the first the target breaks.  The
+    tuples s and t generate the closure on the rows zip(s, t)."""
     allowed = sorted(set(allowed))
-    nvals, p1, p2 = len(m.values), Var("p1"), Var("p2")
+    nvals = len(m.values)
 
     def relations():
         for width in (1, 2)[:1 + (nvals <= 4)]:
             points = list(map(bytes, itertools.product(range(nvals),
                                                        repeat=width)))
-            single = {s: subpower(m, allowed, [(s, p1)]) for s in points}
-            pairs = (subpower(m, allowed, [(s, p1), (t, p2)])
+            single = {s: subpower(m, allowed, zip(s)) for s in points}
+            pairs = (subpower(m, allowed, zip(s, t))
                      for s, t in itertools.combinations(points, 2)
                      if t not in single[s] and s not in single[t])
             yield from (rel for rel in itertools.chain(single.values(), pairs)
@@ -174,44 +197,60 @@ def _catalogue_certificate(m, target, allowed):
 
 class TestRelationCertificate:
     def test_preset_binary_targets(self):
-        # a certificate is a relation that every allowed connective
-        # preserves and the target breaks, so no witness exists; without
-        # one over all the other connectives, the clone search finds a
-        # witness on every preset
-        for name, m, c, rest in _binary_targets():
-            for r in range(1, len(rest) + 1):
+        # every target of every arity over every allowed set: a relation
+        # that a rung names is preserved by every allowed connective and
+        # broken by the target, so no witness exists, and a missing
+        # diagonal is not a unary term function; where no rung fails over
+        # all the other connectives, the clone search finds a witness on
+        # every preset
+        queries = 0
+        for name, m, c, rest in _targets():
+            n = m.signature.arity(c)
+            for r in range(len(rest) + 1):
                 for allowed in itertools.combinations(rest, r):
-                    certificate = relation_certificate(m, c, allowed)
-                    if certificate is None:
+                    queries += 1
+                    reason = _rung_reason(m, c, allowed)
+                    if reason is None:
                         if r == len(rest):
-                            table = [m.values[i] for i in m.index_tables[c]]
-                            assert find_term_function(m, 2, rest, table), \
-                                (name, c)
-                        continue
-                    rel = _named_relation(certificate)
-                    assert all(_preserves(m, g, rel) for g in allowed), \
-                        (name, c, allowed)
-                    assert not _preserves(m, c, rel), (name, c, allowed)
+                            assert definable(m, c, rest).definable, (name, c)
+                    elif reason == "diagonal missing from the unary clone":
+                        diagonal = tuple(m.tables[c][(v,) * n]
+                                         for v in m.values)
+                        assert diagonal not in {
+                            tf.table for tf in term_functions(m, 1, allowed)}
+                    else:
+                        rel = _named_relation(reason)
+                        assert all(_preserves(m, g, rel) for g in allowed), \
+                            (name, c, allowed)
+                        assert not _preserves(m, c, rel), (name, c, allowed)
+        assert queries == 2368
 
     def test_same_verdicts_as_the_catalogue(self):
         # over all the other connectives, and over each set that leaves out
         # one other binary connective (the catalogue takes about 2 s here)
         verdicts = []
-        for name, m, c, rest in _binary_targets():
+        for name, m, c, rest in _targets([2]):
             for allowed in [rest] + [[g for g in rest if g != x] for x in rest
                                      if m.signature.arity(x) == 2]:
-                verdicts.append(relation_certificate(m, c, allowed) is None)
+                verdicts.append(_rung_reason(m, c, allowed) is None)
                 assert verdicts[-1] == \
                     (_catalogue_certificate(m, c, allowed) is None), \
                     (name, c, allowed)
         assert verdicts.count(True) >= 40 and verdicts.count(False) >= 50
 
     def test_certificate_agrees_with_exhausted_clone(self):
+        # impl fails on the first rung, or on a two-row one
         m = presets.preset("bd-impl-bot")
-        allowed = ["not", "and", "or", "bot"]
-        table = [m.values[i] for i in m.index_tables["impl"]]
-        assert find_term_function(m, 2, allowed, table) is None
-        assert relation_certificate(m, "impl", allowed) is not None
+        for target, allowed, reason in [
+                ("impl", ["not", "and", "or", "bot"],
+                 "diagonal missing from the unary clone"),
+                ("or", ["and", "impl"],
+                 "breaks the relation {(t,t), (f,f), (b,b), (n,f)}, which "
+                 "the allowed connectives preserve")]:
+            table = tuple(m.values[i] for i in m.index_tables[target])
+            assert table not in {
+                tf.table for tf in term_functions(m, 2, allowed)}
+            assert definable(m, target, allowed).reason == reason
 
     @pytest.mark.parametrize("name,stride", [
         ("cl", 1), ("lp", 1), ("k3", 1), ("bd", 4)])
@@ -222,7 +261,7 @@ class TestRelationCertificate:
         for tf in funcs[::stride]:
             table = dict(zip(itertools.product(m.values, repeat=2), tf.table))
             expanded = bd.expand(m, bd.NamedConnective("c", 2, table))
-            assert relation_certificate(expanded, "c", conns) is None, tf
+            assert _rung_reason(expanded, "c", conns) is None, tf
 
     def test_relation_of_two_generators(self):
         # every relation generated by one tuple is preserved; {t,f,b},
@@ -235,8 +274,8 @@ class TestRelationCertificate:
         verdict = definable(m, "c", ["not", "and", "or"])
         assert not verdict.definable
         assert _named_relation(verdict.reason) == {("t",), ("f",), ("b",)}
-        assert find_term_function(
-            m, 2, ["not", "and", "or"], list(table.values())) is None
+        assert tuple(table.values()) not in {
+            tf.table for tf in term_functions(m, 2, ["not", "and", "or"])}
 
     def test_verdict_names_the_relation(self):
         m = presets.preset("bd-impl-b-n-bot")
@@ -276,7 +315,7 @@ class TestCircBlindness:
         # every unary term over {not, and, or, circ} either fixes b and n
         # or sends both to the same classical value
         m = bd.expand(bd.bd_matrix(), bd.CIRC)
-        for tf in unary_term_functions(m, m.signature.connectives):
+        for tf in term_functions(m, 1, m.signature.connectives):
             f = dict(zip(m.values, tf.table))
             gb, gn = f["b"], f["n"]
             assert (gb == "b" and gn == "n") or (gb == gn and gb in ("t", "f"))

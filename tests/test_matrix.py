@@ -25,14 +25,12 @@ from fdekit.matrix import (
     equivalent,
     evaluate,
     expand,
-    find_term_function,
     is_expansion,
     matrix_from_json,
     matrix_to_json,
     restrict,
     simplicity,
     term_functions,
-    unary_term_functions,
 )
 from fdekit.syntax import (
     App, Signature, Var, conj, disj, neg, parse, substitute, variables)
@@ -209,13 +207,12 @@ class TestKernelAgainstEvaluate:
     def test_wide_table_term_functions(self):
         # the unary clone over not and m4 is {p, ~p, p & ~p, p | ~p}
         excluded_middle = tuple(f"v{max(i, 4 - i)}" for i in range(5))
-        found = find_term_function(WIDE_TABLE, 1, ["not", "m4"],
-                                   excluded_middle)
-        assert found.table == excluded_middle
-        assert tuple(evaluate(WIDE_TABLE, found.witness, {"p1": v})
+        clone = {tf.table: tf.witness
+                 for tf in term_functions(WIDE_TABLE, 1, ["not", "m4"])}
+        assert len(clone) == 4
+        assert tuple(evaluate(WIDE_TABLE, clone[excluded_middle], {"p1": v})
                      for v in WIDE_TABLE.values) == excluded_middle
-        assert find_term_function(WIDE_TABLE, 1, ["not", "m4"],
-                                  ("v4",) * 5) is None
+        assert ("v4",) * 5 not in clone
 
     def test_empty_sides(self):
         assert consequence_countermodel(BD, [], []) == {}
@@ -330,22 +327,21 @@ class TestClones:
                 assert _binary(tf)[a, a] == a
 
     def test_unary_bd_clone_fixes_b_and_n(self):
-        funcs = unary_term_functions(BD, BD.signature.connectives)
+        funcs = term_functions(BD, 1, BD.signature.connectives)
         b_, n = BD.values.index("b"), BD.values.index("n")
         assert {tf.table[b_] for tf in funcs} == {"b"}
         assert {tf.table[n] for tf in funcs} == {"n"}
 
-    def test_find_term_function_positive(self):
+    def test_clone_contains_delta(self):
         # delta's table from the classical connectives
         target = tuple(bd.DELTA.table[(a,)] for a in BDI.values)
-        tf = find_term_function(BDI, 1, ["not", "impl", "bot"], target)
-        assert tf is not None
-        assert tuple(tf.table) == target
+        assert target in {
+            tf.table for tf in term_functions(BDI, 1, ["not", "impl", "bot"])}
 
-    def test_find_term_function_negative_after_fixpoint(self):
+    def test_clone_lacks_conflation(self):
         target = tuple(bd.CONFL.table[(a,)] for a in BDI.values)
-        assert find_term_function(
-            BDI, 1, ["not", "and", "or", "impl", "bot"], target) is None
+        assert target not in {tf.table for tf in term_functions(
+            BDI, 1, ["not", "and", "or", "impl", "bot"])}
 
     def test_arity_cap(self):
         with pytest.raises(ArityCapError):
@@ -393,10 +389,10 @@ class TestClones:
                  for y in range(n)] for x in range(n)]}}})
         with _within(20):
             simple, separators = simplicity(m)
-            constant = find_term_function(m, 1, ["g"], ("0",) * n)
             clone = term_functions(m, 1, ["g"])
         assert simple and len(separators) == n * (n - 1) // 2
-        assert constant is None and len(clone) == n
+        assert len(clone) == n
+        assert ("0",) * n not in {tf.table for tf in clone}
 
 
 def _size(f):
@@ -405,7 +401,7 @@ def _size(f):
 
 def _reference_simple(m):
     """The unary clone, then a search for a separator of every pair."""
-    funcs = unary_term_functions(m, m.signature.connectives)
+    funcs = term_functions(m, 1, m.signature.connectives)
     return all(any(_separates(m, tf, a, b_) for tf in funcs)
                for a, b_ in itertools.combinations(m.values, 2))
 
