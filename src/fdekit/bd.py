@@ -153,12 +153,18 @@ def is_strongly_regular(m: Matrix) -> bool:
                for (conn, args), outputs in CELLS.items())
 
 
+# Each cell's first output: the tables of member 0, which every member
+# shares outside its set bits.
+_FIRST_OUTPUTS: dict[str, dict[tuple[str, ...], str]] = {
+    conn: {args: CELLS[conn, args][0]
+           for args in itertools.product(VALUES, repeat=k)}
+    for conn, k in SR_SIGNATURE.connectives.items()}
+
+
 def sr_decode(index: int) -> Matrix:
     if not 0 <= index < count_strongly_regular():
         raise IndexOutOfRangeError(f"index {index} is not below 2^{SR_BITS}")
-    tables: dict = {conn: {} for conn in SR_SIGNATURE.connectives}
-    for (conn, args), outputs in CELLS.items():
-        tables[conn][args] = outputs[0]
+    tables = {conn: dict(table) for conn, table in _FIRST_OUTPUTS.items()}
     for bit, (conn, args) in enumerate(FREE_CELLS):
         if (index >> bit) & 1:
             tables[conn][args] = CELLS[conn, args][1]

@@ -5,9 +5,11 @@ compositional and consequence structural, a schema holds for all formulas
 iff it holds with the metavariables read as distinct fresh propositional
 variables, which is how `holds` decides it.  The family filter propagates
 the value-level constraints of the chosen laws over the 38 free table
-cells and only branches where propagation stalls, then re-verifies every
-surviving candidate (or a sample of `SAMPLE_SIZE`, when there are more than
-`VERIFY_LIMIT`) with `holds`.
+cells and only branches where propagation stalls.  Propagation is
+watched: a law instance is evaluated again only when a cell it waits on is
+pinned.  The filter then re-verifies the survivors (or a sample of
+`SAMPLE_SIZE`, when there are more than `VERIFY_LIMIT`) with `holds`, once
+per law and class of survivors that agree on the law's connectives.
 """
 
 from __future__ import annotations
@@ -177,67 +179,104 @@ class FilterResult:
         return out
 
 
-def _propagate(instances: list, bits: list):
-    """Pin the cells that law instances blocked on one cell force, until a
-    pass pins none.  False if an instance is violated, None if all hold,
-    else the first undecided instance's smallest blocking cell."""
-    while True:
-        changed, branch = False, None
-        for c in instances:
-            status, blockers = _status(c, bits)
-            if status == "violated":
-                return False
-            if status == "sat":
-                continue
-            if len(blockers) == 1:
-                (cell,) = blockers
-                feasible = []
-                for v in (0, 1):
-                    bits[cell] = v
-                    if _status(c, bits)[0] != "violated":
-                        feasible.append(v)
-                bits[cell] = None
-                if not feasible:
-                    return False
-                if len(feasible) == 1:
-                    bits[cell] = feasible[0]
-                    changed = True
-                    continue
-            if branch is None:
-                branch = min(blockers)
-        if not changed:
-            return branch
+def _watch(instance: tuple[Program, tuple[str, ...]], bits: list):
+    """False if the instance is violated, or blocked on one cell that no
+    value satisfies; else (the (cell, value) it forces or None, its
+    blockers, the cells whose pinning can change this answer).  Those are
+    its blockers and, when it is blocked on one cell, the blockers of both
+    trial values: nothing else it reads is unpinned."""
+    status, blockers = _status(instance, bits)
+    if status == "violated":
+        return False
+    if len(blockers) != 1:
+        return None, blockers, blockers
+    (cell,) = blockers
+    feasible, watched = [], set(blockers)
+    for v in (0, 1):
+        bits[cell] = v
+        status, trial = _status(instance, bits)
+        if status != "violated":
+            feasible.append(v)
+            watched |= trial
+    bits[cell] = None
+    if not feasible:
+        return False
+    forced = (cell, feasible[0]) if len(feasible) == 1 else None
+    return forced, blockers, watched
+
+
+def _propagate(instances: list, bits: list, state: list, dirty: set):
+    """Pin the cells that law instances blocked on one cell force, until
+    none is, evaluating the dirty instances and those watching a cell just
+    pinned; `state` keeps each one's blockers and watched cells.  Unit
+    propagation is confluent, so any order reaches the same fixpoint.
+    False if an instance is violated, None if all hold, else the first
+    undecided instance's smallest blocking cell."""
+    while dirty:
+        i = dirty.pop()
+        answer = _watch(instances[i], bits)
+        if answer is False:
+            return False
+        forced, blockers, watched = answer
+        state[i] = (blockers, watched)
+        if forced is not None:
+            cell, bits[cell] = forced
+            dirty |= _watchers(state, cell)
+    return next((min(blockers) for blockers, _ in state if blockers), None)
+
+
+def _watchers(state: list, cell: int) -> set:
+    """The instances whose answer pinning the cell can change."""
+    return {i for i, (_, watched) in enumerate(state) if cell in watched}
 
 
 def filter_strongly_regular(laws: Iterable[Law]) -> FilterResult:
     """Family members satisfying every law.
 
-    Propagation pins or branches free cells; the result is re-verified
-    candidate by candidate with `holds`, exhaustively when at most
-    `VERIFY_LIMIT` members survive, otherwise on a deterministic sample of
-    `SAMPLE_SIZE`.
+    Watched propagation pins or branches free cells; the result is
+    re-verified with `holds`, exhaustively when at most `VERIFY_LIMIT`
+    members survive, otherwise on a deterministic sample of `SAMPLE_SIZE`.
+    Each law is checked once per class of those members that agree on the
+    free cells of its connectives, and the first member failing a law
+    raises AssertionError.
     """
     laws = list(laws)
     instances = _instances(laws)
     cubes: list = []
 
-    def solve(bits: list):
-        cell = _propagate(instances, bits)
+    def solve(bits: list, state: list, dirty: set):
+        cell = _propagate(instances, bits, state, dirty)
         if cell is None:
             cubes.append(tuple(bits))
         elif cell is not False:
+            dirty = _watchers(state, cell)
             for v in (0, 1):
                 child = list(bits)
                 child[cell] = v
-                solve(child)
+                solve(child, list(state), set(dirty))
 
-    solve([None] * SR_BITS)
+    solve([None] * SR_BITS, [((), ())] * len(instances),
+          set(range(len(instances))))
     result = FilterResult(cubes)
     survivors = (list(result.indices()) if result.count <= VERIFY_LIMIT
                  else result.sample(SAMPLE_SIZE))
+    # A law reads only its connectives' tables, so one `holds` per law
+    # decides every survivor that agrees on those connectives' free cells.
+    masks = []
+    for law in laws:
+        names = {conn for conn, _ in law.program.connectives}
+        masks.append(sum(1 << bit for bit, (conn, _) in enumerate(FREE_CELLS)
+                         if conn in names))
+    verdicts: dict = {}
     for index in survivors:
-        m = sr_decode(index)
-        if not all(holds(m, law) for law in laws):
-            raise AssertionError(
-                f"propagation kept index {index} that fails verification")
+        m = None
+        for k, (law, mask) in enumerate(zip(laws, masks)):
+            key = (k, index & mask)
+            if key not in verdicts:
+                if m is None:
+                    m = sr_decode(index)
+                verdicts[key] = holds(m, law)
+            if not verdicts[key]:
+                raise AssertionError(
+                    f"propagation kept index {index} that fails verification")
     return result

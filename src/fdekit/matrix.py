@@ -71,7 +71,7 @@ class Matrix:
             table = self.tables.get(name)
             if table is None:
                 raise ValueError(f"missing table for connective {name!r}")
-            if set(table) != set(itertools.product(self.values, repeat=k)):
+            if table.keys() != _cells(tuple(self.values), k):
                 raise ValueError(f"table for {name!r} has the wrong shape")
             if not set(table.values()) <= carrier:
                 raise ValueError(f"table for {name!r} leaves the carrier")
@@ -82,9 +82,10 @@ class Matrix:
     def index_tables(self) -> Mapping[str, bytes]:
         """Each table as value indices, its argument tuples in radix order
         (first argument most significant)."""
+        position = {v: i for i, v in enumerate(self.values)}
         return MappingProxyType({
-            name: bytes(self.values.index(self.tables[name][args])
-                        for args in itertools.product(self.values, repeat=k))
+            name: bytes([position[self.tables[name][args]]
+                         for args in itertools.product(self.values, repeat=k)])
             for name, k in self.signature.connectives.items()})
 
     @cached_property
@@ -97,6 +98,12 @@ class Matrix:
     def simple(self) -> bool:
         """Simplicity, decided once per matrix (see `simplicity`)."""
         return simplicity(self)[0]
+
+
+@functools.cache
+def _cells(values: tuple[str, ...], k: int) -> frozenset[tuple[str, ...]]:
+    """The argument tuples a k-ary table over the carrier must have."""
+    return frozenset(itertools.product(values, repeat=k))
 
 
 def _interpreted(m: Matrix, conn: str, arity: int) -> None:

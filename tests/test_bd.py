@@ -107,6 +107,18 @@ class TestStronglyRegularFamily:
         for conn in ("not", "and", "or", "impl"):
             assert set(m0.tables[conn].values()) <= {"t", "f"}
 
+    def test_decode_sets_each_free_cell(self):
+        rng = random.Random(7)
+        for index in [0, 2 ** 38 - 1] + [rng.randrange(2 ** 38)
+                                         for _ in range(50)]:
+            m = bd.sr_decode(index)
+            for bit, (conn, args) in enumerate(bd.FREE_CELLS):
+                assert m.tables[conn][args] == \
+                    bd.CELLS[conn, args][(index >> bit) & 1]
+            for (conn, args), outputs in bd.CELLS.items():
+                if len(outputs) == 1:
+                    assert m.tables[conn][args] == outputs[0]
+
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRangeError):
             bd.sr_decode(-1)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from fdekit import bd, presets
+from fdekit import bd, laws, presets
 from fdekit.errors import SignatureMismatchError, UnknownNameError
 from fdekit.laws import (
     CLASSICAL_ONLY_LAWS,
@@ -170,3 +170,132 @@ class TestFilter:
         result = filter_strongly_regular(TABLE2_LAWS)
         for idx in result.sample(10, seed=0):
             assert idx in result
+
+    def test_leave_one_out_counts(self):
+        # the law-dependence counts: each law but three is implied by the
+        # other twelve
+        counts = {law.name: filter_strongly_regular(
+                      [l for l in TABLE2_LAWS if l is not law]).count
+                  for law in TABLE2_LAWS}
+        assert counts == {law.name: SURVIVOR_COUNT for law in TABLE2_LAWS} | {
+            "double-negation": 162,
+            "contradiction-implies": 576,
+            "excluded-middle-implies": 576,
+        }
+
+    @pytest.mark.parametrize("cell", [("not", ("b",)), ("impl", ("f", "b"))],
+                             ids=["not-b", "impl-f-b"])
+    def test_verification_catches_a_cell_left_free(self, monkeypatch, cell):
+        # not(b) is read by laws of one class; impl(f, b) only by the two
+        # implication laws, whose classes are single survivors.  The laws
+        # force impl(f, b) to its bit-0 value, so the first survivor is
+        # sound and only a check of each class finds the bad ones
+        bit = bd.FREE_CELLS.index(cell)
+        propagate = laws._propagate
+
+        def leaky(instances, bits, *state):
+            cell_or_done = propagate(instances, bits, *state)
+            if cell_or_done is None:
+                assert bits[bit] is not None  # the 13 laws force the cell
+                bits[bit] = None
+            return cell_or_done
+
+        monkeypatch.setattr(laws, "_propagate", leaky)
+        with pytest.raises(AssertionError, match="fails verification") as e:
+            filter_strongly_regular(TABLE2_LAWS)
+        index = int(str(e.value).split()[3])
+        failing = {law.name for law in TABLE2_LAWS
+                   if not holds(bd.sr_decode(index), law)}
+        if cell[0] == "impl":
+            assert failing <= {"contradiction-implies",
+                                "excluded-middle-implies"}
+        assert failing
+
+
+def _reference_propagate(instances, bits):
+    """The full-pass propagation the watched one replaces: every pass
+    re-evaluates every instance."""
+    while True:
+        changed, branch = False, None
+        for c in instances:
+            status, blockers = laws._status(c, bits)
+            if status == "violated":
+                return False
+            if status == "sat":
+                continue
+            if len(blockers) == 1:
+                (cell,) = blockers
+                feasible = []
+                for v in (0, 1):
+                    bits[cell] = v
+                    if laws._status(c, bits)[0] != "violated":
+                        feasible.append(v)
+                bits[cell] = None
+                if not feasible:
+                    return False
+                if len(feasible) == 1:
+                    bits[cell] = feasible[0]
+                    changed = True
+                    continue
+            if branch is None:
+                branch = min(blockers)
+        if not changed:
+            return branch
+
+
+def _reference_cubes(selected):
+    instances = laws._instances(selected)
+    cubes = []
+
+    def solve(bits):
+        cell = _reference_propagate(instances, bits)
+        if cell is None:
+            cubes.append(tuple(bits))
+        elif cell is not False:
+            for v in (0, 1):
+                child = list(bits)
+                child[cell] = v
+                solve(child)
+
+    solve([None] * bd.SR_BITS)
+    return cubes
+
+
+def _law_sets():
+    every = TABLE2_LAWS + CLASSICAL_ONLY_LAWS
+    sets = [()] + [(law,) for law in every]
+    sets += [TABLE2_LAWS[:i] + TABLE2_LAWS[i + 1:] for i in range(13)]
+    rng = random.Random(16)
+    sets += [tuple(rng.sample(every, rng.randint(1, len(every))))
+             for _ in range(60)]
+    return sets
+
+
+class TestWatchedPropagation:
+    """The watched propagation against the full-pass one it replaces."""
+
+    @pytest.mark.parametrize("selected", _law_sets(),
+                             ids=lambda s: ",".join(l.name for l in s)[:60]
+                             or "none")
+    def test_same_cubes_in_the_same_order(self, selected, monkeypatch):
+        # a stale blocker only makes the filter branch on a forced cell,
+        # whose other child dies at once, so the cubes alone cannot show
+        # it: each node's fixpoint and branch cell must match as well
+        propagate = laws._propagate
+        nodes = 0
+
+        def compared(instances, bits, *state):
+            nonlocal nodes
+            expected_bits = list(bits)
+            expected = _reference_propagate(instances, expected_bits)
+            answer = propagate(instances, bits, *state)
+            assert answer == expected
+            if answer is not False:  # a conflict's partial pins may differ
+                assert bits == expected_bits
+            nodes += 1
+            return answer
+
+        monkeypatch.setattr(laws, "_propagate", compared)
+        assert filter_strongly_regular(selected).cubes == \
+            _reference_cubes(selected)
+        assert nodes

@@ -534,6 +534,54 @@ class TestExpansionRestriction:
         assert m.tables["not"][("t",)] == "f"
 
 
+def _not_matrix(values=BD.values, designated=BD.designated, cells=None):
+    """BD's negation alone, its table updated by `cells` (None deletes)."""
+    table = dict(BD.tables["not"])
+    for key, out in (cells or {}).items():
+        if out is None:
+            del table[key]
+        else:
+            table[key] = out
+    return Matrix(values, designated, Signature({"not": 1}), {"not": table})
+
+
+class TestValidation:
+    def test_valid(self):
+        assert _not_matrix().tables["not"] == BD.tables["not"]
+
+    @pytest.mark.parametrize("change", [
+        {"cells": {("t",): None}},                # a missing cell
+        {"cells": {("x",): "t"}},                 # an extra cell
+        {"cells": {("t",): None, ("t", "t"): "f"}},  # a key of length 2
+        {"cells": {("t",): "x"}},                 # outside the carrier
+        {"values": ("t", "f", "b", "b")},         # duplicate values
+        {"designated": frozenset()},              # empty designated set
+        {"designated": frozenset(BD.values)},     # full designated set
+    ], ids=["missing", "extra", "long-key", "outside", "duplicate", "empty",
+            "full"])
+    def test_malformed_raises(self, change):
+        with pytest.raises(ValueError):
+            _not_matrix(**change)
+
+    def test_missing_table(self):
+        with pytest.raises(ValueError, match="missing table"):
+            Matrix(BD.values, BD.designated, Signature({"not": 1}), {})
+
+    def test_index_tables(self):
+        def reference(m):
+            return {name: bytes(m.values.index(m.tables[name][args])
+                                for args in itertools.product(m.values,
+                                                              repeat=k))
+                    for name, k in m.signature.connectives.items()}
+
+        rng = random.Random(38)
+        indices = [0, 2 ** 38 - 1] + [rng.randrange(2 ** 38)
+                                      for _ in range(198)]
+        members = [bd.sr_decode(i) for i in indices]
+        for m in [presets.preset(n) for n in presets.PRESET_NAMES] + members:
+            assert dict(m.index_tables) == reference(m)
+
+
 class TestJson:
     def test_round_trip(self):
         for m in (BD, BDI, LP, CL):
