@@ -5,8 +5,8 @@ tabulated interpretation per connective.  One kernel computes truth tables
 as value vectors for consequence, equivalence and the law checks: `bytes`
 holding a value index per point, in `itertools.product` order, so a carrier
 has at most 256 values.  Formulas are compiled once, without recursion,
-into a flat `Program` with one step per distinct subformula object, which
-runs on any matrix: each step applies a connective to whole vectors by
+into a flat `Program` with one step per distinct subterm, which runs on
+any matrix: each step applies a connective to whole vectors by
 `bytes.translate`, and only a countermodel's point becomes an assignment.
 One closure, `subpower`, computes the subuniverse of a power of the carrier
 generated by the projections p1..pn restricted to some rows (points of
@@ -165,7 +165,7 @@ def _radix(digits: Iterable[int], base: int) -> int:
 
 @dataclass(frozen=True)
 class Program:
-    """Formulas compiled for the kernel, independent of any matrix.
+    """Formulas compiled for the kernel, one step per distinct subterm.
 
     Slot i holds the vector of `names[i]` (the variables, sorted) and slot
     len(names) + j the result of `steps[j]`, a connective applied to the
@@ -182,38 +182,37 @@ class Program:
 
 
 def compile_formulas(formulas: Iterable[Formula]) -> Program:
-    """The formulas as one program, one step per distinct subformula object
-    (a shared subterm is compiled once), built without recursion."""
+    """The formulas as one program, one step per distinct subterm, built
+    without recursion: steps are hash-consed on (connective, arguments),
+    and each object is visited once, so a shared DAG is walked once."""
     formulas = list(formulas)
-    step: dict[int, int] = {}  # id of an App -> its step, -1 until compiled
-    order: list[App] = []
+    # id of a compiled App -> its step: depth first, an App is met again
+    # only after it is compiled
+    ref: dict[int, int] = {}
+    steps: dict[tuple, int] = {}  # (connective, *argument refs) -> step
     names: set[str] = set()
     connectives: dict[tuple[str, int], None] = {}
     stack: list = formulas[::-1]
     while stack:
         f = stack.pop()
         if f is None:  # the App below has all its arguments compiled
-            f = stack.pop()
-            step[id(f)] = len(order)
-            order.append(f)
-        elif isinstance(f, Var):
+            f = stack.pop()  # a variable's ref is its name
+            key = (f.conn, *[a.name if type(a) is Var else ref[id(a)]
+                             for a in f.args])
+            ref[id(f)] = steps.setdefault(key, len(steps))
+        elif type(f) is Var:
             names.add(f.name)
-        elif id(f) not in step:
-            step[id(f)] = -1
+        elif id(f) not in ref:
             connectives[f.conn, len(f.args)] = None
-            stack += (f, None)
-            stack += reversed(f.args)
+            stack += (f, None, *reversed(f.args))
     ordered = sorted(names)
-    var_slot = {name: i for i, name in enumerate(ordered)}
-
-    def slot(f: Formula) -> int:
-        if isinstance(f, Var):
-            return var_slot[f.name]
-        return len(ordered) + step[id(f)]
-
+    slot = {name: i for i, name in enumerate(ordered)}
+    slot.update((step, len(ordered) + step) for step in steps.values())
     return Program(tuple(ordered),
-                   tuple([(f.conn, tuple(map(slot, f.args))) for f in order]),
-                   tuple(map(slot, formulas)), tuple(connectives))
+                   tuple([(conn, tuple([slot[a] for a in args]))
+                          for conn, *args in steps]),
+                   tuple([slot[f.name if type(f) is Var else ref[id(f)]]
+                          for f in formulas]), tuple(connectives))
 
 
 # Variables that vary within one block of points: a vector covers one block

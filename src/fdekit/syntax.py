@@ -1,6 +1,6 @@
 """Signatures, formulas, substitution, and the concrete ASCII syntax.
 
-Grammar (one-token lookahead, `->` is right-associative and binds weakest):
+Grammar (`->` is right-associative and binds weakest):
 
     formula := impl
     impl    := or ("->" impl)?
@@ -8,6 +8,10 @@ Grammar (one-token lookahead, `->` is right-associative and binds weakest):
     and     := unary ("&" unary)*
     unary   := ("~" | PREFIXKW) unary | atom
     atom    := IDENT | "bot" | "top" | "B" | "N" | "(" formula ")"
+
+The parser reads this grammar by operator precedence, without recursion,
+from one token list made in one regular-expression pass; token positions
+are computed only for an error message.
 
 `top` is an abbreviation for `~bot` and is expanded while parsing; the AST
 has no node for it.  Any identifier naming a unary connective of the
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Union
+from typing import Mapping, Union
 
 from .errors import (
     ArityMismatchError,
@@ -125,11 +129,18 @@ def substitute(f: Formula, s: Substitution) -> Formula:
 
 
 def variables(f: Formula) -> set:
-    if isinstance(f, Var):
-        return {f.name}
+    """The names of f's variables, visiting each subformula object once
+    and without recursion."""
     out: set = set()
-    for a in f.args:
-        out |= variables(a)
+    seen: set = set()  # ids of the Apps visited
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if type(g) is Var:
+            out.add(g.name)
+        elif id(g) not in seen:
+            seen.add(id(g))
+            stack += g.args
     return out
 
 
@@ -143,183 +154,171 @@ def formula_key(f: Formula):
 # ---------------------------------------------------------------------------
 # Parsing
 
-_TOKEN_RE = re.compile(r"\s*(->|[~&|()]|[A-Za-z_][A-Za-z_0-9]*)")
+# A token, or (as an empty match) a character that starts no token.
+_TOKEN_RE = re.compile(r"(->|[~&|()]|[A-Za-z_][A-Za-z_0-9]*)|\S")
 
 
-def _tokenize(text: str) -> Iterator[tuple[str, int]]:
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or not m.group(1):
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}",
-                             len(text) - len(stripped))
-        yield m.group(1), m.start(1)
-        pos = m.end()
+def _position(text: str, i: int) -> int:
+    """Where token i of text starts, or the text's length past its last
+    token; computed only for an error message."""
+    starts = [m.start() for m in _TOKEN_RE.finditer(text)]
+    return starts[i] if i < len(starts) else len(text)
 
 
 # Deepest nesting of prefix operators, parentheses and `->` right operands
 # the parser accepts, and the greatest height of a formula it returns (each
-# `&` or `|` chain link adds one), so that recursion over formulas (parser,
-# printer, evaluator, `formula_key`) stays inside the recursion limit.
+# `&` or `|` chain link adds one), so that recursion over formulas (the
+# evaluator, `formula_key`, `substitute`) stays inside the recursion limit.
 MAX_NESTING = 100
 
+# binary operator -> (connective, binding level, least level it reduces);
+# `->` reduces no pending `->`, which makes it right-associative
+_BINARY = {"->": ("impl", 1, 2), "|": ("or", 2, 2), "&": ("and", 3, 3)}
+_PREFIX = 4  # a prefix operator binds tightest; a "(" has level 0
 
-def _app(conn: str, operands, pos: int) -> tuple[Formula, int]:
-    """conn applied to (formula, height) operands, with its height."""
-    height = 1 + max(h for _, h in operands)
-    if height > MAX_NESTING:
-        raise ParseError(f"nesting deeper than {MAX_NESTING}", pos)
-    return App(conn, tuple(f for f, _ in operands)), height
+# tokens that are not variables, whatever the signature
+_NOT_VARIABLE = KEYWORDS | {"->", "&", "|", ")", None}
 
 
-class _Parser:
-    def __init__(self, text: str, sig: Signature):
-        self.sig = sig
-        self.tokens = list(_tokenize(text))
-        self.length = len(text)
-        self.i = 0
-        self.depth = 0
+def _unknown(name: str, text: str, i: int) -> UnknownConnectiveError:
+    return UnknownConnectiveError(
+        f"connective {name!r} is not in the signature", _position(text, i))
 
-    def nested(self, parse, pos: int) -> tuple[Formula, int]:
-        """Run one recursive sub-parse one nesting level deeper."""
-        if self.depth == MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING}", pos)
-        self.depth += 1
-        f = parse()
-        self.depth -= 1
-        return f
 
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, self.length)
-
-    def next(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def expect(self, token: str):
-        tok, pos = self.next()
-        if tok != token:
-            raise ParseError(f"expected {token!r}, found {tok!r}", pos)
-
-    def formula(self) -> tuple[Formula, int]:
-        lhs = self.disjunction()
-        if self.peek()[0] == "->":
-            _, pos = self.next()
-            self.require("impl", pos)
-            return _app("impl", (lhs, self.nested(self.formula, pos)), pos)
-        return lhs
-
-    def disjunction(self) -> tuple[Formula, int]:
-        f = self.conjunction()
-        while self.peek()[0] == "|":
-            _, pos = self.next()
-            self.require("or", pos)
-            f = _app("or", (f, self.conjunction()), pos)
-        return f
-
-    def conjunction(self) -> tuple[Formula, int]:
-        f = self.unary()
-        while self.peek()[0] == "&":
-            _, pos = self.next()
-            self.require("and", pos)
-            f = _app("and", (f, self.unary()), pos)
-        return f
-
-    def unary(self) -> tuple[Formula, int]:
-        tok, pos = self.peek()
-        if tok == "~":
-            self.next()
-            self.require("not", pos)
-            return _app("not", (self.nested(self.unary, pos),), pos)
-        if tok is not None and tok in self.sig and self.sig.arity(tok) == 1:
-            self.next()
-            return _app(tok, (self.nested(self.unary, pos),), pos)
-        return self.atom()
-
-    def atom(self) -> tuple[Formula, int]:
-        tok, pos = self.next()
-        if tok == "(":
-            f = self.nested(self.formula, pos)
-            self.expect(")")
-            return f
-        if tok is None:
-            raise ParseError("unexpected end of input", pos)
-        if tok == "top":
-            self.require("not", pos)
-            self.require("bot", pos)
-            return TOP, 1
-        if tok in self.sig:
-            arity = self.sig.arity(tok)
-            if arity == 0:
-                return App(tok, ()), 0
-            raise ArityMismatchError(
-                f"connective {tok!r} has arity {arity}, not usable as an atom")
-        if tok in KEYWORDS:
-            raise UnknownConnectiveError(
-                f"connective {tok!r} is not in the signature", pos)
-        if not tok[0].isalpha() and tok[0] != "_":
-            raise ParseError(f"unexpected token {tok!r}", pos)
-        return Var(tok), 0
-
-    def require(self, name: str, pos: int):
-        if name not in self.sig:
-            raise UnknownConnectiveError(
-                f"connective {name!r} is not in the signature", pos)
+def _too_deep(text: str, i: int) -> ParseError:
+    return ParseError(f"nesting deeper than {MAX_NESTING}", _position(text, i))
 
 
 def parse(text: str, sig: Signature) -> Formula:
-    p = _Parser(text, sig)
-    f, _ = p.formula()
-    tok, pos = p.peek()
-    if tok is not None:
-        raise ParseError(f"trailing input {tok!r}", pos)
-    return f
+    """The formula the text denotes in the signature's syntax.  Pending
+    operators wait on one stack, innermost last, and are applied once an
+    operand is complete and the next token binds less tightly."""
+    tokens = _TOKEN_RE.findall(text)
+    if "" in tokens:
+        pos = _position(text, tokens.index(""))
+        raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    tokens.append(None)
+    conns = sig.connectives
+    # (level, connective, token index, left operand, its height); a prefix
+    # operator or "(" has no left operand
+    stack: list = []
+    depth = 0  # pending prefix operators, "(" and `->` right operands
+    i = 0
+    while True:
+        # an operand: prefix operators, then an atom or "("
+        tok = tokens[i]
+        arity = conns.get(tok)
+        if tok == "~" or arity == 1 or tok == "(":
+            if tok == "~":
+                tok = "not"
+                if tok not in conns:
+                    raise _unknown(tok, text, i)
+            if depth == MAX_NESTING:
+                raise _too_deep(text, i)
+            depth += 1
+            level = 0 if tok == "(" and arity != 1 else _PREFIX
+            stack.append((level, tok, i, None, 0))
+            i += 1
+            continue
+        if arity is None and tok not in _NOT_VARIABLE:
+            f, height = Var(tok), 0
+        elif tok is None:
+            raise ParseError("unexpected end of input", len(text))
+        elif tok == "top":
+            for name in ("not", "bot"):
+                if name not in conns:
+                    raise _unknown(name, text, i)
+            f, height = TOP, 1
+        elif arity == 0:
+            f, height = App(tok, ()), 0
+        elif arity is not None:
+            raise ArityMismatchError(
+                f"connective {tok!r} has arity {arity}, not usable as an atom")
+        elif tok in KEYWORDS:
+            raise _unknown(tok, text, i)
+        else:
+            raise ParseError(f"unexpected token {tok!r}",
+                             _position(text, i))
+        i += 1
+        # after an operand: apply what binds at least as tightly as the
+        # next token, then push a binary operator or close a "("
+        while True:
+            tok = tokens[i]
+            binary = _BINARY.get(tok)
+            least = 1 if binary is None else binary[2]
+            while stack and stack[-1][0] >= least:
+                level, conn, j, left, left_height = stack.pop()
+                if level == _PREFIX:
+                    f, height = App(conn, (f,)), height + 1
+                else:
+                    f = App(conn, (left, f))
+                    height = 1 + max(left_height, height)
+                if level == _PREFIX or level == 1:
+                    depth -= 1
+                if height > MAX_NESTING:
+                    raise _too_deep(text, j)
+            if binary is not None:
+                conn, level, _ = binary
+                if conn not in conns:
+                    raise _unknown(conn, text, i)
+                if level == 1:
+                    if depth == MAX_NESTING:
+                        raise _too_deep(text, i)
+                    depth += 1
+                stack.append((level, conn, i, f, height))
+                i += 1
+                break
+            if stack and tok == ")":
+                stack.pop()
+                depth -= 1
+                i += 1
+                continue
+            if stack:
+                raise ParseError(f"expected ')', found {tok!r}",
+                                 _position(text, i))
+            if tok is None:
+                return f
+            raise ParseError(f"trailing input {tok!r}", _position(text, i))
 
 
 # ---------------------------------------------------------------------------
 # Printing
 
-_SYMBOL = {"not": "~", "and": "&", "or": "|", "impl": "->"}
-
 # Binding strength; parent levels force parentheses on weaker children.
 _LEVEL = {"impl": 1, "or": 2, "and": 3}
 
-
-def _level(f: Formula) -> int:
-    if isinstance(f, App) and f.conn in _LEVEL:
-        return _LEVEL[f.conn]
-    return 4  # variables, nullary atoms, unary applications
+# binary connective -> (symbol, least level of its left and right operand
+# that needs no parentheses): `&` and `|` associate to the left, `->` to
+# the right
+_INFIX = {"and": (" & ", 3, 4), "or": (" | ", 2, 3), "impl": (" -> ", 2, 1)}
 
 
 def print_formula(f: Formula) -> str:
-    return _print(f)
-
-
-def _print(f: Formula) -> str:
-    if isinstance(f, Var):
-        return f.name
-    if not f.args:
-        return f.conn
-    if f.conn in ("and", "or"):
-        lvl = _LEVEL[f.conn]
-        left = _wrap(f.args[0], lvl)       # same level allowed: left-assoc
-        right = _wrap(f.args[1], lvl + 1)
-        return f"{left} {_SYMBOL[f.conn]} {right}"
-    if f.conn == "impl":
-        left = _wrap(f.args[0], _LEVEL["impl"] + 1)
-        right = _wrap(f.args[1], _LEVEL["impl"])  # right-assoc
-        return f"{left} -> {right}"
-    # unary prefix
-    arg = _wrap(f.args[0], 4)
-    if f.conn == "not":
-        return f"~{arg}"
-    return f"{f.conn} {arg}"
-
-
-def _wrap(f: Formula, min_level: int) -> str:
-    s = _print(f)
-    return s if _level(f) >= min_level else f"({s})"
+    """f with the fewest parentheses that parse back to it, built without
+    recursion.  Variables, constants and prefix operators have level 4."""
+    parts: list[str] = []
+    # text, or (an App, the least level it may have without parentheses)
+    stack: list = [f.name if type(f) is Var else (f, 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            parts.append(item)
+            continue
+        g, least = item
+        conn, args = g.conn, g.args
+        if not args:
+            parts.append(conn)
+            continue
+        if _LEVEL.get(conn, 4) < least:
+            parts.append("(")
+            stack.append(")")
+        if conn in _INFIX:
+            symbol, left, right = _INFIX[conn]
+            a, b = args[0], args[1]
+            stack += (b.name if type(b) is Var else (b, right), symbol,
+                      a.name if type(a) is Var else (a, left))
+        else:  # unary prefix
+            parts.append("~" if conn == "not" else conn + " ")
+            a = args[0]
+            stack.append(a.name if type(a) is Var else (a, 4))
+    return "".join(parts)

@@ -33,7 +33,8 @@ from fdekit.matrix import (
     term_functions,
 )
 from fdekit.syntax import (
-    App, Signature, Var, conj, disj, neg, parse, substitute, variables)
+    BOT, TOP, App, Signature, Var, conj, disj, neg, parse, substitute,
+    variables)
 
 BD = presets.preset("bd")
 BDI = presets.preset("bd-impl-bot")
@@ -138,6 +139,13 @@ def _random_formula(rng, sig, names, size):
                            for _ in range(k)))
 
 
+def _copy(f):
+    """f rebuilt from new objects, equal to f but sharing no App with it."""
+    if isinstance(f, Var):
+        return f
+    return App(f.conn, tuple(map(_copy, f.args)))
+
+
 def _nested(k, fn, args=()):
     """A JSON table over the values v0..v4 of `fn` on value indices."""
     if len(args) == k:
@@ -196,6 +204,31 @@ class TestKernelAgainstEvaluate:
             assert equivalence_countermodel(m, shared, nested) \
                 == _reference_equivalence(m, shared, nested)
 
+    @pytest.mark.parametrize("name", ["bd-impl-bot", "lp", "wide-table"])
+    def test_repeated_subterms(self, name):
+        # equal subterms built as separate objects share one kernel step
+        m = WIDE_TABLE if name == "wide-table" else presets.preset(name)
+        rng = random.Random(name)
+        for _ in range(100):
+            names = ["p", "q", "r"][:rng.randrange(1, 4)]
+            parts = [_random_formula(rng, m.signature, names, rng.randrange(4))
+                     for _ in range(3)]
+
+            def some():
+                # copies of the parts put for the variables
+                shape = _random_formula(rng, m.signature, names,
+                                        rng.randrange(4))
+                return substitute(shape, {n: _copy(rng.choice(parts))
+                                          for n in names})
+
+            gamma, delta = [some(), some()], [some(), _copy(parts[0])]
+            assert consequence_countermodel(m, gamma, delta) \
+                == _reference_consequence(m, gamma, delta)
+            a, b = some(), some()
+            assert equivalence_countermodel(m, a, b) \
+                == _reference_equivalence(m, a, b)
+            assert equivalence_countermodel(m, a, _copy(a)) is None
+
     def test_assignments_from_every_start(self):
         names = ["r", "p", "q"]
         full = list(assignments(BD, names))
@@ -251,6 +284,15 @@ class TestKernelAgainstEvaluate:
         assert program.steps[2] == ("or", (3, 3))
         assert program.slots == (4, 5, 1)
         assert program.connectives == (("or", 2), ("and", 2), ("not", 1))
+        # equal subterms built as separate objects compile once too
+        assert compile_formulas(
+            [disj(conj(p, neg(q)), conj(p, neg(q))), neg(conj(p, neg(q))),
+             q]) == program
+        # TOP's bot is another object than BOT
+        assert TOP.args[0] is not BOT
+        program = compile_formulas([TOP, neg(BOT), BOT])
+        assert program.steps == (("bot", ()), ("not", (0,)))
+        assert program.slots == (1, 1, 0)
 
 
 @contextmanager
@@ -269,7 +311,7 @@ def _within(seconds):
 
 class TestFormulasBuiltInCode:
     """Formulas past the parser's limits: compiled without recursion, one
-    step per distinct subformula object, and decided at once."""
+    step per distinct subterm, and decided at once."""
 
     def test_negation_chain(self):
         chain = p
@@ -292,6 +334,7 @@ class TestFormulasBuiltInCode:
             assert consequence_countermodel(BD, [p], [g]) \
                 == _reference_consequence(BD, [p], [conj(p, q)])
             assert len(compile_formulas([g]).steps) == 41
+            assert variables(g) == {"p", "q"}  # each object visited once
 
 
 def _binary(tf):

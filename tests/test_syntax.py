@@ -1,17 +1,24 @@
+import random
+import re
+from typing import Iterator
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fdekit import presets
 from fdekit.errors import (
     ArityMismatchError,
+    FdekitError,
     ParseError,
     UnknownConnectiveError,
 )
 from fdekit.proof import Sequent
 from fdekit.syntax import (
+    KEYWORDS,
     MAX_NESTING,
     App,
     BOT,
+    Formula,
     Signature,
     TOP,
     Var,
@@ -32,6 +39,141 @@ RICH_SIG = Signature({"not": 1, "and": 2, "or": 2, "impl": 2, "bot": 0,
                       "confl": 1, "B": 0, "N": 0})
 
 p, q, r = Var("p"), Var("q"), Var("r")
+
+
+# ---------------------------------------------------------------------------
+# The recursive-descent parser that `parse` replaced, kept verbatim as the
+# reference: the new parser must return an equal formula or raise the same
+# error, with the same message and position, on every text.
+
+_TOKEN_RE = re.compile(r"\s*(->|[~&|()]|[A-Za-z_][A-Za-z_0-9]*)")
+
+
+def _tokenize(text: str) -> Iterator[tuple[str, int]]:
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None or not m.group(1):
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            raise ParseError(f"unexpected character {stripped[0]!r}",
+                             len(text) - len(stripped))
+        yield m.group(1), m.start(1)
+        pos = m.end()
+
+
+def _app(conn: str, operands, pos: int) -> tuple[Formula, int]:
+    """conn applied to (formula, height) operands, with its height."""
+    height = 1 + max(h for _, h in operands)
+    if height > MAX_NESTING:
+        raise ParseError(f"nesting deeper than {MAX_NESTING}", pos)
+    return App(conn, tuple(f for f, _ in operands)), height
+
+
+class _Parser:
+    def __init__(self, text: str, sig: Signature):
+        self.sig = sig
+        self.tokens = list(_tokenize(text))
+        self.length = len(text)
+        self.i = 0
+        self.depth = 0
+
+    def nested(self, parse, pos: int) -> tuple[Formula, int]:
+        """Run one recursive sub-parse one nesting level deeper."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING}", pos)
+        self.depth += 1
+        f = parse()
+        self.depth -= 1
+        return f
+
+    def peek(self):
+        return self.tokens[self.i] if self.i < len(self.tokens) else (None, self.length)
+
+    def next(self):
+        tok = self.peek()
+        self.i += 1
+        return tok
+
+    def expect(self, token: str):
+        tok, pos = self.next()
+        if tok != token:
+            raise ParseError(f"expected {token!r}, found {tok!r}", pos)
+
+    def formula(self) -> tuple[Formula, int]:
+        lhs = self.disjunction()
+        if self.peek()[0] == "->":
+            _, pos = self.next()
+            self.require("impl", pos)
+            return _app("impl", (lhs, self.nested(self.formula, pos)), pos)
+        return lhs
+
+    def disjunction(self) -> tuple[Formula, int]:
+        f = self.conjunction()
+        while self.peek()[0] == "|":
+            _, pos = self.next()
+            self.require("or", pos)
+            f = _app("or", (f, self.conjunction()), pos)
+        return f
+
+    def conjunction(self) -> tuple[Formula, int]:
+        f = self.unary()
+        while self.peek()[0] == "&":
+            _, pos = self.next()
+            self.require("and", pos)
+            f = _app("and", (f, self.unary()), pos)
+        return f
+
+    def unary(self) -> tuple[Formula, int]:
+        tok, pos = self.peek()
+        if tok == "~":
+            self.next()
+            self.require("not", pos)
+            return _app("not", (self.nested(self.unary, pos),), pos)
+        if tok is not None and tok in self.sig and self.sig.arity(tok) == 1:
+            self.next()
+            return _app(tok, (self.nested(self.unary, pos),), pos)
+        return self.atom()
+
+    def atom(self) -> tuple[Formula, int]:
+        tok, pos = self.next()
+        if tok == "(":
+            f = self.nested(self.formula, pos)
+            self.expect(")")
+            return f
+        if tok is None:
+            raise ParseError("unexpected end of input", pos)
+        if tok == "top":
+            self.require("not", pos)
+            self.require("bot", pos)
+            return TOP, 1
+        if tok in self.sig:
+            arity = self.sig.arity(tok)
+            if arity == 0:
+                return App(tok, ()), 0
+            raise ArityMismatchError(
+                f"connective {tok!r} has arity {arity}, not usable as an atom")
+        if tok in KEYWORDS:
+            raise UnknownConnectiveError(
+                f"connective {tok!r} is not in the signature", pos)
+        if not tok[0].isalpha() and tok[0] != "_":
+            raise ParseError(f"unexpected token {tok!r}", pos)
+        return Var(tok), 0
+
+    def require(self, name: str, pos: int):
+        if name not in self.sig:
+            raise UnknownConnectiveError(
+                f"connective {name!r} is not in the signature", pos)
+
+
+def _reference_parse(text: str, sig: Signature) -> Formula:
+    p = _Parser(text, sig)
+    f, _ = p.formula()
+    tok, pos = p.peek()
+    if tok is not None:
+        raise ParseError(f"trailing input {tok!r}", pos)
+    return f
 
 
 class TestParsing:
@@ -79,6 +221,111 @@ class TestParsing:
             parse("(p & q", SIG)
         with pytest.raises(ParseError):
             parse("p q", SIG)
+
+
+def _outcome(parser, text, sig):
+    """The formula parsed, or the error's class, message and position."""
+    try:
+        return parser(text, sig)
+    except FdekitError as e:
+        return type(e), str(e), getattr(e, "position", None)
+
+
+_PIECES = ["~", "&", "|", "->", "(", ")", "p", "q", "bot", "top", "delta",
+           "cons", "B", "and", "?", ","]
+
+
+def _random_text(rng):
+    """Random pieces, mostly separated by spaces; adjacent identifiers
+    without one merge into a single token."""
+    return "".join(rng.choice(_PIECES) + rng.choice(["", " ", " ", "  "])
+                   for _ in range(rng.randrange(12)))
+
+
+_TOKEN_PIECES = re.compile(r"->|[~&|()]|\w+")
+
+
+def _mutated(rng, sig):
+    """A random formula's text with one piece inserted, deleted or
+    replaced, so that most texts parse far before any error."""
+    pieces = _TOKEN_PIECES.findall(print_formula(_random_formula(rng, sig)))
+    at = rng.randrange(len(pieces) + 1)
+    edit = rng.randrange(4)
+    if edit == 1:
+        pieces.insert(at, rng.choice(_PIECES))
+    elif edit == 2 and at < len(pieces):
+        del pieces[at]
+    elif edit == 3 and at < len(pieces):
+        pieces[at] = rng.choice(_PIECES)
+    return " ".join(pieces)
+
+
+def _random_formula(rng, sig, size=None):
+    """A random formula with `size` connectives over the signature's
+    unary connectives, `&`, `|` and `->`."""
+    unary = [c for c, k in sorted(sig.connectives.items()) if k == 1]
+    binary = ["and", "or", "impl"]
+    size = rng.randrange(12) if size is None else size
+    if size == 0:
+        return rng.choice([p, q, BOT, TOP])
+    if rng.random() < 0.3:
+        return App(rng.choice(unary), (_random_formula(rng, sig, size - 1),))
+    left = rng.randrange(size)
+    return App(rng.choice(binary), (_random_formula(rng, sig, left),
+                                    _random_formula(rng, sig, size - 1 - left)))
+
+
+def _nested(n):
+    """Texts whose nesting, or height, is n, one per construct."""
+    half = "~(" * (n // 2) + "~" * (n % 2)
+    return {
+        "negations": "~" * n + "p",
+        "negations-of-top": "~" * (n - 1) + "top",
+        "parentheses": "(" * n + "p" + ")" * n,
+        "arrows": "p -> " * n + "p",
+        "mixed": half + "p" + ")" * (n // 2),
+        "and-chain": "p" + " & p" * n,
+        "or-chain": "p" + " | q" * n,
+        "or-chain-then-arrow": "p" + " | q" * n + " -> p",
+        "negation-in-parentheses": "(" * n + "~p" + ")" * n,
+        "chain-under-negations": "~" * 50 + "(p" + " & p" * (n - 50) + ")",
+        "prefix-keywords": "delta " * n + "p",
+        "mixed-keywords": "cons ~" * (n // 2) + "det " * (n % 2) + "p",
+    }
+
+
+# Names that overlap the token grammar: "&" is also a prefix operator,
+# ")" and q atoms, top a prefix operator, and delta binary; not, and and
+# impl are missing.
+ODD_SIG = Signature({"or": 2, "top": 1, "q": 0, "delta": 2, "&": 1,
+                     ")": 0})
+
+
+class TestAgainstReferenceParser:
+    @pytest.mark.parametrize("sig", [SIG, RICH_SIG, ODD_SIG],
+                             ids=["bd-impl-bot", "rich", "odd"])
+    def test_random_texts(self, sig):
+        rng = random.Random(17)
+        texts = [_random_text(rng) for _ in range(3000)]
+        texts += [_mutated(rng, RICH_SIG) for _ in range(3000)]
+        kinds = set()
+        for text in texts:
+            expected = _outcome(_reference_parse, text, sig)
+            assert _outcome(parse, text, sig) == expected, text
+            kinds.add(expected[0] if type(expected) is tuple else "formula")
+        # a formula and each kind of error occur; every keyword in the
+        # texts is in RICH_SIG
+        assert kinds == {"formula", ParseError, ArityMismatchError} | (
+            set() if sig is RICH_SIG else {UnknownConnectiveError})
+
+    @pytest.mark.parametrize("n", [MAX_NESTING - 1, MAX_NESTING,
+                                   MAX_NESTING + 1])
+    @pytest.mark.parametrize("sig", [SIG, RICH_SIG, ODD_SIG],
+                             ids=["bd-impl-bot", "rich", "odd"])
+    def test_nesting_limit(self, sig, n):
+        for name, text in _nested(n).items():
+            expected = _outcome(_reference_parse, text, sig)
+            assert _outcome(parse, text, sig) == expected, name
 
 
 class TestPrinting:
@@ -163,6 +410,18 @@ class TestStructure:
         assert f in {f, p}
         assert Sequent.of([f], [p]).left == frozenset([f])
         assert hash(neg(neg(p))) == hash(parse("~~p", SIG))
+
+    def test_deep_formulas_without_recursion(self):
+        # built in code, past the parser's nesting limit
+        chain = p
+        for _ in range(1000):
+            chain = neg(chain)
+        assert variables(chain) == {"p"}
+        assert print_formula(chain) == "~" * 1000 + "p"
+        arrows = q
+        for _ in range(1000):
+            arrows = impl(p, arrows)
+        assert print_formula(arrows) == "p -> " * 1000 + "q"
 
     def test_formula_key_total_order(self):
         items = [p, q, BOT, TOP, conj(p, q), conj(q, p)]
