@@ -13,7 +13,6 @@ from .bd import (
 )
 from .definability import (
     DefinabilityVerdict,
-    LogicHandle,
     bd_preservation_criterion,
     definable,
     interdefinable,

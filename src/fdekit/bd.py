@@ -20,7 +20,6 @@ from .errors import (
     UnknownNameError,
 )
 from .matrix import Matrix
-from .matrix import expand as _expand_tables
 from .syntax import Signature
 
 VALUES: tuple[str, ...] = ("t", "f", "b", "n")
@@ -104,14 +103,15 @@ def bd_matrix() -> Matrix:
 
 
 def expand(m: Matrix, *connectives: NamedConnective) -> Matrix:
-    names = [c.name for c in connectives]
-    if len(names) != len(set(names)):
-        raise DuplicateConnectiveError("repeated connective in expansion")
-    return _expand_tables(
-        m,
-        {c.name: c.table for c in connectives},
-        {c.name: c.arity for c in connectives},
-    )
+    """m with the named connectives added after its own, in order; a name
+    already present or repeated raises DuplicateConnectiveError."""
+    arities, tables = dict(m.signature.connectives), dict(m.tables)
+    for c in connectives:
+        if c.name in arities:
+            raise DuplicateConnectiveError(
+                f"connective {c.name!r} already present")
+        arities[c.name], tables[c.name] = c.arity, c.table
+    return Matrix(m.values, m.designated, Signature(arities), tables)
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +175,8 @@ def sr_encode(m: Matrix) -> int:
     if not is_strongly_regular(m):
         raise NotStronglyRegularError("matrix is not strongly regular")
     index = 0
-    for bit, (conn, args) in enumerate(FREE_CELLS):
-        out = m.tables[conn][args]
-        if out in ("b", "n"):
+    for bit, cell in enumerate(FREE_CELLS):
+        conn, args = cell
+        if m.tables[conn][args] != CELLS[cell][0]:
             index |= 1 << bit
     return index

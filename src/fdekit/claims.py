@@ -49,16 +49,9 @@ def _synonymous(common: str, lhs: str, rhs: str) -> bool:
         m, syntax.parse(lhs, m.signature), syntax.parse(rhs, m.signature))
 
 
-def _interdefinable(a: str, b: str, common: str, expected: bool) -> bool:
-    m = presets.preset(common)
-    return definability.interdefinable(
-        presets.handle(a, m), presets.handle(b, m), m) == expected
-
-
-def _definable_in(a: str, b: str, common: str, expected: bool) -> bool:
-    m = presets.preset(common)
-    return definability.logic_definable_in(
-        presets.handle(a, m), presets.handle(b, m), m) == expected
+def _logics(check, a: str, b: str, common: str, expected: bool) -> bool:
+    """check(a, b, common) on the presets gives the expected verdict."""
+    return check(*map(presets.preset, (a, b, common))) == expected
 
 
 def _sampled_regular() -> bool:
@@ -140,10 +133,12 @@ CLAIMS = (
          for v in itertools.combinations(bd.VALUES, r))),
     *((f"interdefinable: {a} ~ {b}" if expected
        else f"not interdefinable: {a} !~ {b}",
-       partial(_interdefinable, a, b, common, expected))
+       partial(_logics, definability.interdefinable, a, b, common,
+               expected))
       for a, b, common, expected in INTERDEFINABILITY),
     *((f"{a} {'' if expected else 'not '}definable in {b}",
-       partial(_definable_in, a, b, common, expected))
+       partial(_logics, definability.logic_definable_in, a, b, common,
+               expected))
       for a, b, common, expected in ONE_WAY),
     ("strongly regular family counts 2^38",
      lambda: bd.count_strongly_regular() == 2 ** 38),

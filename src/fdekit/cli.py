@@ -30,18 +30,18 @@ def _get_matrix(spec: str) -> mx.Matrix:
         "nor a matrix file")
 
 
-def _parse_side(text: str, m: mx.Matrix) -> list:
+def _parse_side(text: str, sig: syntax.Signature) -> list:
     text = text.strip()
     if not text:
         return []
-    return [syntax.parse(part, m.signature) for part in text.split(",")]
+    return [syntax.parse(part, sig) for part in text.split(",")]
 
 
-def _parse_sequent(text: str, m: mx.Matrix):
+def _parse_sequent(text: str, sig: syntax.Signature):
     if "|-" not in text:
         raise FdekitError("sequent syntax is 'Gamma |- Delta'")
     left, right = text.split("|-", 1)
-    return _parse_side(left, m), _parse_side(right, m)
+    return _parse_side(left, sig), _parse_side(right, sig)
 
 
 def _emit(args, data: dict, text: str) -> None:
@@ -114,7 +114,7 @@ def _countermodel_verdict(args, key: str, counter, no: str = "NO") -> int:
          _arg("sequent", help="'Gamma |- Delta', comma-separated"))
 def cmd_entails(args) -> int:
     m = _get_matrix(args.matrix)
-    gamma, delta = _parse_sequent(args.sequent, m)
+    gamma, delta = _parse_sequent(args.sequent, m.signature)
     return _countermodel_verdict(
         args, "entails", mx.consequence_countermodel(m, gamma, delta))
 
@@ -159,10 +159,8 @@ def cmd_definable(args) -> int:
          _arg("--a", required=True), _arg("--b", required=True),
          _arg("--common", required=True))
 def cmd_interdef(args) -> int:
-    common = _get_matrix(args.common)
-    a = presets.handle(args.a, common)
-    b = presets.handle(args.b, common)
-    verdict = definability.interdefinable(a, b, common)
+    verdict = definability.interdefinable(
+        _get_matrix(args.a), _get_matrix(args.b), _get_matrix(args.common))
     _emit(args, {"interdefinable": verdict},
           "INTERDEFINABLE" if verdict else "NOT INTERDEFINABLE")
     return EXIT_OK if verdict else EXIT_NO
@@ -197,8 +195,7 @@ def cmd_clone(args) -> int:
 
 @command("prove", "backward proof search", _system(proof.BD), _arg("sequent"))
 def cmd_prove(args) -> int:
-    m = presets.preset("bd-impl-bot")
-    gamma, delta = _parse_sequent(args.sequent, m)
+    gamma, delta = _parse_sequent(args.sequent, bd.SR_SIGNATURE)
     seq = proof.Sequent.of(gamma, delta)
     d = proof.prove(seq, args.system)
     if d is None:
@@ -225,7 +222,6 @@ def _print_derivation(d: proof.Derivation) -> None:
 @command("check", "check a derivation JSON file",
          _arg("file", help="path or - for stdin"))
 def cmd_check(args) -> int:
-    m = presets.preset("bd-impl-bot")
     with open(args.file) if args.file != "-" else sys.stdin as fh:
         try:
             data = json.load(fh)
@@ -233,7 +229,7 @@ def cmd_check(args) -> int:
             raise FdekitError("malformed derivation: JSON nests too deeply") \
                 from None
     d, system = proof.derivation_from_json(
-        data, lambda s: syntax.parse(s, m.signature))
+        data, lambda s: syntax.parse(s, bd.SR_SIGNATURE))
     ok, path = proof.check_with_path(d, system)
     if ok:
         _emit(args, {"valid": True}, "VALID")

@@ -3,7 +3,10 @@
 For logics induced by a simple matrix, synonymity coincides with the
 induced equivalence relation, so both are decided by exhaustive valuation
 enumeration.  Definability of a connective reduces to membership of its
-table in the term-function clone over the allowed connectives.
+table in the term-function clone over the allowed connectives.  A logic
+is given by its own matrix, whose signature holds its connectives; two
+logics are compared inside a common matrix that expands both
+(`matrix.is_expansion`), as the paper's interdefinability asks.
 
 `definable` climbs one ladder of closures, each `matrix.subpower` on some
 rows of the target's table (points of carrier^n), stopped as soon as the
@@ -27,7 +30,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .bd import DESIGNATED, VALUES, NamedConnective, bd_matrix
+from .bd import NamedConnective, bd_matrix
 from .errors import (
     ArityCapError,
     NotBdExpansionError,
@@ -39,11 +42,10 @@ from .matrix import (
     Matrix,
     consequence,
     equivalent,
-    first_broken,
     is_expansion,
     subpower,
 )
-from .syntax import Formula, Signature, Var, neg, substitute
+from .syntax import Formula, Var, neg, substitute
 
 
 def synonymous(m: Matrix, a: Formula, b: Formula) -> bool:
@@ -137,58 +139,34 @@ def definable(m: Matrix, target: str,
 def bd_preservation_criterion(c: NamedConnective) -> bool:
     """Definability of c in the implication-falsity expansion, decided by
     preservation of {t,f,b} and {t,f,n}."""
-    m = Matrix(VALUES, DESIGNATED, Signature({c.name: c.arity}),
-               {c.name: c.table})
-    subsets = [{bytes([VALUES.index(v)]) for v in s} for s in ("tfb", "tfn")]
-    return first_broken(m, c.name, subsets) is None
+    return all(c.table[args] in s for s in ("tfb", "tfn")
+               for args in itertools.product(s, repeat=c.arity))
 
 
-@dataclass(frozen=True)
-class LogicHandle:
-    """A matrix with the subset of its signature regarded as the logic's own
-    connectives."""
-
-    matrix: Matrix
-    connectives: frozenset[str]
-
-    def __post_init__(self):
-        missing = self.connectives - set(self.matrix.signature.connectives)
-        if missing:
-            raise ValueError(f"connectives {sorted(missing)!r} not in signature")
-
-
-def _check_common(handle: LogicHandle, common: Matrix):
-    if common.values != handle.matrix.values or \
-            common.designated != handle.matrix.designated:
-        raise NotCommonExpansionError("carrier or designated set differs")
-    for name in handle.connectives:
-        if name not in common.signature or \
-                common.tables[name] != handle.matrix.tables[name]:
-            raise NotCommonExpansionError(
-                f"common matrix does not interpret {name!r} compatibly")
-
-
-def logic_definable_in(a: LogicHandle, b: LogicHandle, common: Matrix) -> bool:
+def logic_definable_in(a: Matrix, b: Matrix, common: Matrix) -> bool:
     """Every connective of a is definable in the common expansion in terms
-    of b's connectives."""
-    _check_common(a, common)
-    _check_common(b, common)
+    of b's connectives; each logic is its own matrix, and common must
+    expand both."""
+    if not (is_expansion(common, a) and is_expansion(common, b)):
+        raise NotCommonExpansionError(
+            "the common matrix does not expand both logics")
     if not common.simple:
         raise NotSimpleError("interdefinability needs a simple common matrix")
-    return all(definable(common, name, b.connectives).definable
-               for name in sorted(a.connectives - b.connectives))
+    return all(definable(common, name, b.signature.connectives).definable
+               for name in sorted(set(a.signature.connectives)
+                                  - set(b.signature.connectives)))
 
 
-def interdefinable(a: LogicHandle, b: LogicHandle, common: Matrix) -> bool:
+def interdefinable(a: Matrix, b: Matrix, common: Matrix) -> bool:
     """Both directions of definability within the common expansion.
 
     The direction whose missing connectives have the smaller maximal arity
     is checked first: a failing unary direction then short-circuits past a
     potentially expensive higher-arity clone search.
     """
-    def cost(x: LogicHandle, y: LogicHandle) -> int:
-        missing = x.connectives - y.connectives
-        return max((common.signature.arity(c) for c in missing), default=0)
+    def cost(x: Matrix, y: Matrix) -> int:
+        return max((k for c, k in x.signature.connectives.items()
+                    if c not in y.signature), default=0)
 
     directions = [(a, b), (b, a)]
     directions.sort(key=lambda d: cost(*d))

@@ -24,13 +24,11 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import (
-    Callable, Collection, Iterable, Iterator, Mapping, Optional, Sequence)
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
     ArityCapError,
     DegenerateDesignatedError,
-    DuplicateConnectiveError,
     FdekitError,
     NotClosedError,
     SignatureMismatchError,
@@ -348,20 +346,6 @@ def subpower(m: Matrix, generators: Iterable[str],
     return found
 
 
-def first_broken(m: Matrix, conn: str,
-                 relations: Iterable[Collection[bytes]]
-                 ) -> Optional[Collection[bytes]]:
-    """The first relation (a set of value-index bytes) that the connective
-    does not preserve: applied to some of its tuples, it leaves it."""
-    [(_, table, k)] = _operations(m, [conn])
-    for rel in relations:
-        width = len(next(iter(rel), b""))
-        if any(_compose(table, len(m.values), width, args) not in rel
-               for args in itertools.product(rel, repeat=k)):
-            return rel
-    return None
-
-
 @dataclass(frozen=True)
 class TermFunction:
     """A tabulated function carrier^arity -> carrier with a witness formula.
@@ -438,16 +422,6 @@ def is_expansion(m2: Matrix, m1: Matrix) -> bool:
         return False
     return all(m2.tables[name] == m1.tables[name]
                for name in m1.signature.connectives)
-
-
-def expand(m: Matrix, additions: Mapping[str, Mapping[tuple[str, ...], str]],
-           arities: Mapping[str, int]) -> Matrix:
-    """New matrix with extra tables; existing connectives are untouchable."""
-    for name in additions:
-        if name in m.signature:
-            raise DuplicateConnectiveError(f"connective {name!r} already present")
-    sig = Signature({**m.signature.connectives, **arities})
-    return Matrix(m.values, m.designated, sig, {**m.tables, **additions})
 
 
 def restrict(m: Matrix, sub: Iterable[str]) -> Matrix:

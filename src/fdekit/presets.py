@@ -1,68 +1,52 @@
-"""Named matrices and logic handles used throughout the package and CLI.
+"""Named matrices used throughout the package and CLI.
 
-Joint expansions bundle the ad-hoc common matrices needed for the
-interdefinability results, so callers never hand-build them.
+Each preset is the four-valued base with some named connectives added,
+optionally restricted to a subset of the carrier.  The joint expansions
+are the common matrices of the interdefinability results, so callers
+never hand-build them.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .bd import (
-    B_CONST,
-    BOT,
-    CIRC,
-    CONFL,
-    CONS,
-    DELTA,
-    DET,
-    IMPL,
-    N_CONST,
-    bd_matrix,
-    expand,
-)
-from .definability import LogicHandle
+from .bd import bd_matrix, expand, named
 from .errors import UnknownNameError
 from .matrix import Matrix, restrict
 
-_BUILDERS = {
-    "bd": lambda: bd_matrix(),
-    "bd-impl-bot": lambda: expand(bd_matrix(), IMPL, BOT),
-    "bd-delta": lambda: expand(bd_matrix(), DELTA),
-    "bd-circ": lambda: expand(bd_matrix(), CIRC),
-    "bd-cons-det": lambda: expand(bd_matrix(), CONS, DET),
-    "bd-confl": lambda: expand(bd_matrix(), CONFL),
-    "bd-b-n": lambda: expand(bd_matrix(), IMPL, B_CONST, N_CONST),
-    "lp": lambda: restrict(bd_matrix(), ("t", "f", "b")),
-    "k3": lambda: restrict(bd_matrix(), ("t", "f", "n")),
-    "cl": lambda: restrict(bd_matrix(), ("t", "f")),
-    "cl-impl-bot": lambda: restrict(expand(bd_matrix(), IMPL, BOT),
-                                    ("t", "f")),
+# preset -> (the named connectives added to bd, in signature order; the
+# carrier it is restricted to, or None)
+_PRESETS = {
+    "bd": ((), None),
+    "bd-impl-bot": (("impl", "bot"), None),
+    "bd-delta": (("delta",), None),
+    "bd-circ": (("circ",), None),
+    "bd-cons-det": (("cons", "det"), None),
+    "bd-confl": (("confl",), None),
+    "bd-b-n": (("impl", "B", "N"), None),
+    "lp": ((), ("t", "f", "b")),
+    "k3": ((), ("t", "f", "n")),
+    "cl": ((), ("t", "f")),
+    "cl-impl-bot": (("impl", "bot"), ("t", "f")),
     # joint expansions for the interdefinability results
-    "bd-impl-bot-delta": lambda: expand(bd_matrix(), IMPL, BOT, DELTA),
-    "bd-impl-bot-circ": lambda: expand(bd_matrix(), IMPL, BOT, CIRC),
-    "bd-impl-bot-cons": lambda: expand(bd_matrix(), IMPL, BOT, CONS),
-    "bd-impl-bot-det": lambda: expand(bd_matrix(), IMPL, BOT, DET),
-    "bd-impl-bot-confl": lambda: expand(bd_matrix(), IMPL, BOT, CONFL),
-    "bd-delta-cons-det": lambda: expand(bd_matrix(), DELTA, CONS, DET),
-    "bd-cons-det-circ": lambda: expand(bd_matrix(), CONS, DET, CIRC),
-    "bd-impl-b-n-bot": lambda: expand(bd_matrix(), IMPL, B_CONST, N_CONST,
-                                      BOT),
+    "bd-impl-bot-delta": (("impl", "bot", "delta"), None),
+    "bd-impl-bot-circ": (("impl", "bot", "circ"), None),
+    "bd-impl-bot-cons": (("impl", "bot", "cons"), None),
+    "bd-impl-bot-det": (("impl", "bot", "det"), None),
+    "bd-impl-bot-confl": (("impl", "bot", "confl"), None),
+    "bd-delta-cons-det": (("delta", "cons", "det"), None),
+    "bd-cons-det-circ": (("cons", "det", "circ"), None),
+    "bd-impl-b-n-bot": (("impl", "B", "N", "bot"), None),
 }
 
-PRESET_NAMES = tuple(sorted(_BUILDERS))
+PRESET_NAMES = tuple(sorted(_PRESETS))
 
 
 @lru_cache(maxsize=None)
 def preset(name: str) -> Matrix:
     try:
-        builder = _BUILDERS[name]
+        added, carrier = _PRESETS[name]
     except KeyError:
         raise UnknownNameError(f"unknown preset {name!r}") from None
-    return builder()
-
-
-def handle(name: str, common: Matrix) -> LogicHandle:
-    """The preset's connectives viewed as a logic inside a common matrix."""
-    return LogicHandle(common,
-                       frozenset(preset(name).signature.connectives))
+    m = expand(bd_matrix(), *map(named, added))
+    return m if carrier is None else restrict(m, carrier)

@@ -122,10 +122,22 @@ TOP = App("not", (App("bot", ()),))
 
 
 def substitute(f: Formula, s: Substitution) -> Formula:
-    """Apply the homomorphic extension of s to f."""
-    if isinstance(f, Var):
-        return s.get(f.name, f)
-    return App(f.conn, tuple(substitute(a, s) for a in f.args))
+    """Apply the homomorphic extension of s to f, rebuilding each object
+    of a shared DAG once and without recursion."""
+    # id of a formula -> its image: depth first, an App is met again only
+    # after it is rebuilt
+    image: dict[int, Formula] = {}
+    stack: list = [f]
+    while stack:
+        g = stack.pop()
+        if g is None:  # the App below has all its arguments rebuilt
+            g = stack.pop()
+            image[id(g)] = App(g.conn, tuple([image[id(a)] for a in g.args]))
+        elif type(g) is Var:
+            image[id(g)] = s.get(g.name, g)
+        elif id(g) not in image:
+            stack += (g, None, *g.args)
+    return image[id(f)]
 
 
 def variables(f: Formula) -> set:
@@ -145,10 +157,21 @@ def variables(f: Formula) -> set:
 
 
 def formula_key(f: Formula):
-    """Total order on formulas, flat so that keys compare in linear time."""
-    if isinstance(f, Var):
+    """Total order on formulas, flat so that keys compare in linear time:
+    the pre-order of (0, name) per variable and (1, connective, arity) per
+    application, built without recursion."""
+    if type(f) is Var:
         return (0, f.name)
-    return sum(map(formula_key, f.args), (1, f.conn, len(f.args)))
+    key: list = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if type(g) is Var:
+            key += (0, g.name)
+        else:
+            key += (1, g.conn, len(g.args))
+            stack += g.args[::-1]
+    return tuple(key)
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +190,9 @@ def _position(text: str, i: int) -> int:
 
 # Deepest nesting of prefix operators, parentheses and `->` right operands
 # the parser accepts, and the greatest height of a formula it returns (each
-# `&` or `|` chain link adds one), so that recursion over formulas (the
-# evaluator, `formula_key`, `substitute`) stays inside the recursion limit.
+# `&` or `|` chain link adds one), so that what still recurses over formulas
+# (`matrix.evaluate`, and `==` between distinct objects) stays inside the
+# recursion limit.
 MAX_NESTING = 100
 
 # binary operator -> (connective, binding level, least level it reduces);

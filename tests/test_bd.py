@@ -1,10 +1,13 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
 
 from fdekit import bd, presets
 from fdekit.errors import IndexOutOfRangeError, NotStronglyRegularError
+from fdekit.matrix import matrix_to_json
 
 # The family index of the implication-falsity expansion of the base
 # matrix under the documented bit layout, frozen as a regression constant.
@@ -143,3 +146,13 @@ class TestStronglyRegularFamily:
         assert bd.FREE_CELLS[2] == ("and", ("t", "b"))
         assert bd.FREE_CELLS[14] == ("or", ("t", "b"))
         assert bd.FREE_CELLS[26] == ("impl", ("t", "b"))
+
+
+def test_presets_unchanged():
+    # every preset's tables and signature order, whatever the hash seed
+    data = {n: [matrix_to_json(presets.preset(n)),
+                list(presets.preset(n).signature.connectives)]
+            for n in presets.PRESET_NAMES}
+    digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "3d325a4573d3d02d08125e4995514255c428f6801ef33ff11723fe26a3eee5d2")

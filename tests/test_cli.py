@@ -167,6 +167,29 @@ class TestVerdicts:
                       "--b", "bd-confl", "--common", "bd-impl-bot-confl")
         assert code == 1
 
+    @pytest.mark.parametrize("a,b,common", [
+        ("lp", "bd", "bd-impl-bot"),
+        ("cl-impl-bot", "bd-impl-bot", "bd-impl-bot")])
+    def test_interdef_needs_a_common_expansion(self, capsys, a, b, common):
+        # neither 3-valued LP nor 2-valued CL is a reduct of bd-impl-bot
+        assert main(["interdef", "--a", a, "--b", b,
+                     "--common", common]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [line.startswith("error:")
+                for line in captured.err.splitlines()] == [True]
+
+    def test_interdef_logic_from_file(self, capsys, tmp_path):
+        # bd-impl-bot saved as a family member is a logic of the common
+        # matrix; its neighbours by index, one and five cells away, are not
+        for index, expected in [(13129950543, 0), (13129950542, 2),
+                                (13129950544, 2)]:
+            _, out = run(capsys, "--json", "sr-decode", str(index))
+            path = tmp_path / f"{index}.json"
+            path.write_text(out)
+            assert main(["interdef", "--a", str(path), "--b", "bd-delta",
+                         "--common", "bd-impl-bot-delta"]) == expected
+
     @pytest.mark.parametrize("data", [
         [1],                                                 # not an object
         {"designated": ["t"], "connectives": {}},            # no values

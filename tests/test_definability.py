@@ -9,7 +9,6 @@ import pytest
 from fdekit import bd, definability, presets
 from fdekit.claims import SYNONYMITIES
 from fdekit.definability import (
-    LogicHandle,
     bd_preservation_criterion,
     definable,
     interdefinable,
@@ -26,12 +25,11 @@ from fdekit.errors import (
 from fdekit.matrix import (
     Matrix,
     equivalent,
+    _compose,
     evaluate,
-    first_broken,
     subpower,
     term_functions,
 )
-from fdekit.presets import handle
 from fdekit.syntax import App, Signature, Var, parse
 
 p = Var("p")
@@ -172,6 +170,18 @@ def _rung_reason(m, target, allowed):
             return None
 
 
+def _first_broken(m, conn, relations):
+    """The first relation (a set of value-index bytes) that the connective
+    does not preserve: applied to some of its tuples, it leaves it."""
+    table, k = m.byte_tables[conn], m.signature.arity(conn)
+    for rel in relations:
+        width = len(next(iter(rel), b""))
+        if any(_compose(table, len(m.values), width, args) not in rel
+               for args in itertools.product(rel, repeat=k)):
+            return rel
+    return None
+
+
 def _catalogue_certificate(m, target, allowed):
     """The relation catalogue that the row ladder replaced, kept as its
     oracle: the proper subuniverses of the carrier, then, on at most four
@@ -192,7 +202,7 @@ def _catalogue_certificate(m, target, allowed):
             yield from (rel for rel in itertools.chain(single.values(), pairs)
                         if len(rel) < nvals ** width)
 
-    return first_broken(m, target, relations())
+    return _first_broken(m, target, relations())
 
 
 class TestRelationCertificate:
@@ -363,23 +373,29 @@ class TestReplacementSoundness:
 class TestInterdefinability:
     def test_circ_definable_in_impl_bot(self):
         # only one way: the forward direction is a claim
-        common = presets.preset("bd-impl-bot-circ")
-        assert not logic_definable_in(handle("bd-impl-bot", common),
-                                      handle("bd-circ", common), common)
+        assert not logic_definable_in(presets.preset("bd-impl-bot"),
+                                      presets.preset("bd-circ"),
+                                      presets.preset("bd-impl-bot-circ"))
 
     def test_reflexive_and_symmetric(self):
         common = presets.preset("bd-impl-bot-delta")
-        a = handle("bd-impl-bot", common)
-        b = handle("bd-delta", common)
+        a = presets.preset("bd-impl-bot")
+        b = presets.preset("bd-delta")
         assert interdefinable(a, a, common)
         assert interdefinable(a, b, common) == interdefinable(b, a, common)
 
     def test_common_matrix_validated(self):
+        # the common matrix must expand each logic: LP has another carrier,
+        # and this delta, on the same carrier, another table
         common = presets.preset("bd-impl-bot-delta")
-        with pytest.raises(NotCommonExpansionError):
-            lp = presets.preset("lp")
-            logic_definable_in(LogicHandle(lp, frozenset(["not"])),
-                               handle("bd-delta", common), common)
+        b = presets.preset("bd-delta")
+        other_delta = bd.expand(bd.bd_matrix(), bd.NamedConnective(
+            "delta", 1, bd.CIRC.table))
+        for a in (presets.preset("lp"), other_delta):
+            with pytest.raises(NotCommonExpansionError):
+                logic_definable_in(a, b, common)
+            with pytest.raises(NotCommonExpansionError):
+                interdefinable(b, a, common)
 
 
 class TestRandomizedConsequenceAxioms:

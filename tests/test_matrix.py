@@ -24,7 +24,6 @@ from fdekit.matrix import (
     equivalence_countermodel,
     equivalent,
     evaluate,
-    expand,
     is_expansion,
     matrix_from_json,
     matrix_to_json,
@@ -543,8 +542,10 @@ class TestExpansionRestriction:
         assert not is_expansion(LP, BD)
 
     def test_expand_duplicate_rejected(self):
-        with pytest.raises(DuplicateConnectiveError):
-            expand(BD, {"not": bd.NOT.table}, {"not": 1})
+        # a name already present, or one added twice
+        for added in [(bd.NOT,), (bd.IMPL, bd.IMPL)]:
+            with pytest.raises(DuplicateConnectiveError):
+                bd.expand(BD, *added)
 
     def test_lp_k3_cl_are_restrictions(self):
         assert set(LP.values) == {"t", "f", "b"}

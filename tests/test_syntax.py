@@ -5,7 +5,7 @@ from typing import Iterator
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdekit import presets
+from fdekit import bd, presets
 from fdekit.errors import (
     ArityMismatchError,
     FdekitError,
@@ -388,12 +388,47 @@ class TestRoundTrip:
         assert parse(print_formula(f), RICH_SIG) == f
 
 
+def _chain(f, conn, depth):
+    """f under `depth` applications of a unary connective, or of a binary
+    one to two references to the same object."""
+    for _ in range(depth):
+        f = App(conn, (f,) * (1 if conn == "not" else 2))
+    return f
+
+
+def _spine(f):
+    """The connectives down f's first arguments, and the formula they end
+    at, checking that every binary node's arguments are one object."""
+    conns = []
+    while type(f) is App and f.args:
+        assert all(a is f.args[0] for a in f.args)
+        conns.append(f.conn)
+        f = f.args[0]
+    return conns, f
+
+
 class TestSubstitution:
     def test_spec_example(self):
         assert substitute(disj(p, q), {"p": BOT}) == disj(BOT, q)
 
     def test_identity_outside_domain(self):
         assert substitute(r, {"p": BOT}) == r
+
+    def test_deep_formulas_without_recursion(self):
+        # built in code, past the parser's nesting limit: a 1,000-deep
+        # chain, and 40 doublings g = g & g, whose shared DAG is rebuilt
+        # once per object, so the image shares its arguments too
+        for conn, depth in [("not", 1000), ("and", 40)]:
+            image = substitute(_chain(p, conn, depth), {"p": neg(q)})
+            assert _spine(image) == ([conn] * depth + ["not"], q)
+
+
+def _formula_key(f):
+    """The recursive `formula_key` that the loop replaced, kept as its
+    reference."""
+    if isinstance(f, Var):
+        return (0, f.name)
+    return sum(map(_formula_key, f.args), (1, f.conn, len(f.args)))
 
 
 class TestStructure:
@@ -422,6 +457,17 @@ class TestStructure:
         for _ in range(1000):
             arrows = impl(p, arrows)
         assert print_formula(arrows) == "p -> " * 1000 + "q"
+
+    def test_formula_key_matches_the_recursive_one(self):
+        rng = random.Random(3)
+        for f in [_random_formula(rng, RICH_SIG) for _ in range(2000)]:
+            assert formula_key(f) == _formula_key(f), f
+        deep = _chain(p, "not", 1000)
+        assert formula_key(deep) == (1, "not", 1) * 1000 + (0, "p")
+
+    def test_keywords_are_the_named_connectives(self):
+        # a copy: syntax cannot import bd, which imports syntax
+        assert KEYWORDS == set(bd._NAMED) | {"top"}
 
     def test_formula_key_total_order(self):
         items = [p, q, BOT, TOP, conj(p, q), conj(q, p)]
