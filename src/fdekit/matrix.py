@@ -415,8 +415,9 @@ def simplicity(m: Matrix) -> tuple[bool, dict[frozenset, TermFunction]]:
 # Expansion and restriction
 
 def is_expansion(m2: Matrix, m1: Matrix) -> bool:
-    """True iff m2 adds connectives to m1 without touching anything else."""
-    if m2.values != m1.values or m2.designated != m1.designated:
+    """True iff m2 adds connectives to m1 without touching anything else;
+    the order in which each lists its values does not matter."""
+    if set(m2.values) != set(m1.values) or m2.designated != m1.designated:
         return False
     if not m2.signature.extends(m1.signature):
         return False

@@ -9,6 +9,12 @@ that fits (one-premise rules first), drops its principal formula and never
 backtracks; each step shrinks the sequent, so search ends.  An open branch,
 which no rule fits and no axiom closes, gives a countermodel.  The checker
 also accepts derivations that keep the principal formula, and accepts Cut.
+
+`Prover.provable` answers yes or no on pairs of bit masks, one bit per
+formula the prover has met, and looks each formula's rule and premises up
+once per prover.  Derivations, countermodels and derived rules walk
+frozensets of formulas (`_walk`), `derivation` and `countermodel` in
+`formula_key` order, so their output does not depend on the hash seed.
 """
 
 from __future__ import annotations
@@ -120,28 +126,34 @@ def _axiom(left: frozenset, right: frozenset) -> Optional[tuple]:
     return ("not-bot-R", None, ()) if TOP in right else None
 
 
+def _rule(index: dict, side: str, p: Formula) -> Optional[tuple]:
+    """(entry of `index`, the connective's arguments) for the rule that
+    fits p on `side`, a negated shape before plain not-L/not-R; None if no
+    rule fits."""
+    if isinstance(p, Var):
+        return None
+    rules = index[side]
+    if p.conn == "not" and isinstance(p.args[0], App):
+        hit = rules.get((p.args[0].conn, True))
+        if hit is not None:
+            return hit, p.args[0].args
+    hit = rules.get((p.conn, False))
+    return hit and (hit, p.args)
+
+
 def _step(left: frozenset, right: frozenset, index: dict, key):
     """The first one-premise rule of `index` that fits, else the first that
     fits, as (rule, principal, premises) with each premise a (left, right)
     pair that drops the principal.  Left formulas come first, in `key` order
-    if a key is given, and a negated shape before plain not-L/not-R."""
+    if a key is given."""
     branching = None
     for side, formulas in ((LEFT, left), (RIGHT, right)):
-        rules = index[side]
         for p in sorted(formulas, key=key) if key else formulas:
-            if isinstance(p, Var):
-                continue
-            hit = None
-            if p.conn == "not" and isinstance(p.args[0], App):
-                args = p.args[0].args
-                hit = rules.get((p.args[0].conn, True))
-            if hit is None:
-                args = p.args
-                hit = rules.get((p.conn, False))
-            if hit is not None:
-                if not hit[2]:
-                    return _apply(left, right, side, p, hit, args)
-                branching = branching or (left, right, side, p, hit, args)
+            fit = _rule(index, side, p)
+            if fit is not None:
+                if not fit[0][2]:
+                    return _apply(left, right, side, p, *fit)
+                branching = branching or (left, right, side, p, *fit)
     return branching and _apply(*branching)
 
 
@@ -178,8 +190,16 @@ def _assemble(nodes: list) -> Derivation:
 
 class Prover:
     """Backward proof search by one pass of invertible rules.  Any rule that
-    fits decides a sequent, so `provable` takes formulas in any order and
-    `derivation` in `formula_key` order; `memo` holds `provable`'s verdicts."""
+    fits decides a sequent, so `provable` walks bit masks in its own order
+    and `derivation` walks frozensets in `formula_key` order; `memo` holds
+    `provable`'s verdicts.
+
+    `provable` gives each formula it meets a bit of `bits`, in the order
+    met (`formulas` lists them), so a sequent is a pair of integers.  Per
+    side (0 left, 1 right), `_one` and `_two` mask the formulas whose rule
+    has one premise or branches, and `_premises` maps a formula's bit to
+    its rule's premises as (left, right) masks, built the first time the
+    rule is applied, so a subformula gets its bit only when reached."""
 
     def __init__(self, system: str):
         if system not in _SEARCH:
@@ -187,12 +207,71 @@ class Prover:
         self.system = system
         self.index = _SEARCH[system]
         self.memo: dict = {}
+        self.bits: dict = {}
+        self.formulas: list = []
+        self._one, self._two = [0, 0], [0, 0]
+        self._premises: tuple = ({}, {})
+        self._mask((BOT, TOP))  # bits 1 and 2, as `_decide` reads them
+
+    def _new_bit(self, f: Formula) -> int:
+        bit = self.bits[f] = 1 << len(self.formulas)
+        self.formulas.append(f)
+        for side in 0, 1:
+            fit = _rule(self.index, (LEFT, RIGHT)[side], f)
+            if fit is not None:
+                (self._two if fit[0][2] else self._one)[side] |= bit
+        return bit
+
+    def _mask(self, formulas: Iterable[Formula]) -> int:
+        mask, bits = 0, self.bits
+        for f in formulas:
+            mask |= bits.get(f) or self._new_bit(f)
+        return mask
+
+    def _premises_of(self, bit: int, side: int) -> tuple:
+        (_, premises, _), args = _rule(self.index, (LEFT, RIGHT)[side],
+                                       self.formulas[bit.bit_length() - 1])
+        pairs = self._premises[side][bit] = tuple(
+            (self._mask(ladd), self._mask(radd))
+            for ladd, radd in premises(*args))
+        return pairs
+
+    def _decide(self, left: int, right: int) -> bool:
+        """Depth first over (left, right) masks: a node closes on a shared
+        bit, bot (bit 1) on the left or top (bit 2) on the right; else the
+        lowest one-premise formula (left, then right), else the lowest
+        branching one, is replaced by its rule's premises.  The first open
+        node that no rule fits gives False."""
+        one, two, premises = self._one, self._two, self._premises
+        stack = [(left, right)]
+        while stack:
+            left, right = stack.pop()
+            if left & right or left & 1 or right & 2:
+                continue
+            if fits := left & one[0]:
+                side = 0
+            elif fits := right & one[1]:
+                side = 1
+            elif fits := left & two[0]:
+                side = 0
+            elif fits := right & two[1]:
+                side = 1
+            else:
+                return False
+            bit = fits & -fits
+            pairs = premises[side].get(bit) or self._premises_of(bit, side)
+            if side:
+                right ^= bit
+            else:
+                left ^= bit
+            stack += [(left | ladd, right | radd) for ladd, radd in pairs]
+        return True
 
     def provable(self, seq: Sequent) -> bool:
         hit = self.memo.get(seq)
         if hit is None:
-            hit = self.memo[seq] = all(
-                step for _, _, step in _walk(seq, self.index, _axiom))
+            hit = self.memo[seq] = self._decide(self._mask(seq.left),
+                                                self._mask(seq.right))
         return hit
 
     def derivation(self, seq: Sequent) -> Optional[Derivation]:

@@ -87,6 +87,30 @@ class App:
     def __hash__(self):
         return self._hash
 
+    def __eq__(self, other):
+        # pairwise over an explicit stack, each pair of objects once:
+        # formulas built in code may nest past the recursion limit, and a
+        # shared subterm would otherwise be compared once per path to it
+        if self is other:
+            return True
+        if not isinstance(other, App):
+            return NotImplemented
+        stack, seen = [(self, other)], set()
+        while stack:
+            a, b = stack.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            if not (isinstance(a, App) and isinstance(b, App)):
+                if a != b:  # a variable, or an App against a variable
+                    return False
+            elif a._hash != b._hash or a.conn != b.conn \
+                    or len(a.args) != len(b.args):
+                return False
+            else:
+                seen.add((id(a), id(b)))
+                stack += zip(a.args, b.args)
+        return True
+
     def __reduce__(self):  # rehash: string hashes differ between processes
         return App, (self.conn, self.args)
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from fdekit import bd, claims, laws, presets
 from fdekit.cli import main
-from fdekit.matrix import MAX_CLONE_ARITY, evaluate, matrix_to_json
+from fdekit.matrix import MAX_CLONE_ARITY, Matrix, evaluate, matrix_to_json
 from fdekit.proof import (
     BD, MAX_DERIVATION_DEPTH, RULE_IDS, Sequent, derivation_to_json, prove)
 from fdekit.syntax import MAX_NESTING, parse
@@ -189,6 +189,18 @@ class TestVerdicts:
             path.write_text(out)
             assert main(["interdef", "--a", str(path), "--b", "bd-delta",
                          "--common", "bd-impl-bot-delta"]) == expected
+
+    def test_interdef_logic_listing_its_values_in_another_order(
+            self, tmp_path):
+        m = presets.preset("bd-impl-bot")
+        data = matrix_to_json(
+            Matrix(("f", "t", "b", "n"), m.designated, m.signature, m.tables))
+        path = tmp_path / "ftbn.json"
+        for expected in (0, 2):
+            path.write_text(json.dumps(data))
+            assert main(["interdef", "--a", str(path), "--b", "bd-delta",
+                         "--common", "bd-impl-bot-delta"]) == expected
+            data["connectives"]["not"]["table"][0] = "b"  # ~f = b, not t
 
     @pytest.mark.parametrize("data", [
         [1],                                                 # not an object

@@ -1,4 +1,7 @@
 import itertools
+import random
+import time
+from functools import reduce
 
 import pytest
 
@@ -22,6 +25,7 @@ from fdekit.proof import (
     derived_rule_check,
     prove,
 )
+from fdekit.proof import _axiom, _walk
 from fdekit.syntax import BOT, App, Var, conj, disj, impl, neg, parse
 
 M = presets.preset("bd-impl-bot")
@@ -287,6 +291,58 @@ class TestProverInternals:
     def test_invalid_system(self):
         with pytest.raises(Exception):
             Prover("LP")
+
+
+def _fresh_formula(rng, depth):
+    """A formula of depth at most `depth` over p, q, r, bot and top, built
+    from new objects, so that equal subformulas are seldom identical."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice([Var("p"), Var("q"), Var("r"), App("bot", ()),
+                           neg(App("bot", ()))])
+    conn = rng.choice(["not", "and", "or", "impl"])
+    return App(conn, tuple(_fresh_formula(rng, depth - 1)
+                           for _ in range(1 if conn == "not" else 2)))
+
+
+class TestMaskSearch:
+    @pytest.mark.parametrize("system", [BD, CL])
+    def test_agrees_with_the_frozenset_walk(self, system):
+        # one long-lived prover, so that later sequents reuse the bits and
+        # premises that earlier ones gave it
+        rng = random.Random(20)
+        prover = Prover(system)
+        verdicts = []
+        for _ in range(1500):
+            s = Sequent.of(*([_fresh_formula(rng, 4)
+                              for _ in range(rng.randrange(4))]
+                             for _ in "lr"))
+            reference = all(step for _, _, step
+                            in _walk(s, prover.index, _axiom))
+            verdict = prover.provable(s)
+            assert verdict == reference == (prover.derivation(s) is not None)
+            verdicts.append(verdict)
+        assert 300 < sum(verdicts) < 1200
+
+    def test_stops_at_the_first_open_branch(self):
+        # (a0|b0) & ... & (a17|b17): open leaves listed per formula and
+        # combined would number 2^18 here
+        big = reduce(conj, [disj(Var(f"a{i}"), Var(f"b{i}"))
+                            for i in range(18)])
+        x = Var("x")
+        for system in (BD, CL):
+            start = time.perf_counter()
+            assert not Prover(system).provable(Sequent.of([big], [Var("c")]))
+            assert Prover(system).provable(Sequent.of([conj(x, big)], [x]))
+            assert time.perf_counter() - start < 2
+
+    def test_deep_formula_against_a_separate_copy(self):
+        def chain():
+            return reduce(lambda f, _: neg(f), range(1000), p)
+
+        s = Sequent.of([chain()], [chain()])
+        for system in (BD, CL):
+            assert Prover(system).provable(s)
+            assert prove(s, system) is not None
 
 
 class TestJson:

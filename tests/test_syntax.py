@@ -458,6 +458,16 @@ class TestStructure:
             arrows = impl(p, arrows)
         assert print_formula(arrows) == "p -> " * 1000 + "q"
 
+    def test_deep_formulas_compare_without_recursion(self):
+        # separately built, so equality cannot stop at identity
+        chain = _chain(p, "not", 1000)
+        assert chain == _chain(p, "not", 1000)
+        assert chain != _chain(q, "not", 1000)
+        assert chain != _chain(p, "not", 999) and chain != p and p != chain
+        arrows = _chain(q, "impl", 1000)
+        assert arrows == _chain(q, "impl", 1000)
+        assert arrows != _chain(q, "or", 1000)
+
     def test_formula_key_matches_the_recursive_one(self):
         rng = random.Random(3)
         for f in [_random_formula(rng, RICH_SIG) for _ in range(2000)]:
