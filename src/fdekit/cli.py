@@ -195,12 +195,12 @@ def cmd_clone(args) -> int:
 
 @command("prove", "backward proof search", _system(proof.BD), _arg("sequent"))
 def cmd_prove(args) -> int:
-    gamma, delta = _parse_sequent(args.sequent, bd.SR_SIGNATURE)
-    seq = proof.Sequent.of(gamma, delta)
-    d = proof.prove(seq, args.system)
+    seq = proof.Sequent.of(*_parse_sequent(args.sequent, bd.SR_SIGNATURE))
+    prover = proof.Prover(args.system)
+    d = prover.derivation(seq)
     if d is None:
         return _countermodel_verdict(
-            args, "proved", proof.countermodel(seq, args.system), "NOT PROVED")
+            args, "proved", prover.countermodel(seq), "NOT PROVED")
     if args.json:
         print(json.dumps(proof.derivation_to_json(d, args.system)))
     else:

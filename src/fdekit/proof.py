@@ -10,18 +10,17 @@ backtracks; each step shrinks the sequent, so search ends.  An open branch,
 which no rule fits and no axiom closes, gives a countermodel.  The checker
 also accepts derivations that keep the principal formula, and accepts Cut.
 
-`Prover.provable` answers yes or no on pairs of bit masks, one bit per
-formula the prover has met, and looks each formula's rule and premises up
-once per prover.  Derivations, countermodels and derived rules walk
-frozensets of formulas (`_walk`), `derivation` and `countermodel` in
-`formula_key` order, so their output does not depend on the hash seed.
+One search over pairs of bit masks, one bit per formula, answers
+`provable`, `derivation`, `countermodel` and `derived_rule_check`;
+derivations and countermodels take formulas in `formula_key` order, so
+their output does not depend on the hash seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .errors import FdekitError, UnknownNameError
 from .syntax import (
@@ -76,13 +75,15 @@ CLASSICAL_ONLY_RULES = ("not-L", "not-R")
 RULE_IDS = ("Id", "Cut", "bot-L", "not-bot-R", *RULES)
 
 
-# system -> side -> (connective, negated) -> (rule, premises, branches)
-_SEARCH: dict = {BD: {LEFT: {}, RIGHT: {}}, CL: {LEFT: {}, RIGHT: {}}}
+# system -> (connective, negated) -> per side, left then right, the
+# (rule, premises, branches) whose principal formula has that shape, or None
+_SEARCH: dict = {BD: {}, CL: {}}
 for _name, _rule in RULES.items():
     for _system in (CL,) if _name in CLASSICAL_ONLY_RULES else (BD, CL):
-        _SEARCH[_system][_rule.side][_rule.conn, _rule.negated] = (
-            _name, _rule.premises, len(_rule.premises(
-                *[BOT] * (1 if _rule.conn == "not" else 2))) > 1)
+        _SEARCH[_system].setdefault((_rule.conn, _rule.negated), [
+            None, None])[_rule.side == RIGHT] = (
+                _name, _rule.premises, len(_rule.premises(
+                    *[BOT] * (1 if _rule.conn == "not" else 2))) > 1)
 
 
 def _principal(rule: Rule, args: tuple) -> App:
@@ -117,66 +118,17 @@ class Derivation:
     premises: tuple["Derivation", ...] = field(default=())
 
 
-def _axiom(left: frozenset, right: frozenset) -> Optional[tuple]:
-    """The axiom step (rule, principal, no premises) closing the sequent."""
-    if not left.isdisjoint(right):
-        return "Id", min(left & right, key=_order), ()
-    if BOT in left:
-        return "bot-L", None, ()
-    return ("not-bot-R", None, ()) if TOP in right else None
-
-
-def _rule(index: dict, side: str, p: Formula) -> Optional[tuple]:
-    """(entry of `index`, the connective's arguments) for the rule that
-    fits p on `side`, a negated shape before plain not-L/not-R; None if no
-    rule fits."""
+def _rule(index: dict, p: Formula) -> Optional[tuple]:
+    """(entry of `index`, the connective's arguments) for the rules that
+    fit p, a negated shape before plain not-L/not-R; None if none fits."""
     if isinstance(p, Var):
         return None
-    rules = index[side]
     if p.conn == "not" and isinstance(p.args[0], App):
-        hit = rules.get((p.args[0].conn, True))
+        hit = index.get((p.args[0].conn, True))
         if hit is not None:
             return hit, p.args[0].args
-    hit = rules.get((p.conn, False))
+    hit = index.get((p.conn, False))
     return hit and (hit, p.args)
-
-
-def _step(left: frozenset, right: frozenset, index: dict, key):
-    """The first one-premise rule of `index` that fits, else the first that
-    fits, as (rule, principal, premises) with each premise a (left, right)
-    pair that drops the principal.  Left formulas come first, in `key` order
-    if a key is given."""
-    branching = None
-    for side, formulas in ((LEFT, left), (RIGHT, right)):
-        for p in sorted(formulas, key=key) if key else formulas:
-            fit = _rule(index, side, p)
-            if fit is not None:
-                if not fit[0][2]:
-                    return _apply(left, right, side, p, *fit)
-                branching = branching or (left, right, side, p, *fit)
-    return branching and _apply(*branching)
-
-
-def _apply(left, right, side, p, hit, args):
-    left, right = ((left - {p}, right) if side == LEFT
-                   else (left, right - {p}))
-    return hit[0], p, [(left.union(ladd), right.union(radd))
-                       for ladd, radd in hit[1](*args)]
-
-
-_order = lru_cache(maxsize=1 << 12)(formula_key)  # keys recur across steps
-
-
-def _walk(seq: Sequent, index: dict, closes, key=None) -> Iterator[tuple]:
-    """(left, right, step) per sequent of the loop, in pre-order: the axiom
-    `closes` finds, else the `_step` applied, else None (an open branch)."""
-    stack = [(seq.left, seq.right)]
-    while stack:
-        left, right = stack.pop()
-        step = closes(left, right) or _step(left, right, index, key)
-        yield left, right, step
-        if step:
-            stack.extend(reversed(step[2]))
 
 
 def _assemble(nodes: list) -> Derivation:
@@ -189,17 +141,18 @@ def _assemble(nodes: list) -> Derivation:
 
 
 class Prover:
-    """Backward proof search by one pass of invertible rules.  Any rule that
-    fits decides a sequent, so `provable` walks bit masks in its own order
-    and `derivation` walks frozensets in `formula_key` order; `memo` holds
-    `provable`'s verdicts.
+    """Backward proof search by one pass of invertible rules, `_search`,
+    over pairs of bit masks: `provable` applies the lowest fitting bit, and
+    `derivation` and `countermodel` the fitting formula of least
+    `formula_key`, whose output then does not depend on the hash seed.
 
-    `provable` gives each formula it meets a bit of `bits`, in the order
-    met (`formulas` lists them), so a sequent is a pair of integers.  Per
-    side (0 left, 1 right), `_one` and `_two` mask the formulas whose rule
-    has one premise or branches, and `_premises` maps a formula's bit to
-    its rule's premises as (left, right) masks, built the first time the
-    rule is applied, so a subformula gets its bit only when reached."""
+    A prover gives each formula it meets a bit of `bits`, in the order met
+    (`formulas` lists them; `_keys` caches the keys compared).  Per side (0
+    left, 1 right), `_one` and `_two` mask the formulas whose rule has one
+    premise or branches, and `_premises` maps a formula's bit to its rule's
+    name and premises as (left, right) masks, last premise first, built
+    when the rule is first applied, so a subformula gets its bit only when
+    reached.  `memo` holds `provable`'s verdicts."""
 
     def __init__(self, system: str):
         if system not in _SEARCH:
@@ -211,15 +164,17 @@ class Prover:
         self.formulas: list = []
         self._one, self._two = [0, 0], [0, 0]
         self._premises: tuple = ({}, {})
-        self._mask((BOT, TOP))  # bits 1 and 2, as `_decide` reads them
+        self._keys: dict = {}
+        self._top = 2  # the right-hand mask that closes a node: top's bit
+        self._mask((BOT, TOP))  # bits 1 and 2, as `_search` reads them
 
     def _new_bit(self, f: Formula) -> int:
         bit = self.bits[f] = 1 << len(self.formulas)
         self.formulas.append(f)
-        for side in 0, 1:
-            fit = _rule(self.index, (LEFT, RIGHT)[side], f)
-            if fit is not None:
-                (self._two if fit[0][2] else self._one)[side] |= bit
+        fit = _rule(self.index, f)
+        for side, hit in enumerate(fit[0] if fit else ()):
+            if hit is not None:
+                (self._two if hit[2] else self._one)[side] |= bit
         return bit
 
     def _mask(self, formulas: Iterable[Formula]) -> int:
@@ -229,24 +184,53 @@ class Prover:
         return mask
 
     def _premises_of(self, bit: int, side: int) -> tuple:
-        (_, premises, _), args = _rule(self.index, (LEFT, RIGHT)[side],
-                                       self.formulas[bit.bit_length() - 1])
-        pairs = self._premises[side][bit] = tuple(
+        hits, args = _rule(self.index, self.formulas[bit.bit_length() - 1])
+        name, premises, _ = hits[side]
+        hit = self._premises[side][bit] = name, tuple(
             (self._mask(ladd), self._mask(radd))
-            for ladd, radd in premises(*args))
-        return pairs
+            for ladd, radd in reversed(premises(*args)))
+        return hit
 
-    def _decide(self, left: int, right: int) -> bool:
-        """Depth first over (left, right) masks: a node closes on a shared
-        bit, bot (bit 1) on the left or top (bit 2) on the right; else the
-        lowest one-premise formula (left, then right), else the lowest
-        branching one, is replaced by its rule's premises.  The first open
-        node that no rule fits gives False."""
-        one, two, premises = self._one, self._two, self._premises
+    def _listed(self, mask: int) -> list:
+        """The formulas of the bits set in mask, lowest bit first."""
+        formulas, listed = self.formulas, []
+        while mask:
+            low = mask & -mask
+            listed.append(formulas[low.bit_length() - 1])
+            mask ^= low
+        return listed
+
+    def _least(self, fits: int) -> int:
+        """The bit of `fits` whose formula has the least key."""
+        if not fits & (fits - 1):
+            return fits
+        keys, fitting = self._keys, self._listed(fits)
+        for f in fitting:
+            if f not in keys:
+                keys[f] = formula_key(f)
+        return self.bits[min(fitting, key=keys.__getitem__)]
+
+    def _search(self, left: int, right: int,
+                nodes: Optional[list] = None) -> Optional[tuple]:
+        """Depth first over (left, right) masks, first premise first: a
+        node closes on a shared bit, bot (bit 1) on the left or `_top` on
+        the right; else the first one-premise formula (left, then right),
+        else the first branching one, gives way to its rule's premises.
+        First is the lowest bit, or with `nodes` the least key, and then
+        `nodes` gets each node in pre-order as (left, right, rule, principal
+        bit or 0, arity), a closed one as Id on the least shared bit, bot-L
+        or not-bot-R.  None if all close, else the first open (left, right)."""
+        one, two, top, rules = self._one, self._two, self._top, self._premises
         stack = [(left, right)]
         while stack:
             left, right = stack.pop()
-            if left & right or left & 1 or right & 2:
+            if left & right or left & 1 or right & top:
+                if nodes is not None:
+                    shared = left & right
+                    nodes.append(
+                        (left, right, "Id", self._least(shared), 0) if shared
+                        else (left, right, "bot-L" if left & 1
+                              else "not-bot-R", 0, 0))
                 continue
             if fits := left & one[0]:
                 side = 0
@@ -257,30 +241,53 @@ class Prover:
             elif fits := right & two[1]:
                 side = 1
             else:
-                return False
-            bit = fits & -fits
-            pairs = premises[side].get(bit) or self._premises_of(bit, side)
+                return left, right
+            bit = fits & -fits if nodes is None else self._least(fits)
+            name, pairs = rules[side].get(bit) or self._premises_of(bit, side)
+            if nodes is not None:
+                nodes.append((left, right, name, bit, len(pairs)))
             if side:
                 right ^= bit
             else:
                 left ^= bit
             stack += [(left | ladd, right | radd) for ladd, radd in pairs]
-        return True
+        return None
 
     def provable(self, seq: Sequent) -> bool:
         hit = self.memo.get(seq)
         if hit is None:
-            hit = self.memo[seq] = self._decide(self._mask(seq.left),
-                                                self._mask(seq.right))
+            hit = self.memo[seq] = self._search(
+                self._mask(seq.left), self._mask(seq.right)) is None
         return hit
 
     def derivation(self, seq: Sequent) -> Optional[Derivation]:
-        nodes = []
-        for left, right, step in _walk(seq, self.index, _axiom, _order):
-            if step is None:
-                return None
-            nodes.append((Sequent(left, right), *step[:2], len(step[2])))
-        return _assemble(nodes)
+        nodes: list = []
+        left, right = self._mask(seq.left), self._mask(seq.right)
+        if self._search(left, right, nodes):
+            return None
+
+        def side(mask: int) -> frozenset:  # the query's sets if unchanged
+            return (seq.left if mask == left else seq.right if mask == right
+                    else frozenset(self._listed(mask)))
+
+        return _assemble([(Sequent(side(lm), side(rm)), rule,
+                           self._listed(bit)[0] if bit else None, n)
+                          for lm, rm, rule, bit, n in nodes])
+
+    def countermodel(self, seq: Sequent) -> Optional[dict]:
+        """Variable -> value designating every left formula and no right
+        one, off the first open branch in key order (None if none): in BD,
+        b, t, f or n as p and ~p, p alone, ~p alone or neither are on its
+        left; in CL, where no ~p stays there, t if p is and f if not."""
+        found = self._search(self._mask(seq.left), self._mask(seq.right), [])
+        if found is None:
+            return None
+        left, bits = found[0], self.bits
+        values = "ft" if self.system == CL else "ntfb"
+        return {v: values[bool(left & bits.get(Var(v), 0))
+                          + 2 * bool(left & bits.get(neg(Var(v)), 0))]
+                for v in sorted(set().union(*map(variables,
+                                                 seq.left | seq.right)))}
 
 
 def prove(seq: Sequent, system: str) -> Optional[Derivation]:
@@ -289,17 +296,8 @@ def prove(seq: Sequent, system: str) -> Optional[Derivation]:
 
 
 def countermodel(seq: Sequent, system: str) -> Optional[dict]:
-    """Variable -> value designating every left formula and no right one,
-    read off the first open branch (None if there is none): in BD, b, t, f
-    or n as p and ~p, p alone, ~p alone or neither are on its left; in CL,
-    where no ~p stays there, t if p is and f if not."""
-    names = sorted(set().union(*map(variables, seq.left | seq.right)))
-    values = "ft" if system == CL else "ntfb"
-    for left, _, step in _walk(seq, Prover(system).index, _axiom, _order):
-        if step is None:
-            return {v: values[(Var(v) in left) + 2 * (neg(Var(v)) in left)]
-                    for v in names}
-    return None
+    """`Prover.countermodel` on a fresh prover."""
+    return Prover(system).countermodel(seq)
 
 
 # ---------------------------------------------------------------------------
@@ -387,11 +385,12 @@ def derived_rule_check(rule: str, system: str = CL) -> bool:
         principal = _principal(spec, args)
         goal = (Sequent.of(left + [principal], []) if spec.side == LEFT
                 else Sequent.of(left, [principal]))
-    index = {side: {shape: hit for shape, hit in rules.items() if not shape[1]}
-             for side, rules in Prover(system).index.items()}
-    closes = lambda l, r: (  # noqa: E731  Id and bot-L, not not-bot-R
-        _axiom(l, r) if not l.isdisjoint(r) or BOT in l else None)
-    return all(step for _, _, step in _walk(goal, index, closes))
+    prover = Prover(system)
+    # Id and bot-L close, top does not; bot and top fit no negated shape
+    prover.index = {shape: hits for shape, hits in prover.index.items()
+                    if not shape[1]}
+    prover._top = 0
+    return prover.provable(goal)
 
 
 # ---------------------------------------------------------------------------

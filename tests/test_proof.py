@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 import time
 from functools import reduce
@@ -13,6 +15,7 @@ from fdekit.proof import (
     CL,
     CLASSICAL_ONLY_RULES,
     LEFT,
+    RIGHT,
     RULES,
     Derivation,
     Prover,
@@ -25,8 +28,8 @@ from fdekit.proof import (
     derived_rule_check,
     prove,
 )
-from fdekit.proof import _axiom, _walk
-from fdekit.syntax import BOT, App, Var, conj, disj, impl, neg, parse
+from fdekit.syntax import (
+    BOT, TOP, App, Var, conj, disj, formula_key, impl, neg, parse, variables)
 
 M = presets.preset("bd-impl-bot")
 MCL = presets.preset("cl-impl-bot")
@@ -304,11 +307,87 @@ def _fresh_formula(rng, depth):
                            for _ in range(1 if conn == "not" else 2)))
 
 
+def _reference_walk(s, system):
+    """The frozenset walk that the mask search replaced: (left, right, step)
+    per sequent in pre-order, first premise first.  The step is the axiom
+    that closes the sequent, else (rule, principal, premises) for the first
+    one-premise rule that fits, else the first rule that fits, else None
+    (an open branch); left formulas come before right ones, each side in
+    `formula_key` order, and a negated shape before plain not-L/not-R."""
+    index = {LEFT: {}, RIGHT: {}}
+    for name, rule in RULES.items():
+        if system == CL or name not in CLASSICAL_ONLY_RULES:
+            index[rule.side][rule.conn, rule.negated] = name, rule.premises
+
+    def fit(side, f):
+        if isinstance(f, Var):
+            return None
+        if f.conn == "not" and isinstance(f.args[0], App):
+            hit = index[side].get((f.args[0].conn, True))
+            if hit is not None:
+                return hit, f.args[0].args
+        hit = index[side].get((f.conn, False))
+        return hit and (hit, f.args)
+
+    def step(left, right):
+        if left & right:
+            return "Id", min(left & right, key=formula_key), ()
+        if BOT in left:
+            return "bot-L", None, ()
+        if TOP in right:
+            return "not-bot-R", None, ()
+        branching = None
+        for side, formulas in ((LEFT, left), (RIGHT, right)):
+            for f in sorted(formulas, key=formula_key):
+                hit = fit(side, f)
+                if hit is not None:
+                    (name, premises), args = hit
+                    adds = premises(*args)
+                    rest = ((left - {f}, right) if side == LEFT
+                            else (left, right - {f}))
+                    applied = name, f, [(rest[0] | set(ladd),
+                                         rest[1] | set(radd))
+                                        for ladd, radd in adds]
+                    if len(adds) == 1:
+                        return applied
+                    branching = branching or applied
+        return branching
+
+    stack = [(s.left, s.right)]
+    while stack:
+        left, right = stack.pop()
+        applied = step(left, right)
+        yield left, right, applied
+        if applied:
+            stack.extend(reversed(applied[2]))
+
+
+def _reference_answers(s, system):
+    """(derivation, countermodel) read off `_reference_walk`; the
+    countermodel as `countermodel` documents it."""
+    nodes = list(_reference_walk(s, system))
+    for left, _, applied in nodes:
+        if applied is None:
+            names = sorted(set().union(*map(variables, s.left | s.right)))
+            values = "ft" if system == CL else "ntfb"
+            return None, {v: values[(Var(v) in left)
+                                    + 2 * (neg(Var(v)) in left)]
+                          for v in names}
+    walk = iter(nodes)
+
+    def build():
+        left, right, (rule, principal, premises) = next(walk)
+        return Derivation(Sequent(left, right), rule, principal,
+                          tuple(build() for _ in premises))
+
+    return build(), None
+
+
 class TestMaskSearch:
     @pytest.mark.parametrize("system", [BD, CL])
     def test_agrees_with_the_frozenset_walk(self, system):
-        # one long-lived prover, so that later sequents reuse the bits and
-        # premises that earlier ones gave it
+        # one long-lived prover, so that later sequents reuse the bits,
+        # premises and keys that earlier ones gave it, and fresh ones
         rng = random.Random(20)
         prover = Prover(system)
         verdicts = []
@@ -316,12 +395,35 @@ class TestMaskSearch:
             s = Sequent.of(*([_fresh_formula(rng, 4)
                               for _ in range(rng.randrange(4))]
                              for _ in "lr"))
-            reference = all(step for _, _, step
-                            in _walk(s, prover.index, _axiom))
+            d, counter = _reference_answers(s, system)
             verdict = prover.provable(s)
-            assert verdict == reference == (prover.derivation(s) is not None)
+            assert verdict == (d is not None)
+            expected = json.dumps(d and derivation_to_json(d, system))
+            for got in (prover.derivation(s), prove(s, system)):
+                assert json.dumps(got and derivation_to_json(got, system)) \
+                    == expected
+            for got in (prover.countermodel(s), countermodel(s, system)):
+                assert json.dumps(got) == json.dumps(counter)
             verdicts.append(verdict)
         assert 300 < sum(verdicts) < 1200
+
+    def test_every_16th_corpus_derivation_is_pinned(self):
+        # one JSON line per proved sequent of the test-07 corpus, BD and
+        # then CL, one prover per system
+        formulas, corpus = _corpus()
+        digest, proved = hashlib.sha256(), 0
+        for system in (BD, CL):
+            prover = Prover(system)
+            for left, right in corpus[::16]:
+                d = prover.derivation(Sequent.of([formulas[i] for i in left],
+                                                 [formulas[j] for j in right]))
+                if d is not None:
+                    proved += 1
+                    digest.update((json.dumps(derivation_to_json(d, system))
+                                   + "\n").encode())
+        assert proved == 31_652
+        assert digest.hexdigest() == ("85216d53e6e23bcd264ccaa1d41ed08e"
+                                      "4e441d4b4ef67a00adc694535c22eeae")
 
     def test_stops_at_the_first_open_branch(self):
         # (a0|b0) & ... & (a17|b17): open leaves listed per formula and
