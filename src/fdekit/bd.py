@@ -9,6 +9,7 @@ family of {not, and, or, impl, bot}-matrices.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -105,7 +106,7 @@ def bd_matrix() -> Matrix:
 def expand(m: Matrix, *connectives: NamedConnective) -> Matrix:
     """m with the named connectives added after its own, in order; a name
     already present or repeated raises DuplicateConnectiveError."""
-    arities, tables = dict(m.signature.connectives), dict(m.tables)
+    arities, tables = dict(m.signature.connectives), dict(m.index_tables)
     for c in connectives:
         if c.name in arities:
             raise DuplicateConnectiveError(
@@ -136,6 +137,7 @@ CELLS: dict[tuple[str, tuple[str, ...]], tuple[str, ...]] = {
     for c in (NOT, AND, OR, IMPL, BOT) for args in c.table
 }
 FREE_CELLS = [cell for cell, outputs in CELLS.items() if len(outputs) == 2]
+FREE_BITS = {cell: bit for bit, cell in enumerate(FREE_CELLS)}
 SR_BITS = len(FREE_CELLS)  # 38
 
 
@@ -144,39 +146,49 @@ def count_strongly_regular() -> int:
     return 2 ** SR_BITS
 
 
+@functools.cache
+def _layout(values: tuple[str, ...]) -> tuple[dict, dict, list]:
+    """For one order of the values: member 0's index tables, each cell's
+    allowed output indices in index-table order, and each free cell's
+    (bit, connective, position, first output index, second)."""
+    position = {v: i for i, v in enumerate(values)}
+    allowed, first, free = {}, {}, []
+    for conn, k in SR_SIGNATURE.connectives.items():
+        cells = list(itertools.product(values, repeat=k))
+        allowed[conn] = [bytes([position[v] for v in CELLS[conn, args]])
+                         for args in cells]
+        free += [(FREE_BITS[conn, args], conn, i, *allowed[conn][i])
+                 for i, args in enumerate(cells) if (conn, args) in FREE_BITS]
+        first[conn] = bytes([ok[0] for ok in allowed[conn]])
+    return first, allowed, free
+
+
 def is_strongly_regular(m: Matrix) -> bool:
     if dict(m.signature.connectives) != dict(SR_SIGNATURE.connectives):
         return False
     if set(m.values) != set(VALUES) or m.designated != DESIGNATED:
         return False
-    return all(m.tables[conn][args] in outputs
-               for (conn, args), outputs in CELLS.items())
-
-
-# Each cell's first output: the tables of member 0, which every member
-# shares outside its set bits.
-_FIRST_OUTPUTS: dict[str, dict[tuple[str, ...], str]] = {
-    conn: {args: CELLS[conn, args][0]
-           for args in itertools.product(VALUES, repeat=k)}
-    for conn, k in SR_SIGNATURE.connectives.items()}
+    _, allowed, _ = _layout(tuple(m.values))
+    return all(v in ok for conn, oks in allowed.items()
+               for v, ok in zip(m.index_tables[conn], oks))
 
 
 def sr_decode(index: int) -> Matrix:
+    """Member 0's index tables with one cell patched per set bit."""
     if not 0 <= index < count_strongly_regular():
         raise IndexOutOfRangeError(f"index {index} is not below 2^{SR_BITS}")
-    tables = {conn: dict(table) for conn, table in _FIRST_OUTPUTS.items()}
-    for bit, (conn, args) in enumerate(FREE_CELLS):
-        if (index >> bit) & 1:
-            tables[conn][args] = CELLS[conn, args][1]
-    return Matrix(VALUES, DESIGNATED, SR_SIGNATURE, tables)
+    first, _, free = _layout(VALUES)
+    tables = {conn: bytearray(table) for conn, table in first.items()}
+    for bit, conn, i, _, second in free:
+        if index >> bit & 1:
+            tables[conn][i] = second
+    return Matrix(VALUES, DESIGNATED, SR_SIGNATURE,
+                  {conn: bytes(table) for conn, table in tables.items()})
 
 
 def sr_encode(m: Matrix) -> int:
     if not is_strongly_regular(m):
         raise NotStronglyRegularError("matrix is not strongly regular")
-    index = 0
-    for bit, cell in enumerate(FREE_CELLS):
-        conn, args = cell
-        if m.tables[conn][args] != CELLS[cell][0]:
-            index |= 1 << bit
-    return index
+    return sum(1 << bit for bit, conn, i, first, _
+               in _layout(tuple(m.values))[2]
+               if m.index_tables[conn][i] != first)

@@ -21,8 +21,8 @@ from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 from .bd import (
-    CELLS, FREE_CELLS, SR_BITS, SR_SIGNATURE, VALUES, count_strongly_regular,
-    sr_decode)
+    CELLS, FREE_BITS, FREE_CELLS, SR_BITS, SR_SIGNATURE, VALUES,
+    count_strongly_regular, sr_decode)
 from .errors import SignatureMismatchError, UnknownNameError
 from .matrix import Matrix, Program, compile_formulas, first_difference
 from .syntax import BOT, TOP, Formula, Var, conj, disj, impl, neg
@@ -93,10 +93,10 @@ def law_by_name(name: str) -> Law:
 
 
 def holds_countermodel(m: Matrix, law: Law) -> Optional[dict]:
-    for conn in SR_SIGNATURE.connectives:
-        if conn not in m.signature:
-            raise SignatureMismatchError(
-                f"law evaluation needs connective {conn!r}")
+    if not m.signature.connectives.keys() >= SR_SIGNATURE.connectives.keys():
+        conn = next(c for c in SR_SIGNATURE.connectives if c not in m.signature)
+        raise SignatureMismatchError(
+            f"law evaluation needs connective {conn!r}")
     return first_difference(m, law.program)
 
 
@@ -106,9 +106,6 @@ def holds(m: Matrix, law: Law) -> bool:
 
 # ---------------------------------------------------------------------------
 # Family filter
-
-_CELL_INDEX = {cell: i for i, cell in enumerate(FREE_CELLS)}
-
 
 def _status(instance: tuple[Program, tuple[str, ...]], bits: list):
     """("sat" | "violated" | "unknown", blocking free-cell indices) of a law
@@ -122,7 +119,7 @@ def _status(instance: tuple[Program, tuple[str, ...]], bits: list):
         known = tuple([vals[a] for a in args])
         key, value = (conn, known), None
         if None not in known:
-            cell = _CELL_INDEX.get(key)
+            cell = FREE_BITS.get(key)
             if cell is None:
                 value = CELLS[key][0]
             elif bits[cell] is None:

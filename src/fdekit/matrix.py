@@ -1,13 +1,15 @@
 """Finite logical matrices: valuations, consequence, clones, simplicity.
 
 A matrix is a finite carrier of truth values, a designated subset, and one
-tabulated interpretation per connective.  One kernel computes truth tables
-as value vectors for consequence, equivalence and the law checks: `bytes`
-holding a value index per point, in `itertools.product` order, so a carrier
-has at most 256 values.  Formulas are compiled once, without recursion,
-into a flat `Program` with one step per distinct subterm, which runs on
-any matrix: each step applies a connective to whole vectors by
-`bytes.translate`, and only a countermodel's point becomes an assignment.
+interpretation per connective, stored as an index table of value indices
+(the dict view by value names is derived from it).  One kernel computes
+truth tables as value vectors for consequence, equivalence and the law
+checks: `bytes` holding a value index per point, in `itertools.product`
+order, so a carrier has at most 256 values.  Formulas are compiled once,
+without recursion, into a flat `Program` with one step per distinct
+subterm, which runs on any matrix: each step applies a connective to whole
+vectors by `bytes.translate`, and only a countermodel's point becomes an
+assignment.
 One closure, `subpower`, computes the subuniverse of a power of the carrier
 generated by the projections p1..pn restricted to some rows (points of
 carrier^n), in order of witness size, so every witness it reports has the
@@ -45,45 +47,51 @@ MAX_CLONE_ARITY = 2
 class Matrix:
     """A finite logical matrix.
 
-    `values` fixes the enumeration order of the carrier, `tables` maps each
-    connective name to a dict from argument-name tuples to a value name
-    (nullary connectives use the empty tuple as key).  They are copied into
-    read-only mappings, so no cached property goes stale.
+    `values` fixes the enumeration order of the carrier.  A table is stored
+    as its index table: `bytes` holding the value index of each argument
+    tuple in radix order (first argument most significant).  It may also be
+    given as its `tables` view, a dict from argument-name tuples to value
+    names, which is built from the index table when first read.  Every
+    mapping is read-only, so no cached property goes stale.
     """
 
     values: tuple[str, ...]
     designated: frozenset[str]
     signature: Signature
-    tables: Mapping[str, Mapping[tuple[str, ...], str]]
+    index_tables: Mapping[str, bytes | Mapping[tuple[str, ...], str]]
 
     def __post_init__(self):
-        carrier = set(self.values)
-        if len(self.values) != len(carrier):
+        values, carrier, nvals = self.values, set(self.values), len(self.values)
+        if nvals != len(carrier):
             raise ValueError("duplicate truth-value names")
-        if len(carrier) > 256:
+        if nvals > 256:
             raise ValueError("more than 256 truth values")
         if not (self.designated and self.designated < carrier):
             raise ValueError("designated set must be non-empty and proper")
-        tables = {}
+        position, tables = {v: i for i, v in enumerate(values)}, {}
         for name, k in self.signature.connectives.items():
-            table = self.tables.get(name)
+            table = self.index_tables.get(name)
             if table is None:
                 raise ValueError(f"missing table for connective {name!r}")
-            if table.keys() != _cells(tuple(self.values), k):
+            if not isinstance(table, bytes):
+                cells = _cells(tuple(values), k)
+                if table.keys() != set(cells):
+                    raise ValueError(f"table for {name!r} has the wrong shape")
+                table = [position.get(table[args], nvals) for args in cells]
+            if len(table) != nvals ** k:
                 raise ValueError(f"table for {name!r} has the wrong shape")
-            if not set(table.values()) <= carrier:
+            if max(table) >= nvals:
                 raise ValueError(f"table for {name!r} leaves the carrier")
-            tables[name] = MappingProxyType(dict(table))
-        object.__setattr__(self, "tables", MappingProxyType(tables))
+            tables[name] = bytes(table)
+        object.__setattr__(self, "index_tables", MappingProxyType(tables))
 
     @cached_property
-    def index_tables(self) -> Mapping[str, bytes]:
-        """Each table as value indices, its argument tuples in radix order
-        (first argument most significant)."""
-        position = {v: i for i, v in enumerate(self.values)}
+    def tables(self) -> Mapping[str, Mapping[tuple[str, ...], str]]:
+        """Each table as a dict from argument-name tuples to a value name."""
         return MappingProxyType({
-            name: bytes([position[self.tables[name][args]]
-                         for args in itertools.product(self.values, repeat=k)])
+            name: MappingProxyType(dict(zip(
+                _cells(tuple(self.values), k),
+                [self.values[i] for i in self.index_tables[name]])))
             for name, k in self.signature.connectives.items()})
 
     @cached_property
@@ -99,9 +107,9 @@ class Matrix:
 
 
 @functools.cache
-def _cells(values: tuple[str, ...], k: int) -> frozenset[tuple[str, ...]]:
-    """The argument tuples a k-ary table over the carrier must have."""
-    return frozenset(itertools.product(values, repeat=k))
+def _cells(values: tuple[str, ...], k: int) -> tuple[tuple[str, ...], ...]:
+    """A k-ary table's argument tuples in radix order, shared by matrices."""
+    return tuple(itertools.product(values, repeat=k))
 
 
 def _interpreted(m: Matrix, conn: str, arity: int) -> None:
@@ -222,24 +230,47 @@ def _first_point(m: Matrix, program: Program,
                  mask: Callable[[list[bytes], int], int]) -> Optional[dict]:
     """The assignment at the first point where mask(the program's formula
     vectors, their length) has a nonzero big-endian byte, blocks built in
-    order."""
+    order; a program with at most `_BLOCK_VARS` variables is one block."""
+    conns = m.signature.connectives
     for conn, arity in program.connectives:
-        _interpreted(m, conn, arity)
+        if conns.get(conn) != arity:
+            _interpreted(m, conn, arity)
     names, tables = program.names, m.byte_tables
     nvals, lead = len(m.values), max(0, len(names) - _BLOCK_VARS)
     npoints = nvals ** (len(names) - lead)
     tail = _projections(nvals, len(names) - lead)
+    if not lead:
+        bits = _block(program, tables, nvals, npoints, list(tail), mask)
+        start = npoints - 1 - (bits.bit_length() - 1) // 8
+        return next(assignments(m, names, start)) if bits else None
     for i, prefix in enumerate(itertools.product(range(nvals), repeat=lead)):
         vectors = [bytes([v]) * npoints for v in prefix]
         vectors += tail
-        for conn, args in program.steps:
-            vectors.append(_compose(tables[conn], nvals, npoints,
-                                    [vectors[a] for a in args]))
-        bits = mask([vectors[s] for s in program.slots], npoints)
+        bits = _block(program, tables, nvals, npoints, vectors, mask)
         if bits:
             start = (i + 1) * npoints - 1 - (bits.bit_length() - 1) // 8
             return next(assignments(m, names, start))
     return None
+
+
+def _block(program: Program, tables: Mapping[str, bytes], nvals: int,
+           npoints: int, vectors: list[bytes],
+           mask: Callable[[list[bytes], int], int]) -> int:
+    """mask(the program's formula vectors, npoints) on one block, given
+    its variables' `vectors`; unary and binary steps inline `_compose`."""
+    for conn, args in program.steps:
+        table = tables[conn]
+        if len(args) == 1:
+            vectors.append(vectors[args[0]].translate(table))
+        elif len(args) == 2 and len(table) == 256:
+            a, b = args
+            packed = (int.from_bytes(vectors[a], "big") * nvals
+                      + int.from_bytes(vectors[b], "big"))
+            vectors.append(packed.to_bytes(npoints, "big").translate(table))
+        else:
+            vectors.append(_compose(table, nvals, npoints,
+                                    [vectors[a] for a in args]))
+    return mask([vectors[s] for s in program.slots], npoints)
 
 
 def consequence_countermodel(

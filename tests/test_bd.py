@@ -5,9 +5,13 @@ import random
 
 import pytest
 
-from fdekit import bd, presets
-from fdekit.errors import IndexOutOfRangeError, NotStronglyRegularError
-from fdekit.matrix import matrix_to_json
+from fdekit import bd, laws, presets
+from fdekit.errors import (
+    IndexOutOfRangeError,
+    NotStronglyRegularError,
+    SignatureMismatchError,
+)
+from fdekit.matrix import Matrix, matrix_from_json, matrix_to_json
 
 # The family index of the implication-falsity expansion of the base
 # matrix under the documented bit layout, frozen as a regression constant.
@@ -146,6 +150,91 @@ class TestStronglyRegularFamily:
         assert bd.FREE_CELLS[2] == ("and", ("t", "b"))
         assert bd.FREE_CELLS[14] == ("or", ("t", "b"))
         assert bd.FREE_CELLS[26] == ("impl", ("t", "b"))
+
+
+def _reference_decode(index):
+    """The dict-building decoder: every cell's first output, then the
+    second output of each free cell whose bit is set."""
+    tables = {conn: {args: bd.CELLS[conn, args][0]
+                     for args in itertools.product(bd.VALUES, repeat=k)}
+              for conn, k in bd.SR_SIGNATURE.connectives.items()}
+    for bit, (conn, args) in enumerate(bd.FREE_CELLS):
+        if (index >> bit) & 1:
+            tables[conn][args] = bd.CELLS[conn, args][1]
+    return tables
+
+
+def _relisted(m, order):
+    """m read back from JSON that lists its values in `order`."""
+    def nest(name, k, prefix):
+        if len(prefix) == k:
+            return m.tables[name][prefix]
+        return [nest(name, k, prefix + (v,)) for v in order]
+
+    data = matrix_to_json(m)
+    data["values"] = list(order)
+    for name, entry in data["connectives"].items():
+        entry["table"] = nest(name, entry["arity"], ())
+    return matrix_from_json(data)
+
+
+def _decoder_inputs():
+    rng = random.Random(20261019)
+    return ([0, 2 ** 38 - 1] + [1 << bit for bit in range(bd.SR_BITS)]
+            + [rng.randrange(2 ** 38) for _ in range(500)])
+
+
+class TestByteDecoder:
+    def test_matches_reference_decoder(self):
+        for index in _decoder_inputs():
+            m, tables = bd.sr_decode(index), _reference_decode(index)
+            ref = Matrix(bd.VALUES, bd.DESIGNATED, bd.SR_SIGNATURE, tables)
+            assert m == ref, index
+            assert m.tables == tables, index
+            assert m.index_tables == ref.index_tables, index
+            assert matrix_to_json(m) == matrix_to_json(ref), index
+            assert bd.is_strongly_regular(m) and bd.is_strongly_regular(ref)
+            assert bd.sr_encode(m) == bd.sr_encode(ref) == index
+
+    def test_lazy_tables_are_read_only(self):
+        m = bd.sr_decode(BD_IMPL_BOT_INDEX)
+        with pytest.raises(TypeError):
+            m.tables["not"][("t",)] = "t"
+        with pytest.raises(TypeError):
+            m.tables["not"] = {}
+        with pytest.raises(TypeError):
+            m.index_tables["not"] = b"\0\0\0\0"
+
+    def test_other_value_order(self):
+        order = ("f", "t", "b", "n")
+        for index in _decoder_inputs()[:60]:
+            m = bd.sr_decode(index)
+            relisted = _relisted(m, order)
+            assert relisted.values == order and relisted.tables == m.tables
+            assert bd.is_strongly_regular(relisted)
+            assert bd.sr_encode(relisted) == index
+
+    @pytest.mark.parametrize("order", [bd.VALUES, ("f", "t", "b", "n")],
+                             ids=["canonical", "f-t-b-n"])
+    def test_cell_outside_its_outputs_is_rejected(self, order):
+        m = bd.sr_decode(BD_IMPL_BOT_INDEX)
+        for (conn, args), outputs in bd.CELLS.items():
+            for wrong in [v for v in bd.VALUES if v not in outputs]:
+                tables = {c: dict(t) for c, t in m.tables.items()}
+                tables[conn][args] = wrong
+                bad = _relisted(Matrix(bd.VALUES, bd.DESIGNATED,
+                                       bd.SR_SIGNATURE, tables), order)
+                assert not bd.is_strongly_regular(bad), (conn, args, wrong)
+                with pytest.raises(NotStronglyRegularError):
+                    bd.sr_encode(bad)
+
+    def test_holds_names_the_missing_connective(self):
+        data = matrix_to_json(bd.sr_decode(BD_IMPL_BOT_INDEX))
+        del data["connectives"]["impl"]
+        m = matrix_from_json(data)
+        with pytest.raises(SignatureMismatchError) as e:
+            laws.holds(m, laws.law_by_name("double-negation"))
+        assert str(e.value) == "law evaluation needs connective 'impl'"
 
 
 def test_presets_unchanged():

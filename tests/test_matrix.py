@@ -607,6 +607,21 @@ class TestValidation:
         with pytest.raises(ValueError):
             _not_matrix(**change)
 
+    @pytest.mark.parametrize("table, error", [
+        (b"\1\0\2", "has the wrong shape"),
+        (b"\1\0\2\3\3", "has the wrong shape"),
+        (b"\1\0\2\4", "leaves the carrier"),
+    ], ids=["short", "long", "outside"])
+    def test_malformed_index_table_raises(self, table, error):
+        with pytest.raises(ValueError, match=error):
+            Matrix(BD.values, BD.designated, Signature({"not": 1}),
+                   {"not": table})
+
+    def test_index_table_input(self):
+        m = Matrix(BD.values, BD.designated, Signature({"not": 1}),
+                   {"not": BD.index_tables["not"]})
+        assert m == _not_matrix() and m.tables["not"] == BD.tables["not"]
+
     def test_missing_table(self):
         with pytest.raises(ValueError, match="missing table"):
             Matrix(BD.values, BD.designated, Signature({"not": 1}), {})
