@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -55,8 +56,8 @@ class NamedConnective:
 
 
 def _connective(name: str, arity: int, fn) -> NamedConnective:
-    return NamedConnective(name, arity, {
-        args: fn(*args) for args in itertools.product(VALUES, repeat=arity)})
+    return NamedConnective(name, arity, MappingProxyType({
+        args: fn(*args) for args in itertools.product(VALUES, repeat=arity)}))
 
 
 NOT = _connective("not", 1, lambda a: {"t": "f", "f": "t"}.get(a, a))
@@ -164,7 +165,7 @@ def _layout(values: tuple[str, ...]) -> tuple[dict, dict, list]:
 
 
 def is_strongly_regular(m: Matrix) -> bool:
-    if dict(m.signature.connectives) != dict(SR_SIGNATURE.connectives):
+    if m.signature.connectives != SR_SIGNATURE.connectives:
         return False
     if set(m.values) != set(VALUES) or m.designated != DESIGNATED:
         return False

@@ -44,8 +44,14 @@ def _parse_sequent(text: str, sig: syntax.Signature):
     return _parse_side(left, sig), _parse_side(right, sig)
 
 
-def _emit(args, data: dict, text: str) -> None:
+def _emit(args, data, text: str) -> None:
     print(json.dumps(data) if args.json else text)
+
+
+def _verdict(args, ok: bool, data, text: str) -> int:
+    """Print a yes-no verdict; exit 0 for yes and 1 for no."""
+    _emit(args, data, text)
+    return EXIT_OK if ok else EXIT_NO
 
 
 # ---------------------------------------------------------------------------
@@ -102,12 +108,10 @@ def cmd_eval(args) -> int:
 
 def _countermodel_verdict(args, key: str, counter, no: str = "NO") -> int:
     if counter is None:
-        _emit(args, {key: True}, "YES")
-        return EXIT_OK
+        return _verdict(args, True, {key: True}, "YES")
     shown = ", ".join(f"{k}={v}" for k, v in sorted(counter.items()))
-    _emit(args, {key: False, "countermodel": counter},
-          f"{no}  countermodel: {shown}")
-    return EXIT_NO
+    return _verdict(args, False, {key: False, "countermodel": counter},
+                    f"{no}  countermodel: {shown}")
 
 
 @command("entails", "decide a consequence query", MATRIX,
@@ -134,8 +138,8 @@ def cmd_synonymous(args) -> int:
     a = syntax.parse(args.lhs, m.signature)
     b = syntax.parse(args.rhs, m.signature)
     verdict = definability.synonymous(m, a, b)
-    _emit(args, {"synonymous": verdict}, "YES" if verdict else "NO")
-    return EXIT_OK if verdict else EXIT_NO
+    return _verdict(args, verdict, {"synonymous": verdict},
+                    "YES" if verdict else "NO")
 
 
 @command("definable", "is a connective definable from others?",
@@ -147,12 +151,11 @@ def cmd_definable(args) -> int:
     verdict = definability.definable(m, args.target, allowed)
     if verdict.definable:
         witness = syntax.print_formula(verdict.witness)
-        _emit(args, {"definable": True, "witness": witness},
-              f"DEFINABLE  witness: {witness}")
-        return EXIT_OK
-    _emit(args, {"definable": False, "reason": verdict.reason},
-          f"NOT DEFINABLE  reason: {verdict.reason}")
-    return EXIT_NO
+        return _verdict(args, True, {"definable": True, "witness": witness},
+                        f"DEFINABLE  witness: {witness}")
+    reason = verdict.reason
+    return _verdict(args, False, {"definable": False, "reason": reason},
+                    f"NOT DEFINABLE  reason: {reason}")
 
 
 @command("interdef", "interdefinability of two logics",
@@ -161,9 +164,8 @@ def cmd_definable(args) -> int:
 def cmd_interdef(args) -> int:
     verdict = definability.interdefinable(
         _get_matrix(args.a), _get_matrix(args.b), _get_matrix(args.common))
-    _emit(args, {"interdefinable": verdict},
-          "INTERDEFINABLE" if verdict else "NOT INTERDEFINABLE")
-    return EXIT_OK if verdict else EXIT_NO
+    return _verdict(args, verdict, {"interdefinable": verdict},
+                    "INTERDEFINABLE" if verdict else "NOT INTERDEFINABLE")
 
 
 @command("clone", "list term functions of an arity",
@@ -222,29 +224,31 @@ def _print_derivation(d: proof.Derivation) -> None:
 @command("check", "check a derivation JSON file",
          _arg("file", help="path or - for stdin"))
 def cmd_check(args) -> int:
-    with open(args.file) if args.file != "-" else sys.stdin as fh:
-        try:
+    try:
+        with open(args.file, encoding="utf-8") if args.file != "-" \
+                else sys.stdin as fh:
             data = json.load(fh)
-        except RecursionError:
-            raise FdekitError("malformed derivation: JSON nests too deeply") \
-                from None
+    except RecursionError:
+        raise FdekitError("malformed derivation: JSON nests too deeply") \
+            from None
+    except (OSError, ValueError) as e:
+        raise FdekitError(
+            f"cannot read derivation file {args.file}: {e}") from None
     d, system = proof.derivation_from_json(
         data, lambda s: syntax.parse(s, bd.SR_SIGNATURE))
     ok, path = proof.check_with_path(d, system)
     if ok:
-        _emit(args, {"valid": True}, "VALID")
-        return EXIT_OK
-    _emit(args, {"valid": False, "path": path},
-          f"INVALID  first offending node at path {path}")
-    return EXIT_NO
+        return _verdict(args, True, {"valid": True}, "VALID")
+    return _verdict(args, False, {"valid": False, "path": path},
+                    f"INVALID  first offending node at path {path}")
 
 
 @command("derived-rule", "is a negation rule derivable?",
          _system(proof.CL), _arg("rule"))
 def cmd_derived_rule(args) -> int:
     verdict = proof.derived_rule_check(args.rule, args.system)
-    _emit(args, {"derived": verdict}, "DERIVED" if verdict else "NOT DERIVED")
-    return EXIT_OK if verdict else EXIT_NO
+    return _verdict(args, verdict, {"derived": verdict},
+                    "DERIVED" if verdict else "NOT DERIVED")
 
 
 @command("count-sr", "size of the strongly regular family")
@@ -297,15 +301,11 @@ def cmd_laws_filter(args) -> int:
 
 @command("repro", "run the full reproducibility checklist")
 def cmd_repro(args) -> int:
-    results = []
-    for name, check in claims.CLAIMS:
-        ok = bool(check())
-        results.append({"item": name, "pass": ok})
-        if not args.json:
-            print(f"{'PASS' if ok else 'FAIL'}  {name}")
-    if args.json:
-        print(json.dumps(results))
-    return EXIT_OK if all(r["pass"] for r in results) else EXIT_NO
+    results = [{"item": name, "pass": bool(check())}
+               for name, check in claims.CLAIMS]
+    text = "\n".join(f"{'PASS' if r['pass'] else 'FAIL'}  {r['item']}"
+                     for r in results)
+    return _verdict(args, all(r["pass"] for r in results), results, text)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +334,7 @@ def main(argv=None) -> int:
         return EXIT_ERROR if e.code else EXIT_OK
     try:
         return args.fn(args)
-    except (FdekitError, ValueError, OSError, json.JSONDecodeError) as e:
+    except (FdekitError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
 

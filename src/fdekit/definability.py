@@ -1,12 +1,16 @@
 """Synonymity, connective definability, and interdefinability of logics.
 
-For logics induced by a simple matrix, synonymity coincides with the
-induced equivalence relation, so both are decided by exhaustive valuation
-enumeration.  Definability of a connective reduces to membership of its
-table in the term-function clone over the allowed connectives.  A logic
-is given by its own matrix, whose signature holds its connectives; two
-logics are compared inside a common matrix that expands both
-(`matrix.is_expansion`), as the paper's interdefinability asks.
+A matrix is simple when it is reduced: its Leibniz congruence is the
+identity, so a unary polynomial separates every two values (see
+`matrix.simplicity`).  For logics induced by a simple matrix, synonymity
+coincides with the induced equivalence relation, since a context can hold
+a polynomial's fixed values in fresh variables, so both are decided by
+exhaustive valuation enumeration.  Definability of a connective reduces to
+membership of its table in the term-function clone over the allowed
+connectives.  A logic is given by its own matrix, whose signature holds
+its connectives; two logics are compared inside a common matrix that
+expands both (`matrix.is_expansion`), as the paper's interdefinability
+asks.
 
 `definable` climbs one ladder of closures, each `matrix.subpower` on some
 rows of the target's table (points of carrier^n), stopped as soon as the
@@ -33,6 +37,7 @@ from typing import Iterable, Optional
 from .bd import NamedConnective, bd_matrix
 from .errors import (
     ArityCapError,
+    InvalidInputError,
     NotBdExpansionError,
     NotCommonExpansionError,
     NotSimpleError,
@@ -93,9 +98,9 @@ def definable(m: Matrix, target: str,
     `matrix.MAX_CLONE_ARITY` raises `ArityCapError`."""
     allowed = sorted(set(allowed))
     if target not in m.signature:
-        raise ValueError(f"target {target!r} not in the signature")
+        raise InvalidInputError(f"target {target!r} not in the signature")
     if target in allowed:
-        raise ValueError("allowed set must not contain the target")
+        raise InvalidInputError("allowed set must not contain the target")
     if not m.simple:
         raise NotSimpleError("definability needs a simple matrix")
     n, nvals = m.signature.arity(target), len(m.values)

@@ -5,6 +5,11 @@ class FdekitError(Exception):
     """Base class for all errors raised by fdekit."""
 
 
+class InvalidInputError(FdekitError, ValueError):
+    """A matrix, signature or definability query is malformed; also a
+    `ValueError`."""
+
+
 class ParseError(FdekitError):
     """Concrete-syntax error, with a 0-based character position."""
 

@@ -8,14 +8,16 @@ checks: `bytes` holding a value index per point, in `itertools.product`
 order, so a carrier has at most 256 values.  Formulas are compiled once,
 without recursion, into a flat `Program` with one step per distinct
 subterm, which runs on any matrix: each step applies a connective to whole
-vectors by `bytes.translate`, and only a countermodel's point becomes an
-assignment.
+vectors by `bytes.translate`, one block of at most `_BLOCK_POINTS` points
+at a time, and only a countermodel's point becomes an assignment.
 One closure, `subpower`, computes the subuniverse of a power of the carrier
 generated by the projections p1..pn restricted to some rows (points of
 carrier^n), in order of witness size, so every witness it reports has the
 least size: the n-ary clone is the one on all the rows, and two values are
-separated by a unary term iff the one on the two rows (a) and (b) holds a
-pair with exactly one designated component, which decides simplicity.
+separated by a unary polynomial iff the one on the rows (a, 0, ..., n-1)
+and (b, 0, ..., n-1) holds a pair with exactly one designated component,
+which decides simplicity (Leibniz reducedness); the closure on the rows
+(a) and (b), of unary terms only, is tried first.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .errors import (
     ArityCapError,
     DegenerateDesignatedError,
     FdekitError,
+    InvalidInputError,
     NotClosedError,
     SignatureMismatchError,
     UnboundVariableError,
@@ -63,25 +66,30 @@ class Matrix:
     def __post_init__(self):
         values, carrier, nvals = self.values, set(self.values), len(self.values)
         if nvals != len(carrier):
-            raise ValueError("duplicate truth-value names")
+            raise InvalidInputError("duplicate truth-value names")
         if nvals > 256:
-            raise ValueError("more than 256 truth values")
+            raise InvalidInputError("more than 256 truth values")
         if not (self.designated and self.designated < carrier):
-            raise ValueError("designated set must be non-empty and proper")
+            raise InvalidInputError(
+                "designated set must be non-empty and proper")
         position, tables = {v: i for i, v in enumerate(values)}, {}
         for name, k in self.signature.connectives.items():
             table = self.index_tables.get(name)
             if table is None:
-                raise ValueError(f"missing table for connective {name!r}")
+                raise InvalidInputError(
+                    f"missing table for connective {name!r}")
             if not isinstance(table, bytes):
                 cells = _cells(tuple(values), k)
                 if table.keys() != set(cells):
-                    raise ValueError(f"table for {name!r} has the wrong shape")
+                    raise InvalidInputError(
+                        f"table for {name!r} has the wrong shape")
                 table = [position.get(table[args], nvals) for args in cells]
             if len(table) != nvals ** k:
-                raise ValueError(f"table for {name!r} has the wrong shape")
+                raise InvalidInputError(
+                    f"table for {name!r} has the wrong shape")
             if max(table) >= nvals:
-                raise ValueError(f"table for {name!r} leaves the carrier")
+                raise InvalidInputError(
+                    f"table for {name!r} leaves the carrier")
             tables[name] = bytes(table)
         object.__setattr__(self, "index_tables", MappingProxyType(tables))
 
@@ -141,8 +149,8 @@ def assignments(m: Matrix, names: Iterable[str],
 
 @functools.cache
 def _projections(nvals: int, k: int) -> tuple[bytes, ...]:
-    """The vectors of k variables, the first one most significant; k is at
-    most `_BLOCK_VARS`, so the cache stays small."""
+    """The vectors of k variables, the first one most significant; nvals^k
+    is at most `_BLOCK_POINTS`, so the cache stays small."""
     return tuple(b"".join(bytes([v]) * nvals ** (k - 1 - i)
                           for v in range(nvals)) * nvals ** i
                  for i in range(k))
@@ -221,28 +229,33 @@ def compile_formulas(formulas: Iterable[Formula]) -> Program:
                           for f in formulas]), tuple(connectives))
 
 
-# Variables that vary within one block of points: a vector covers one block
-# at a time, so memory stays bounded however many variables a query has.
-_BLOCK_VARS = 8
+# Points of one block: a vector covers one block at a time, so memory stays
+# bounded however many variables a query has and however many values.
+_BLOCK_POINTS = 4 ** 8
 
 
 def _first_point(m: Matrix, program: Program,
                  mask: Callable[[list[bytes], int], int]) -> Optional[dict]:
     """The assignment at the first point where mask(the program's formula
     vectors, their length) has a nonzero big-endian byte, blocks built in
-    order; a program with at most `_BLOCK_VARS` variables is one block."""
+    order; a program with at most `_BLOCK_POINTS` points is one block, and
+    otherwise each block fixes the fewest leading variables that fit."""
     conns = m.signature.connectives
     for conn, arity in program.connectives:
         if conns.get(conn) != arity:
             _interpreted(m, conn, arity)
     names, tables = program.names, m.byte_tables
-    nvals, lead = len(m.values), max(0, len(names) - _BLOCK_VARS)
-    npoints = nvals ** (len(names) - lead)
-    tail = _projections(nvals, len(names) - lead)
-    if not lead:
-        bits = _block(program, tables, nvals, npoints, list(tail), mask)
+    nvals, lead = len(m.values), 0
+    npoints = nvals ** len(names)
+    if npoints <= _BLOCK_POINTS:
+        bits = _block(program, tables, nvals, npoints,
+                      list(_projections(nvals, len(names))), mask)
         start = npoints - 1 - (bits.bit_length() - 1) // 8
         return next(assignments(m, names, start)) if bits else None
+    while npoints > _BLOCK_POINTS:
+        lead += 1
+        npoints //= nvals
+    tail = _projections(nvals, len(names) - lead)
     for i, prefix in enumerate(itertools.product(range(nvals), repeat=lead)):
         vectors = [bytes([v]) * npoints for v in prefix]
         vectors += tail
@@ -383,7 +396,9 @@ class TermFunction:
 
     The flat table is indexed by the radix-|carrier| encoding of the
     argument tuple (first argument most significant); witnesses use the
-    variables p1..pn.
+    variables p1..pn.  A separator of `simplicity` has arity 1, and its
+    witness may be a unary polynomial: p(k+2) in it stands for the value
+    of index k.
     """
 
     arity: int
@@ -407,15 +422,19 @@ def term_functions(m: Matrix, n: int,
 # Simplicity
 
 def simplicity(m: Matrix) -> tuple[bool, dict[frozenset, TermFunction]]:
-    """Decide simplicity by closing each pair of values.
+    """Decide simplicity, that is reducedness: the Leibniz congruence, the
+    largest congruence compatible with the designated set, is the identity.
 
-    Tuples differing at position i are separated by a unary separator of
-    the differing pair composed with the i-th projection, so a matrix is
-    simple iff a unary term function separates (w.r.t. designatedness) each
-    pair of distinct values.  The pairs (t(a), t(b)) over unary terms t are
-    the subpower of carrier^2 generated by (a, b) and the constants, so a
-    and b are separated iff it holds a pair with one designated component;
-    the closure stops there, and that pair's witness is the separator.
+    Two values a and b are congruent iff no unary polynomial (a term whose
+    other variables are held at fixed values) designates exactly one of
+    them, so unary term functions alone do not decide simplicity.  The
+    pairs (t(a), t(b)) over unary terms t are the subpower of carrier^2
+    generated by (a, b) and the constants, closed first; only if it holds
+    no pair with exactly one designated component is it closed again on the
+    rows (a, 0, ..., n-1) and (b, 0, ..., n-1), whose projections p2..p(n+1)
+    are the constant pairs of the values, so that it holds (t(a), t(b)) for
+    every unary polynomial t.  Each closure stops at the first separated
+    pair, and that pair's witness is the separator.
 
     Returns (simple?, separator per unordered pair); a non-simple matrix's
     map stops before the first pair, in carrier order, with no separator.
@@ -423,17 +442,24 @@ def simplicity(m: Matrix) -> tuple[bool, dict[frozenset, TermFunction]]:
     conns, nvals = m.signature.connectives, len(m.values)
     designated = [v in m.designated for v in m.values]
     separators: dict[frozenset, TermFunction] = {}
+    # each variable's table: p1 is the argument, p(k+2) the constant k
+    columns = {f"p{i + 1}": bytes(column) for i, column in enumerate(
+        zip(*[(v, *range(nvals)) for v in range(nvals)]))}
     for a, b in itertools.combinations(range(nvals), 2):
-        found = subpower(m, conns, [(a,), (b,)],
-                         lambda t: designated[t[0]] != designated[t[1]])
-        (x, y), witness = next(reversed(found.items()))
-        if designated[x] == designated[y]:
+        # unary terms first, then unary polynomials
+        for rows in ([(a,), (b,)], [(a, *range(nvals)), (b, *range(nvals))]):
+            found = subpower(m, conns, rows,
+                             lambda t: designated[t[0]] != designated[t[1]])
+            (x, y), witness = next(reversed(found.items()))
+            if designated[x] != designated[y]:
+                break
+        else:
             return False, separators
         # every witness's table in discovery order, its arguments' first,
         # so a witness that shares its arguments costs its distinct nodes
         tables: dict[int, bytes] = {}
         for w in found.values():
-            tables[id(w)] = bytes(range(nvals)) if isinstance(w, Var) else (
+            tables[id(w)] = columns[w.name] if isinstance(w, Var) else (
                 _compose(m.byte_tables[w.conn], nvals, nvals,
                          [tables[id(u)] for u in w.args]))
         table = tables[id(witness)]
@@ -506,7 +532,9 @@ def matrix_from_json(data) -> Matrix:
         return isinstance(x, list) and all(isinstance(v, str) for v in x)
 
     need(isinstance(data, dict), "a matrix must be an object")
-    need(names(data.get("values")), "'values' must be a list of strings")
+    # an empty carrier leaves no cells, and the flattening below would spin
+    need(names(data.get("values")) and data["values"],
+         "'values' must be a non-empty list of strings")
     need(names(data.get("designated")),
          "'designated' must be a list of strings")
     connectives = data.get("connectives")
@@ -521,21 +549,15 @@ def matrix_from_json(data) -> Matrix:
         need(type(k) is int and k >= 0,
              f"the arity of {name!r} must be a non-negative integer")
         arities[name] = k
-        table = {}
-
-        def walk(node, prefix):
-            if len(prefix) == k:
-                need(isinstance(node, str),
-                     f"table entries of {name!r} must be strings")
-                table[prefix] = node
-                return
-            need(isinstance(node, list) and len(node) == len(values),
-                 f"malformed table for {name!r}")
-            for v, child in zip(values, node):
-                walk(child, prefix + (v,))
-
-        walk(entry["table"], ())
-        tables[name] = table
+        # one nesting level per argument, cells in `itertools.product` order
+        cells = [entry["table"]]
+        for _ in range(k):
+            need(all(isinstance(c, list) and len(c) == len(values)
+                     for c in cells), f"malformed table for {name!r}")
+            cells = [c for row in cells for c in row]
+        need(all(isinstance(c, str) for c in cells),
+             f"table entries of {name!r} must be strings")
+        tables[name] = dict(zip(_cells(values, k), cells))
     return Matrix(values, frozenset(data["designated"]), Signature(arities),
                   tables)
 

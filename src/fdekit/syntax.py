@@ -11,7 +11,8 @@ Grammar (`->` is right-associative and binds weakest):
 
 The parser reads this grammar by operator precedence, without recursion,
 from one token list made in one regular-expression pass; token positions
-are computed only for an error message.
+are computed only for an error message.  Precedence and associativity are
+stated once, in `_INFIX`, which both `parse` and `print_formula` read.
 
 `top` is an abbreviation for `~bot` and is expanded while parsing; the AST
 has no node for it.  Any identifier naming a unary connective of the
@@ -24,10 +25,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping, Union
 
 from .errors import (
     ArityMismatchError,
+    InvalidInputError,
     ParseError,
     UnknownConnectiveError,
 )
@@ -41,16 +44,20 @@ KEYWORDS = frozenset(
 
 @dataclass(frozen=True)
 class Signature:
-    """A finite map from connective names to arities."""
+    """A finite map from connective names to arities, kept as a read-only
+    copy."""
 
     connectives: Mapping[str, int]
 
     def __post_init__(self):
+        object.__setattr__(self, "connectives",
+                           MappingProxyType(dict(self.connectives)))
         if not self.connectives:
-            raise ValueError("a signature needs at least one connective")
+            raise InvalidInputError(
+                "a signature needs at least one connective")
         for name, arity in self.connectives.items():
             if arity < 0:
-                raise ValueError(f"negative arity for {name!r}")
+                raise InvalidInputError(f"negative arity for {name!r}")
 
     def __contains__(self, name: str) -> bool:
         return name in self.connectives
@@ -219,9 +226,15 @@ def _position(text: str, i: int) -> int:
 # recursion limit.
 MAX_NESTING = 100
 
-# binary operator -> (connective, binding level, least level it reduces);
-# `->` reduces no pending `->`, which makes it right-associative
-_BINARY = {"->": ("impl", 1, 2), "|": ("or", 2, 2), "&": ("and", 3, 3)}
+# binary connective -> (spaced symbol, binding level, least level of its
+# left and right operand that needs no parentheses): `&` and `|` associate
+# to the left, `->` to the right; `parse` reduces a pending operator whose
+# level reaches the next operator's left-operand level
+_INFIX = {"impl": (" -> ", 1, 2, 1), "or": (" | ", 2, 2, 3),
+          "and": (" & ", 3, 3, 4)}
+# binary operator token -> (connective, binding level, least level it reduces)
+_BINARY = {symbol.strip(): (conn, level, left)
+           for conn, (symbol, level, left, _) in _INFIX.items()}
 _PREFIX = 4  # a prefix operator binds tightest; a "(" has level 0
 
 # tokens that are not variables, whatever the signature
@@ -332,18 +345,9 @@ def parse(text: str, sig: Signature) -> Formula:
 # ---------------------------------------------------------------------------
 # Printing
 
-# Binding strength; parent levels force parentheses on weaker children.
-_LEVEL = {"impl": 1, "or": 2, "and": 3}
-
-# binary connective -> (symbol, least level of its left and right operand
-# that needs no parentheses): `&` and `|` associate to the left, `->` to
-# the right
-_INFIX = {"and": (" & ", 3, 4), "or": (" | ", 2, 3), "impl": (" -> ", 2, 1)}
-
-
 def print_formula(f: Formula) -> str:
     """f with the fewest parentheses that parse back to it, built without
-    recursion.  Variables, constants and prefix operators have level 4."""
+    recursion.  Variables, constants and prefix operators have `_PREFIX`."""
     parts: list[str] = []
     # text, or (an App, the least level it may have without parentheses)
     stack: list = [f.name if type(f) is Var else (f, 0)]
@@ -357,16 +361,16 @@ def print_formula(f: Formula) -> str:
         if not args:
             parts.append(conn)
             continue
-        if _LEVEL.get(conn, 4) < least:
+        a, infix = args[0], _INFIX.get(conn)
+        if infix is None:  # unary prefix
+            parts.append("~" if conn == "not" else conn + " ")
+            stack.append(a.name if type(a) is Var else (a, _PREFIX))
+            continue
+        symbol, level, left, right = infix
+        if level < least:
             parts.append("(")
             stack.append(")")
-        if conn in _INFIX:
-            symbol, left, right = _INFIX[conn]
-            a, b = args[0], args[1]
-            stack += (b.name if type(b) is Var else (b, right), symbol,
-                      a.name if type(a) is Var else (a, left))
-        else:  # unary prefix
-            parts.append("~" if conn == "not" else conn + " ")
-            a = args[0]
-            stack.append(a.name if type(a) is Var else (a, 4))
+        b = args[1]
+        stack += (b.name if type(b) is Var else (b, right), symbol,
+                  a.name if type(a) is Var else (a, left))
     return "".join(parts)

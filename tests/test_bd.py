@@ -23,6 +23,16 @@ class TestConnectiveTables:
         assert bd.NOT.table == {("t",): "f", ("f",): "t",
                                 ("b",): "b", ("n",): "n"}
 
+    def test_read_only(self):
+        # shared by bd_matrix, CELLS, the presets and every family member
+        with pytest.raises(TypeError):
+            bd.NOT.table[("t",)] = "t"
+        with pytest.raises(TypeError):
+            bd.heart("t").table[("t",)] = "f"
+        with pytest.raises(TypeError):
+            bd.SR_SIGNATURE.connectives["not"] = 2
+        assert bd.sr_decode(0).signature.connectives["not"] == 1
+
     def test_lattice(self):
         assert bd.AND.table[("b", "n")] == "f"
         assert bd.OR.table[("b", "n")] == "t"

@@ -113,6 +113,17 @@ class TestVerdicts:
                         "delta p", "~(p -> bot)")
         assert code == 0 and out.strip() == "YES"
 
+    def test_synonymous_needs_polynomials(self, capsys, tmp_path):
+        # simple, though no unary term separates 0 and 1: h(p1, 2) does
+        table = [["3" if (a, b) == (1, 2) else "0" for b in range(4)]
+                 for a in range(4)]
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({
+            "values": ["0", "1", "2", "3"], "designated": ["3"],
+            "connectives": {"and": {"arity": 2, "table": table}}}))
+        assert run(capsys, "synonymous", "--matrix", str(path), "p",
+                   "p & p") == (1, "NO\n")
+
     def test_definable(self, capsys):
         code, out = run(capsys, "--json", "definable",
                         "--matrix", "bd-impl-bot-delta", "--target", "delta",
@@ -209,6 +220,8 @@ class TestVerdicts:
          "connectives": {"bot": {"arity": 0, "table": "f"}}},
         {"values": ["t", 1], "designated": ["t"],
          "connectives": {"bot": {"arity": 0, "table": "t"}}},
+        {"values": [], "designated": [],                     # no cells
+         "connectives": {"c": {"arity": 10 ** 18, "table": []}}},
         {"values": ["t", "f"], "connectives": {}},           # no designated
         {"values": ["t", "f"], "designated": ["t"]},         # no connectives
         {"values": ["t", "f"], "designated": ["t"],
@@ -310,6 +323,17 @@ class TestProofCommands:
         path.write_text(out)
         code, out = run(capsys, "check", str(path))
         assert code == 0 and out.strip() == "VALID"
+
+    @pytest.mark.parametrize("data", [b"\xff\xfe{}", b"{", None],
+                             ids=["not-utf8", "not-json", "missing"])
+    def test_check_unreadable_file(self, capsys, tmp_path, data):
+        path = tmp_path / "bad.json"
+        if data is not None:
+            path.write_bytes(data)
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read derivation file {path}: ")
+        assert err.count("\n") == 1
 
     def test_check_invalid(self, capsys, tmp_path):
         sig = presets.preset("bd-impl-bot").signature

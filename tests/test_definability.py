@@ -18,6 +18,7 @@ from fdekit.definability import (
 )
 from fdekit.errors import (
     ArityCapError,
+    FdekitError,
     NotBdExpansionError,
     NotCommonExpansionError,
     NotSimpleError,
@@ -129,6 +130,14 @@ class TestDefinable:
             definable(m, "delta", ["not"])
         with pytest.raises(ValueError):
             definable(m, "impl", ["impl", "bot"])
+
+    @pytest.mark.parametrize("target, allowed, error", [
+        ("delta", ["not"], "not in the signature"),
+        ("impl", ["impl", "bot"], "must not contain the target")],
+        ids=["unknown", "allowed"])
+    def test_target_errors_are_fdekit_errors(self, target, allowed, error):
+        with pytest.raises(FdekitError, match=error):
+            definable(presets.preset("bd-impl-bot"), target, allowed)
 
 
 def _named_relation(reason):

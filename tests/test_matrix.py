@@ -1,16 +1,20 @@
+import functools
 import itertools
 import random
 import re
 import signal
+import tracemalloc
 from contextlib import contextmanager
 
 import pytest
 
 from fdekit import bd, matrix, presets
+from fdekit.definability import synonymous
 from fdekit.errors import (
     ArityCapError,
     DegenerateDesignatedError,
     DuplicateConnectiveError,
+    FdekitError,
     NotClosedError,
     SignatureMismatchError,
     UnboundVariableError,
@@ -174,10 +178,10 @@ class TestKernelAgainstEvaluate:
     @pytest.mark.parametrize("name", [
         "bd", "bd-impl-bot", "bd-b-n", "lp", "k3", "cl-impl-bot",
         "wide-table"])
-    @pytest.mark.parametrize("block_vars", [1, 2, matrix._BLOCK_VARS],
+    @pytest.mark.parametrize("block_points", [4, 16, matrix._BLOCK_POINTS],
                              ids=["blocks", "two-var-blocks", "one-block"])
-    def test_random_queries(self, name, block_vars, monkeypatch):
-        monkeypatch.setattr(matrix, "_BLOCK_VARS", block_vars)
+    def test_random_queries(self, name, block_points, monkeypatch):
+        monkeypatch.setattr(matrix, "_BLOCK_POINTS", block_points)
         m = WIDE_TABLE if name == "wide-table" else presets.preset(name)
         rng = random.Random(name)
         for _ in range(150):
@@ -245,6 +249,42 @@ class TestKernelAgainstEvaluate:
         assert tuple(evaluate(WIDE_TABLE, clone[excluded_middle], {"p1": v})
                      for v in WIDE_TABLE.values) == excluded_middle
         assert ("v4",) * 5 not in clone
+
+    @pytest.mark.parametrize("name, nvars, blocks", [
+        ("bd", 8, 1), ("bd", 9, 4), ("k3", 10, 1), ("k3", 11, 3),
+        ("cl", 16, 1), ("cl", 17, 2)])
+    def test_blocks_bounded_by_points(self, name, nvars, blocks,
+                                      monkeypatch):
+        # the fewest leading variables that leave at most 4^8 points
+        calls = []
+
+        def block(*args):
+            calls.append(args[3])
+            return run_block(*args)
+
+        run_block = matrix._block
+        monkeypatch.setattr(matrix, "_block", block)
+        ps = [Var(f"p{i}") for i in range(nvars)]
+        m = presets.preset(name)
+        assert consequence(m, [functools.reduce(conj, ps)], ps[:1])
+        assert calls == [len(m.values) ** nvars // blocks] * blocks
+
+    def test_wide_carrier_block_memory(self):
+        # 16 values and 5 variables: 16 blocks of 16^4 points, not one
+        # vector of 16^5 points per subterm
+        values = tuple(f"v{i}" for i in range(16))
+        m = Matrix(values, frozenset(values[-1:]), Signature({"and": 2}),
+                   {"and": bytes(min(a, b_) for a in range(16)
+                                 for b_ in range(16))})
+        ps = [Var(f"p{i}") for i in range(5)]
+        matrix._projections.cache_clear()
+        tracemalloc.start()
+        try:
+            assert consequence(m, [functools.reduce(conj, ps)], ps[:1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
     def test_empty_sides(self):
         assert consequence_countermodel(BD, [], []) == {}
@@ -454,6 +494,32 @@ def _separates(m, tf, a, b_):
     return (f[a] in m.designated) != (f[b_] in m.designated)
 
 
+def _reference_reduced(m):
+    """Brute-force Leibniz congruence: split the classes {designated, the
+    rest} until every connective, its other arguments held at any values,
+    maps each class into one class; reduced iff every class is one value."""
+    label = {v: v in m.designated for v in m.values}
+    while True:
+        refined = {v: (label[v], *(
+            label[m.tables[name][(*rest[:i], v, *rest[i:])]]
+            for name, k in sorted(m.signature.connectives.items())
+            for i in range(k)
+            for rest in itertools.product(m.values, repeat=k - 1)))
+            for v in m.values}
+        if len(set(refined.values())) == len(set(label.values())):
+            return len(set(label.values())) == len(m.values)
+        label = refined
+
+
+def _polynomial_only():
+    """Values 0-3, 3 designated, h(1, 2) = 3 and h = 0 elsewhere: the unary
+    terms are p1 and the constant 0, so only polynomials such as h(p1, 2)
+    separate 0, 1 and 2."""
+    return Matrix(tuple("0123"), frozenset("3"), Signature({"h": 2}),
+                  {"h": {(a, b_): "3" if (a, b_) == ("1", "2") else "0"
+                         for a in "0123" for b_ in "0123"}})
+
+
 def _oracle_matrices():
     """The presets and their table-closed restrictions, 200 seeded family
     members, and the proper reducts of bd and bd-impl-bot."""
@@ -517,6 +583,32 @@ class TestSimplicity:
         assert simple and _reference_simple(m)
         assert separators[frozenset("yz")].witness == App(
             "g", (Var("p1"), App("c", ())))
+
+    def test_separation_through_a_polynomial(self):
+        m = _polynomial_only()
+        assert not _reference_simple(m)  # no unary term separates 0 and 1
+        simple, separators = simplicity(m)
+        assert simple and _reference_reduced(m)
+        assert len(separators) == 6
+        tf = separators[frozenset("01")]
+        assert tf.witness == App("h", (Var("p1"), Var("p4")))
+        assert tf.table == ("0", "3", "0", "0")
+        # p(k+2) stands for the value of index k
+        fixed = {f"p{k + 2}": v for k, v in enumerate(m.values)}
+        for pair, tf in separators.items():
+            assert list(tf.table) == [evaluate(m, tf.witness,
+                                               {**fixed, "p1": v})
+                                      for v in m.values]
+            assert _separates(m, tf, *sorted(pair))
+        # p and h(p, p) differ in value, and the matrix is simple
+        assert not synonymous(m, Var("p"), App("h", (Var("p"), Var("p"))))
+
+    def test_matches_leibniz_oracle(self):
+        matrices = [*_oracle_matrices(),
+                    ("polynomial only", _polynomial_only())]
+        assert len(matrices) == 293
+        for name, m in matrices:
+            assert simplicity(m)[0] == _reference_reduced(m), name
 
     def test_expansions_are_simple(self):
         assert BDI.simple
@@ -626,6 +718,23 @@ class TestValidation:
         with pytest.raises(ValueError, match="missing table"):
             Matrix(BD.values, BD.designated, Signature({"not": 1}), {})
 
+    @pytest.mark.parametrize("values, designated, table, error", [
+        (("t", "t"), {"t"}, b"\0\0", "duplicate"),
+        (tuple(map(str, range(257))), {"0"}, b"\0" * 257, "more than 256"),
+        (("t", "f"), set(), b"\1\0", "non-empty and proper"),
+        (("t", "f"), {"t"}, None, "missing table"),
+        (("t", "f"), {"t"}, {("t",): "f"}, "wrong shape"),
+        (("t", "f"), {"t"}, b"\1", "wrong shape"),
+        (("t", "f"), {"t"}, b"\1\2", "leaves the carrier"),
+    ], ids=["duplicate", "wide", "designated", "missing", "dict-shape",
+            "bytes-shape", "outside"])
+    def test_malformed_is_fdekit_error(self, values, designated, table,
+                                       error):
+        tables = {} if table is None else {"not": table}
+        with pytest.raises(FdekitError, match=error):
+            Matrix(values, frozenset(designated), Signature({"not": 1}),
+                   tables)
+
     def test_index_tables(self):
         def reference(m):
             return {name: bytes(m.values.index(m.tables[name][args])
@@ -642,6 +751,15 @@ class TestValidation:
 
 
 class TestJson:
+    @pytest.mark.parametrize("values, designated", [
+        (["t", "t", "f"], ["t"]), (["t", "f"], ["x"])],
+        ids=["duplicate", "outside"])
+    def test_invalid_carrier_is_fdekit_error(self, values, designated):
+        data = {"values": values, "designated": designated,
+                "connectives": {"not": {"arity": 1, "table": values[::-1]}}}
+        with pytest.raises(FdekitError):
+            matrix_from_json(data)
+
     def test_round_trip(self):
         for m in (BD, BDI, LP, CL):
             assert matrix_from_json(matrix_to_json(m)) == m

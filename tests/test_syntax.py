@@ -475,6 +475,24 @@ class TestStructure:
         deep = _chain(p, "not", 1000)
         assert formula_key(deep) == (1, "not", 1) * 1000 + (0, "p")
 
+    def test_signature_is_read_only(self):
+        arities = {"not": 1, "and": 2}
+        sig = Signature(arities)
+        arities["not"], arities["or"] = 2, 2
+        assert dict(sig.connectives) == {"not": 1, "and": 2}
+        with pytest.raises(TypeError):
+            sig.connectives["not"] = 2
+        with pytest.raises(TypeError):
+            presets.preset("bd").signature.connectives["not"] = 2
+        assert presets.preset("bd").signature.arity("not") == 1
+
+    @pytest.mark.parametrize("arities, error", [
+        ({}, "at least one connective"), ({"not": -1}, "negative arity")],
+        ids=["empty", "negative"])
+    def test_malformed_signature_is_fdekit_error(self, arities, error):
+        with pytest.raises(FdekitError, match=error):
+            Signature(arities)
+
     def test_keywords_are_the_named_connectives(self):
         # a copy: syntax cannot import bd, which imports syntax
         assert KEYWORDS == set(bd._NAMED) | {"top"}
