@@ -198,11 +198,10 @@ def cmd_clone(args) -> int:
 @command("prove", "backward proof search", _system(proof.BD), _arg("sequent"))
 def cmd_prove(args) -> int:
     seq = proof.Sequent.of(*_parse_sequent(args.sequent, bd.SR_SIGNATURE))
-    prover = proof.Prover(args.system)
-    d = prover.derivation(seq)
+    d = proof.prove(seq, args.system)
     if d is None:
         return _countermodel_verdict(
-            args, "proved", prover.countermodel(seq), "NOT PROVED")
+            args, "proved", proof.countermodel(seq, args.system), "NOT PROVED")
     if args.json:
         print(json.dumps(proof.derivation_to_json(d, args.system)))
     else:

@@ -114,7 +114,12 @@ class Matrix:
         return simplicity(self)[0]
 
 
-@functools.cache
+# Argument-tuple lists `_cells` keeps, the latest used: one per (carrier,
+# arity) in use, where a 4-ary table over 16 values alone has 65,536.
+_CELLS_CACHED = 16
+
+
+@functools.lru_cache(maxsize=_CELLS_CACHED)
 def _cells(values: tuple[str, ...], k: int) -> tuple[tuple[str, ...], ...]:
     """A k-ary table's argument tuples in radix order, shared by matrices."""
     return tuple(itertools.product(values, repeat=k))
@@ -197,23 +202,25 @@ class Program:
 
 def compile_formulas(formulas: Iterable[Formula]) -> Program:
     """The formulas as one program, one step per distinct subterm, built
-    without recursion: steps are hash-consed on (connective, arguments),
-    and each object is visited once, so a shared DAG is walked once."""
+    without recursion: equal subterms are one object (formulas are
+    interned), and each object is visited once, so a shared DAG is walked
+    once."""
     formulas = list(formulas)
     # id of a compiled App -> its step: depth first, an App is met again
     # only after it is compiled
     ref: dict[int, int] = {}
-    steps: dict[tuple, int] = {}  # (connective, *argument refs) -> step
+    # (connective, argument refs) per step; a variable's ref is its name
+    steps: list[tuple] = []
     names: set[str] = set()
     connectives: dict[tuple[str, int], None] = {}
     stack: list = formulas[::-1]
     while stack:
         f = stack.pop()
         if f is None:  # the App below has all its arguments compiled
-            f = stack.pop()  # a variable's ref is its name
-            key = (f.conn, *[a.name if type(a) is Var else ref[id(a)]
-                             for a in f.args])
-            ref[id(f)] = steps.setdefault(key, len(steps))
+            f = stack.pop()
+            ref[id(f)] = len(steps)
+            steps.append((f.conn, [a.name if type(a) is Var else ref[id(a)]
+                                   for a in f.args]))
         elif type(f) is Var:
             names.add(f.name)
         elif id(f) not in ref:
@@ -221,10 +228,10 @@ def compile_formulas(formulas: Iterable[Formula]) -> Program:
             stack += (f, None, *reversed(f.args))
     ordered = sorted(names)
     slot = {name: i for i, name in enumerate(ordered)}
-    slot.update((step, len(ordered) + step) for step in steps.values())
+    slot.update((step, len(ordered) + step) for step in range(len(steps)))
     return Program(tuple(ordered),
                    tuple([(conn, tuple([slot[a] for a in args]))
-                          for conn, *args in steps]),
+                          for conn, args in steps]),
                    tuple([slot[f.name if type(f) is Var else ref[id(f)]]
                           for f in formulas]), tuple(connectives))
 

@@ -19,12 +19,20 @@ has no node for it.  Any identifier naming a unary connective of the
 signature works as a prefix keyword; any identifier naming a nullary
 connective works as an atom.  Identifiers that collide with no connective
 keyword are propositional variables.
+
+Formulas are hash-consed: `Var` and `App` return the one live object for
+a name, or for a connective and argument objects, so formulas are equal
+exactly when they are the same object.  Equality and hashing are identity,
+so neither recurses nor depends on the hash seed.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+import threading
+import weakref
+from _weakref import _remove_dead_weakref
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Union
 
@@ -72,54 +80,79 @@ class Signature:
         )
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+# The one live formula per name (a Var) or per (connective, argument
+# objects) (an App): equal formulas are one object, so `==` and `hash` are
+# those of `object`, identity.  The table holds each by a weak reference
+# that removes its own entry, so formulas that nothing holds go; the lock,
+# taken only on a miss, keeps two threads from making two.
+_INTERNED: dict = {}
+_INTERN_LOCK = threading.Lock()
+_setattr = object.__setattr__  # past the `__setattr__` that refuses
+
+
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
+
+
+def _gone(ref: _Ref) -> None:
+    # removes the entry only if it still holds this dead reference
+    _remove_dead_weakref(_INTERNED, ref.key)
+
+
+def _intern(cls, key, *fields):
+    """The formula under key, made from fields if none is live; called
+    on a miss of the lookup in `Var` or `App`."""
+    with _INTERN_LOCK:
+        ref = _INTERNED.get(key)
+        f = ref and ref()
+        if f is None:
+            f = object.__new__(cls)
+            f._fill(*fields)
+            ref = _INTERNED[key] = _Ref(f, _gone)
+            ref.key = key
+    return f
+
+
+class _Interned:
+    """Immutable: setting or deleting an attribute raises."""
+
+    __slots__ = ("__weakref__",)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"formulas are immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"formulas are immutable: cannot delete {name!r}")
+
+    def __reduce__(self):  # unpickling and copying intern again
+        return type(self), tuple(map(self.__getattribute__, self.__slots__))
+
+
+class Var(_Interned):
+    __slots__ = ("name",)
+
+    def __new__(cls, name: str):
+        ref = _INTERNED.get(name)
+        return ref and ref() or _intern(cls, name, name)
+
+    def _fill(self, name: str) -> None:
+        _setattr(self, "name", name)
 
     def __repr__(self):
         return f"Var({self.name!r})"
 
 
-@dataclass(frozen=True, init=False)
-class App:
-    conn: str
-    args: tuple["Formula", ...] = field(default=())
+class App(_Interned):
+    __slots__ = ("conn", "args")
 
-    def __init__(self, conn: str, args: tuple = ()):
-        # hashed once from the arguments' hashes: hashing never recurses
-        object.__setattr__(self, "conn", conn)
-        object.__setattr__(self, "args", args)
-        object.__setattr__(self, "_hash", hash((conn, args)))
+    def __new__(cls, conn: str, args: tuple = ()):
+        key = (conn, args)
+        ref = _INTERNED.get(key)
+        return ref and ref() or _intern(cls, key, conn, args)
 
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        # pairwise over an explicit stack, each pair of objects once:
-        # formulas built in code may nest past the recursion limit, and a
-        # shared subterm would otherwise be compared once per path to it
-        if self is other:
-            return True
-        if not isinstance(other, App):
-            return NotImplemented
-        stack, seen = [(self, other)], set()
-        while stack:
-            a, b = stack.pop()
-            if a is b or (id(a), id(b)) in seen:
-                continue
-            if not (isinstance(a, App) and isinstance(b, App)):
-                if a != b:  # a variable, or an App against a variable
-                    return False
-            elif a._hash != b._hash or a.conn != b.conn \
-                    or len(a.args) != len(b.args):
-                return False
-            else:
-                seen.add((id(a), id(b)))
-                stack += zip(a.args, b.args)
-        return True
-
-    def __reduce__(self):  # rehash: string hashes differ between processes
-        return App, (self.conn, self.args)
+    def _fill(self, conn: str, args: tuple) -> None:
+        _setattr(self, "conn", conn)
+        _setattr(self, "args", args)
 
     def __repr__(self):
         return f"App({self.conn!r}, {list(self.args)!r})"
@@ -222,8 +255,7 @@ def _position(text: str, i: int) -> int:
 # Deepest nesting of prefix operators, parentheses and `->` right operands
 # the parser accepts, and the greatest height of a formula it returns (each
 # `&` or `|` chain link adds one), so that what still recurses over formulas
-# (`matrix.evaluate`, and `==` between distinct objects) stays inside the
-# recursion limit.
+# (`matrix.evaluate`, and pickling) stays inside the recursion limit.
 MAX_NESTING = 100
 
 # binary connective -> (spaced symbol, binding level, least level of its

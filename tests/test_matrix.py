@@ -327,8 +327,8 @@ class TestKernelAgainstEvaluate:
         assert compile_formulas(
             [disj(conj(p, neg(q)), conj(p, neg(q))), neg(conj(p, neg(q))),
              q]) == program
-        # TOP's bot is another object than BOT
-        assert TOP.args[0] is not BOT
+        # formulas are interned: TOP's bot is BOT
+        assert TOP.args[0] is BOT
         program = compile_formulas([TOP, neg(BOT), BOT])
         assert program.steps == (("bot", ()), ("not", (0,)))
         assert program.slots == (1, 1, 0)
@@ -771,3 +771,18 @@ class TestJson:
         assert data["connectives"]["bot"]["table"] == "f"
         assert data["connectives"]["not"]["table"] == ["f", "t", "b", "n"]
         assert data["connectives"]["and"]["arity"] == 2
+
+    def test_reading_many_carriers_keeps_few_cell_lists(self):
+        # each carrier and arity would keep its argument tuples for good
+        for n in range(2, 2 + 3 * matrix._CELLS_CACHED):
+            values = [f"v{i}" for i in range(n)]
+            m = matrix_from_json({
+                "values": values, "designated": values[:1],
+                "connectives": {
+                    "not": {"arity": 1, "table": values[::-1]},
+                    "and": {"arity": 2,
+                            "table": [values[:1] * n for _ in values]}}})
+            assert m.tables["not"][(values[0],)] == values[-1]
+            info = matrix._cells.cache_info()
+            assert info.maxsize == matrix._CELLS_CACHED
+            assert info.currsize <= matrix._CELLS_CACHED

@@ -2,18 +2,20 @@ import hashlib
 import itertools
 import json
 import random
+import threading
 import time
 from functools import reduce
 
 import pytest
 
-from fdekit import presets
+from fdekit import presets, proof
 from fdekit.errors import UnknownNameError
 from fdekit.matrix import assignments, consequence, evaluate
 from fdekit.proof import (
     BD,
     CL,
     CLASSICAL_ONLY_RULES,
+    KEPT_FORMULAS,
     LEFT,
     RIGHT,
     RULES,
@@ -297,8 +299,8 @@ class TestProverInternals:
 
 
 def _fresh_formula(rng, depth):
-    """A formula of depth at most `depth` over p, q, r, bot and top, built
-    from new objects, so that equal subformulas are seldom identical."""
+    """A random formula of depth at most `depth` over p, q, r, bot and
+    top."""
     if depth == 0 or rng.random() < 0.3:
         return rng.choice([Var("p"), Var("q"), Var("r"), App("bot", ()),
                            neg(App("bot", ()))])
@@ -445,6 +447,122 @@ class TestMaskSearch:
         for system in (BD, CL):
             assert Prover(system).provable(s)
             assert prove(s, system) is not None
+
+
+def _description(rng, depth):
+    """A random formula over p, q, r, s and bot as nested tuples."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice([("p",), ("q",), ("r",), ("s",), ("bot",)])
+    conn = rng.choice(["not", "and", "or", "impl"])
+    return (conn, *(_description(rng, depth - 1)
+                    for _ in range(1 if conn == "not" else 2)))
+
+
+def _built(d, backwards):
+    """The formula the description d names, its arguments built last first
+    when `backwards`."""
+    if len(d) == 1:
+        return App("bot", ()) if d[0] == "bot" else Var(d[0])
+    args = [_built(a, backwards) for a in (d[:0:-1] if backwards else d[1:])]
+    return App(d[0], tuple(args[::-1] if backwards else args))
+
+
+def _outputs(system, d, counter):
+    """JSON of a derivation or None, and a countermodel or None."""
+    return json.dumps([d and derivation_to_json(d, system), counter])
+
+
+def _kept_outputs(s, system):
+    return _outputs(system, prove(s, system), countermodel(s, system))
+
+
+def _fresh_outputs(s, system):
+    fresh = Prover(system)
+    return _outputs(system, fresh.derivation(s), fresh.countermodel(s))
+
+
+class TestKeptProvers:
+    """`prove` and `countermodel` keep one prover per system and thread."""
+
+    @pytest.mark.parametrize("system", [BD, CL])
+    def test_agree_with_fresh_provers_after_a_long_run(self, system):
+        rng = random.Random(28)
+
+        def sequent():
+            return Sequent.of(*([_fresh_formula(rng, 4)
+                                 for _ in range(rng.randrange(5))]
+                                for _ in "lr"))
+
+        provers = []  # each kept prover in turn
+        for _ in range(1500):  # the long run, which outgrows a kept prover
+            s = sequent()
+            prove(s, system)
+            countermodel(s, system)
+            kept = proof._KEPT.__dict__[system]
+            if not provers or provers[-1] is not kept:
+                provers.append(kept)
+        assert len(provers) > 1
+        for _ in range(200):
+            s = sequent()
+            kept = _kept_outputs(s, system)
+            assert kept == _fresh_outputs(s, system)
+            assert kept == _outputs(system, *_reference_answers(s, system))
+
+    @pytest.mark.parametrize("system", [BD, CL])
+    def test_same_output_whatever_the_allocation_order(self, system):
+        # each pass makes its formulas anew, in its own order
+        rng = random.Random(7)
+        sequents = [[[_description(rng, 4) for _ in range(rng.randrange(4))]
+                     for _ in "lr"] for _ in range(150)]
+        passes = []
+        for backwards in (False, True):
+            proof._KEPT.__dict__.clear()
+            outputs = []
+            for sides in (sequents[::-1] if backwards else sequents):
+                s = Sequent.of(*([_built(d, backwards) for d in
+                                  (side[::-1] if backwards else side)]
+                                 for side in sides))
+                outputs.append(_fresh_outputs(s, system))
+                assert _kept_outputs(s, system) == outputs[-1]
+            passes.append(outputs[::-1] if backwards else outputs)
+            del s
+        assert passes[0] == passes[1]
+
+    def test_replaced_after_kept_formulas(self):
+        kept = proof._KEPT.__dict__
+        small = seq("p |- p | q")
+        prove(small, BD)
+        first = kept[BD]
+        prove(small, BD)
+        countermodel(small, BD)
+        assert kept[BD] is first
+        many = [Var(f"x{i}") for i in range(KEPT_FORMULAS)]
+        assert countermodel(Sequent.of(many, [q]), BD)["q"] == "n"
+        assert BD not in kept  # it met more than KEPT_FORMULAS formulas
+        assert prove(small, BD) is not None
+        assert kept[BD] is not first
+        assert len(kept[BD].formulas) <= KEPT_FORMULAS
+
+    def test_each_thread_keeps_its_own(self):
+        prove(seq("p |- p"), BD)
+        mine = proof._KEPT.__dict__[BD]
+        theirs = []
+
+        def run():
+            prove(seq("p |- p"), BD)
+            theirs.append(proof._KEPT.__dict__[BD])
+
+        t = threading.Thread(target=run)
+        t.start()
+        t.join(timeout=30)
+        assert not t.is_alive()
+        assert theirs and theirs[0] is not mine
+        assert proof._KEPT.__dict__[BD] is mine
+
+    def test_unknown_system_keeps_nothing(self):
+        with pytest.raises(UnknownNameError):
+            prove(seq("p |- p"), "LP")
+        assert "LP" not in proof._KEPT.__dict__
 
 
 class TestJson:

@@ -1,11 +1,19 @@
+import copy
+import gc
+import operator
+import os
+import pickle
 import random
 import re
+import sys
+import threading
+import weakref
 from typing import Iterator
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdekit import bd, presets
+from fdekit import bd, presets, syntax
 from fdekit.errors import (
     ArityMismatchError,
     FdekitError,
@@ -459,7 +467,7 @@ class TestStructure:
         assert print_formula(arrows) == "p -> " * 1000 + "q"
 
     def test_deep_formulas_compare_without_recursion(self):
-        # separately built, so equality cannot stop at identity
+        # separately built, and still one object: `==` is identity
         chain = _chain(p, "not", 1000)
         assert chain == _chain(p, "not", 1000)
         assert chain != _chain(q, "not", 1000)
@@ -502,3 +510,79 @@ class TestStructure:
         keys = [formula_key(f) for f in items]
         assert len(set(keys)) == len(items)
         assert sorted(keys) == sorted(keys, key=lambda k: k)
+
+
+class TestInterning:
+    """Formulas are hash-consed: equal formulas are one object."""
+
+    def test_equal_formulas_are_one_object(self):
+        text = "~(p & (q | r)) -> bot | top"
+        f = parse(text, SIG)
+        assert parse(text, SIG) is f
+        assert parse(print_formula(f), SIG) is f
+        assert substitute(disj(p, q), {"p": neg(r)}) is disj(neg(r), q)
+        assert substitute(f, {}) is f
+        assert impl(neg(conj(p, disj(q, r))), disj(BOT, TOP)) is f
+        for g in (f, p, BOT):
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(g, protocol)) is g
+            assert copy.deepcopy(g) is g and copy.copy(g) is g
+        assert copy.deepcopy([f, {"k": f}]) == [f, {"k": f}]
+
+    def test_deep_chain_built_twice_is_one_object(self):
+        # past the recursion limit, built and dropped without recursion
+        a = _chain(Var("deep_chain"), "not", 200_000)
+        b = _chain(Var("deep_chain"), "not", 200_000)
+        assert a is b and a == b and hash(a) == hash(b)
+        assert a is not _chain(Var("deep_chain"), "not", 199_999)
+
+    def test_attributes_cannot_be_set(self):
+        f = conj(p, q)
+        for target, name in ((f, "conn"), (f, "args"), (p, "name"),
+                             (f, "other")):
+            with pytest.raises(AttributeError):
+                setattr(target, name, None)
+            with pytest.raises(AttributeError):
+                delattr(target, name)
+        assert f.conn == "and" and f.args == (p, q) and p.name == "p"
+
+    def test_dropped_formulas_leave_the_table(self):
+        def mentioning():  # the keys of Var("dropped") and of Apps over it
+            return [k for k in tuple(syntax._INTERNED) if "dropped" in repr(k)]
+
+        f = neg(conj(Var("dropped"), q))
+        assert len(mentioning()) == 3
+        gone = weakref.ref(f)
+        del f
+        gc.collect()
+        assert gone() is None and mentioning() == []
+        assert Var("dropped").name == "dropped"  # made anew
+
+    def test_threads_build_the_same_objects(self):
+        # more threads than cores race, switching often, to make the same
+        # new formulas, each a miss: a lost check-then-insert gives two
+        # objects for one formula
+        names = [f"race{i}" for i in range(300)]
+        workers = 2 * (os.cpu_count() or 1) + 2
+        barrier = threading.Barrier(workers)
+        built = [None] * workers
+
+        def build(slot):
+            barrier.wait(timeout=10)
+            built[slot] = [neg(conj(Var(n), impl(Var(n), BOT)))
+                           for n in names]
+
+        threads = [threading.Thread(target=build, args=(i,))
+                   for i in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(len(b) == len(names) for b in built)
+        assert all(all(map(operator.is_, b, built[0])) for b in built)
