@@ -562,7 +562,7 @@ class TestInterning:
         # more threads than cores race, switching often, to make the same
         # new formulas, each a miss: a lost check-then-insert gives two
         # objects for one formula
-        names = [f"race{i}" for i in range(300)]
+        names = [f"race{i}" for i in range(2000)]
         workers = 2 * (os.cpu_count() or 1) + 2
         barrier = threading.Barrier(workers)
         built = [None] * workers
