@@ -198,10 +198,11 @@ def cmd_clone(args) -> int:
 @command("prove", "backward proof search", _system(proof.BD), _arg("sequent"))
 def cmd_prove(args) -> int:
     seq = proof.Sequent.of(*_parse_sequent(args.sequent, bd.SR_SIGNATURE))
-    d = proof.prove(seq, args.system)
+    prover = proof.Prover(args.system)
+    d = prover.derivation(seq)
     if d is None:
         return _countermodel_verdict(
-            args, "proved", proof.countermodel(seq, args.system), "NOT PROVED")
+            args, "proved", prover.countermodel(seq), "NOT PROVED")
     if args.json:
         print(json.dumps(proof.derivation_to_json(d, args.system)))
     else:

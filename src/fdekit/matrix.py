@@ -114,14 +114,23 @@ class Matrix:
         return simplicity(self)[0]
 
 
-# Argument-tuple lists `_cells` keeps, the latest used: one per (carrier,
-# arity) in use, where a 4-ary table over 16 values alone has 65,536.
+# `_cells` shares argument-tuple lists of at most `_CELLS_SHARED` cells,
+# the latest `_CELLS_CACHED` (carrier, arity) pairs used; a bigger list (a
+# 4-ary table over 16 values has 65,536 cells) is built per matrix, so it
+# goes with the matrix.
+_CELLS_SHARED = 256
 _CELLS_CACHED = 16
 
 
-@functools.lru_cache(maxsize=_CELLS_CACHED)
 def _cells(values: tuple[str, ...], k: int) -> tuple[tuple[str, ...], ...]:
-    """A k-ary table's argument tuples in radix order, shared by matrices."""
+    """A k-ary table's argument tuples in radix order."""
+    if len(values) ** k > _CELLS_SHARED:
+        return tuple(itertools.product(values, repeat=k))
+    return _shared_cells(values, k)
+
+
+@functools.lru_cache(maxsize=_CELLS_CACHED)
+def _shared_cells(values: tuple[str, ...], k: int):
     return tuple(itertools.product(values, repeat=k))
 
 

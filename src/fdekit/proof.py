@@ -13,14 +13,12 @@ also accepts derivations that keep the principal formula, and accepts Cut.
 One search over pairs of bit masks, one bit per formula, answers
 `provable`, `derivation`, `countermodel` and `derived_rule_check`;
 derivations and countermodels take formulas in `formula_key` order, so
-their output depends neither on the hash seed nor on which formulas the
-prover met before.  That lets `prove` and `countermodel` keep one prover
-per system and thread, which learns each formula once.
+their output depends neither on the hash seed nor on the order in which
+formulas were built (a set of formulas iterates in identity order).
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from typing import Callable, Iterable, NamedTuple, Optional
@@ -292,34 +290,14 @@ class Prover:
                                                  seq.left | seq.right)))}
 
 
-# Formulas a kept prover may have met and still be kept for the next call.
-KEPT_FORMULAS = 4096
-
-# this thread's kept provers, by system
-_KEPT = threading.local()
-
-
-def _kept(system: str, method: Callable, seq: Sequent):
-    """method(this thread's prover for the system, seq).  The prover is
-    kept for the next call unless the call raised or the prover has met
-    over `KEPT_FORMULAS` formulas.  Output is chosen by `formula_key`, so
-    it is the same as a fresh prover's."""
-    kept = _KEPT.__dict__
-    prover = kept.pop(system, None) or Prover(system)
-    out = method(prover, seq)
-    if len(prover.formulas) <= KEPT_FORMULAS:
-        kept[system] = prover
-    return out
-
-
 def prove(seq: Sequent, system: str) -> Optional[Derivation]:
     """Cut-free backward search; None when a branch stays open."""
-    return _kept(system, Prover.derivation, seq)
+    return Prover(system).derivation(seq)
 
 
 def countermodel(seq: Sequent, system: str) -> Optional[dict]:
-    """`Prover.countermodel` on this thread's kept prover."""
-    return _kept(system, Prover.countermodel, seq)
+    """`Prover.countermodel` on a fresh prover."""
+    return Prover(system).countermodel(seq)
 
 
 # ---------------------------------------------------------------------------

@@ -107,7 +107,8 @@ def _intern(cls, key, *fields):
         f = ref and ref()
         if f is None:
             f = object.__new__(cls)
-            f._fill(*fields)
+            for name, value in zip(cls.__slots__, fields):
+                _setattr(f, name, value)
             ref = _INTERNED[key] = _Ref(f, _gone)
             ref.key = key
     return f
@@ -135,9 +136,6 @@ class Var(_Interned):
         ref = _INTERNED.get(name)
         return ref and ref() or _intern(cls, name, name)
 
-    def _fill(self, name: str) -> None:
-        _setattr(self, "name", name)
-
     def __repr__(self):
         return f"Var({self.name!r})"
 
@@ -149,10 +147,6 @@ class App(_Interned):
         key = (conn, args)
         ref = _INTERNED.get(key)
         return ref and ref() or _intern(cls, key, conn, args)
-
-    def _fill(self, conn: str, args: tuple) -> None:
-        _setattr(self, "conn", conn)
-        _setattr(self, "args", args)
 
     def __repr__(self):
         return f"App({self.conn!r}, {list(self.args)!r})"

@@ -783,6 +783,23 @@ class TestJson:
                     "and": {"arity": 2,
                             "table": [values[:1] * n for _ in values]}}})
             assert m.tables["not"][(values[0],)] == values[-1]
-            info = matrix._cells.cache_info()
+            info = matrix._shared_cells.cache_info()
             assert info.maxsize == matrix._CELLS_CACHED
             assert info.currsize <= matrix._CELLS_CACHED
+
+    def test_large_cell_lists_are_not_kept(self):
+        # 5 ** 4 = 625 argument tuples: built for the matrix, not shared
+        values = [f"v{i}" for i in range(5)]
+        table = "v0"
+        for _ in range(4):
+            table = [table] * 5
+        matrix._shared_cells.cache_clear()
+        m = matrix_from_json({
+            "values": values, "designated": values[:1],
+            "connectives": {"not": {"arity": 1, "table": values[::-1]},
+                            "f": {"arity": 4, "table": table}}})
+        assert m.tables["f"][("v4",) * 4] == "v0"
+        assert len(m.tables["f"]) == 5 ** 4 > matrix._CELLS_SHARED
+        assert matrix._shared_cells.cache_info().currsize == 1  # `not`
+        assert matrix._cells(tuple(values), 1) is \
+            matrix._cells(tuple(values), 1)

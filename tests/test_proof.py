@@ -2,20 +2,18 @@ import hashlib
 import itertools
 import json
 import random
-import threading
 import time
 from functools import reduce
 
 import pytest
 
-from fdekit import presets, proof
+from fdekit import presets
 from fdekit.errors import UnknownNameError
 from fdekit.matrix import assignments, consequence, evaluate
 from fdekit.proof import (
     BD,
     CL,
     CLASSICAL_ONLY_RULES,
-    KEPT_FORMULAS,
     LEFT,
     RIGHT,
     RULES,
@@ -472,41 +470,13 @@ def _outputs(system, d, counter):
     return json.dumps([d and derivation_to_json(d, system), counter])
 
 
-def _kept_outputs(s, system):
+def _answers(s, system):
     return _outputs(system, prove(s, system), countermodel(s, system))
 
 
-def _fresh_outputs(s, system):
-    fresh = Prover(system)
-    return _outputs(system, fresh.derivation(s), fresh.countermodel(s))
-
-
-class TestKeptProvers:
-    """`prove` and `countermodel` keep one prover per system and thread."""
-
-    @pytest.mark.parametrize("system", [BD, CL])
-    def test_agree_with_fresh_provers_after_a_long_run(self, system):
-        rng = random.Random(28)
-
-        def sequent():
-            return Sequent.of(*([_fresh_formula(rng, 4)
-                                 for _ in range(rng.randrange(5))]
-                                for _ in "lr"))
-
-        provers = []  # each kept prover in turn
-        for _ in range(1500):  # the long run, which outgrows a kept prover
-            s = sequent()
-            prove(s, system)
-            countermodel(s, system)
-            kept = proof._KEPT.__dict__[system]
-            if not provers or provers[-1] is not kept:
-                provers.append(kept)
-        assert len(provers) > 1
-        for _ in range(200):
-            s = sequent()
-            kept = _kept_outputs(s, system)
-            assert kept == _fresh_outputs(s, system)
-            assert kept == _outputs(system, *_reference_answers(s, system))
+class TestAllocationOrder:
+    """A set of formulas iterates in identity order, which depends on where
+    each formula was allocated; output must not."""
 
     @pytest.mark.parametrize("system", [BD, CL])
     def test_same_output_whatever_the_allocation_order(self, system):
@@ -516,53 +486,17 @@ class TestKeptProvers:
                      for _ in "lr"] for _ in range(150)]
         passes = []
         for backwards in (False, True):
-            proof._KEPT.__dict__.clear()
             outputs = []
             for sides in (sequents[::-1] if backwards else sequents):
                 s = Sequent.of(*([_built(d, backwards) for d in
                                   (side[::-1] if backwards else side)]
                                  for side in sides))
-                outputs.append(_fresh_outputs(s, system))
-                assert _kept_outputs(s, system) == outputs[-1]
+                outputs.append(_answers(s, system))
+                assert outputs[-1] == _outputs(
+                    system, *_reference_answers(s, system))
             passes.append(outputs[::-1] if backwards else outputs)
             del s
         assert passes[0] == passes[1]
-
-    def test_replaced_after_kept_formulas(self):
-        kept = proof._KEPT.__dict__
-        small = seq("p |- p | q")
-        prove(small, BD)
-        first = kept[BD]
-        prove(small, BD)
-        countermodel(small, BD)
-        assert kept[BD] is first
-        many = [Var(f"x{i}") for i in range(KEPT_FORMULAS)]
-        assert countermodel(Sequent.of(many, [q]), BD)["q"] == "n"
-        assert BD not in kept  # it met more than KEPT_FORMULAS formulas
-        assert prove(small, BD) is not None
-        assert kept[BD] is not first
-        assert len(kept[BD].formulas) <= KEPT_FORMULAS
-
-    def test_each_thread_keeps_its_own(self):
-        prove(seq("p |- p"), BD)
-        mine = proof._KEPT.__dict__[BD]
-        theirs = []
-
-        def run():
-            prove(seq("p |- p"), BD)
-            theirs.append(proof._KEPT.__dict__[BD])
-
-        t = threading.Thread(target=run)
-        t.start()
-        t.join(timeout=30)
-        assert not t.is_alive()
-        assert theirs and theirs[0] is not mine
-        assert proof._KEPT.__dict__[BD] is mine
-
-    def test_unknown_system_keeps_nothing(self):
-        with pytest.raises(UnknownNameError):
-            prove(seq("p |- p"), "LP")
-        assert "LP" not in proof._KEPT.__dict__
 
 
 class TestJson:
