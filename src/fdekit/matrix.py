@@ -1,8 +1,11 @@
 """Finite logical matrices: valuations, consequence, clones, simplicity.
 
 A matrix is a finite carrier of truth values, a designated subset, and one
-interpretation per connective, stored as an index table of value indices
-(the dict view by value names is derived from it).  One kernel computes
+interpretation per connective, stored as an index table of value indices.
+The dict view by value names is derived from it when first read; only
+`evaluate` (the independent oracle), `is_expansion`, `restrict` and callers
+read it, while the kernel, the JSON output and `simplicity` read the index
+tables.  One kernel computes
 truth tables as value vectors for consequence, equivalence and the law
 checks: `bytes` holding a value index per point, in `itertools.product`
 order, so a carrier has at most 256 values.  Formulas are compiled once,
@@ -54,8 +57,10 @@ class Matrix:
     as its index table: `bytes` holding the value index of each argument
     tuple in radix order (first argument most significant).  It may also be
     given as its `tables` view, a dict from argument-name tuples to value
-    names, which is built from the index table when first read.  Every
-    mapping is read-only, so no cached property goes stale.
+    names, which is built from the index table when first read: by
+    `evaluate`, `is_expansion`, `restrict` or a caller, never by the kernel,
+    `matrix_to_json` or `simplicity`.  Every mapping is read-only, so no
+    cached property goes stale.
     """
 
     values: tuple[str, ...]
@@ -79,7 +84,7 @@ class Matrix:
                 raise InvalidInputError(
                     f"missing table for connective {name!r}")
             if not isinstance(table, bytes):
-                cells = _cells(tuple(values), k)
+                cells = list(itertools.product(values, repeat=k))
                 if table.keys() != set(cells):
                     raise InvalidInputError(
                         f"table for {name!r} has the wrong shape")
@@ -98,7 +103,7 @@ class Matrix:
         """Each table as a dict from argument-name tuples to a value name."""
         return MappingProxyType({
             name: MappingProxyType(dict(zip(
-                _cells(tuple(self.values), k),
+                itertools.product(self.values, repeat=k),
                 [self.values[i] for i in self.index_tables[name]])))
             for name, k in self.signature.connectives.items()})
 
@@ -112,26 +117,6 @@ class Matrix:
     def simple(self) -> bool:
         """Simplicity, decided once per matrix (see `simplicity`)."""
         return simplicity(self)[0]
-
-
-# `_cells` shares argument-tuple lists of at most `_CELLS_SHARED` cells,
-# the latest `_CELLS_CACHED` (carrier, arity) pairs used; a bigger list (a
-# 4-ary table over 16 values has 65,536 cells) is built per matrix, so it
-# goes with the matrix.
-_CELLS_SHARED = 256
-_CELLS_CACHED = 16
-
-
-def _cells(values: tuple[str, ...], k: int) -> tuple[tuple[str, ...], ...]:
-    """A k-ary table's argument tuples in radix order."""
-    if len(values) ** k > _CELLS_SHARED:
-        return tuple(itertools.product(values, repeat=k))
-    return _shared_cells(values, k)
-
-
-@functools.lru_cache(maxsize=_CELLS_CACHED)
-def _shared_cells(values: tuple[str, ...], k: int):
-    return tuple(itertools.product(values, repeat=k))
 
 
 def _interpreted(m: Matrix, conn: str, arity: int) -> None:
@@ -471,14 +456,11 @@ def simplicity(m: Matrix) -> tuple[bool, dict[frozenset, TermFunction]]:
                 break
         else:
             return False, separators
-        # every witness's table in discovery order, its arguments' first,
-        # so a witness that shares its arguments costs its distinct nodes
-        tables: dict[int, bytes] = {}
-        for w in found.values():
-            tables[id(w)] = columns[w.name] if isinstance(w, Var) else (
-                _compose(m.byte_tables[w.conn], nvals, nvals,
-                         [tables[id(u)] for u in w.args]))
-        table = tables[id(witness)]
+        program = compile_formulas([witness])
+        bits = _block(program, m.byte_tables, nvals, nvals,
+                      [columns[name] for name in program.names],
+                      lambda vectors, _: int.from_bytes(vectors[0], "big"))
+        table = bits.to_bytes(nvals, "big")
         separators[frozenset((m.values[a], m.values[b]))] = TermFunction(
             1, tuple(m.values[i] for i in table), witness)
     return True, separators
@@ -523,18 +505,18 @@ def restrict(m: Matrix, sub: Iterable[str]) -> Matrix:
 # JSON interchange
 
 def matrix_to_json(m: Matrix) -> dict:
-    def nest(name: str, k: int, prefix: tuple[str, ...]):
-        if k == 0:
-            return m.tables[name][prefix]
-        return [nest(name, k - 1, prefix + (v,)) for v in m.values]
-
+    """The matrix as JSON data, each table nested one level per argument:
+    the inverse of the flattening in `matrix_from_json`."""
+    nvals, connectives = len(m.values), {}
+    for name, k in sorted(m.signature.connectives.items()):
+        cells = [m.values[i] for i in m.index_tables[name]]
+        for _ in range(k):
+            cells = [cells[i:i + nvals] for i in range(0, len(cells), nvals)]
+        connectives[name] = {"arity": k, "table": cells[0]}
     return {
         "values": list(m.values),
         "designated": sorted(m.designated, key=m.values.index),
-        "connectives": {
-            name: {"arity": k, "table": nest(name, k, ())}
-            for name, k in sorted(m.signature.connectives.items())
-        },
+        "connectives": connectives,
     }
 
 
@@ -573,7 +555,7 @@ def matrix_from_json(data) -> Matrix:
             cells = [c for row in cells for c in row]
         need(all(isinstance(c, str) for c in cells),
              f"table entries of {name!r} must be strings")
-        tables[name] = dict(zip(_cells(values, k), cells))
+        tables[name] = dict(zip(itertools.product(values, repeat=k), cells))
     return Matrix(values, frozenset(data["designated"]), Signature(arities),
                   tables)
 

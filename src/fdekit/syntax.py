@@ -125,8 +125,44 @@ class _Interned:
     def __delattr__(self, name):
         raise AttributeError(f"formulas are immutable: cannot delete {name!r}")
 
-    def __reduce__(self):  # unpickling and copying intern again
-        return type(self), tuple(map(self.__getattribute__, self.__slots__))
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __reduce__(self):
+        """Pickled as its distinct subformulas in post-order, each variable
+        as its name and each App as its connective and argument positions,
+        so a shared DAG stays small; unpickling interns them again, and
+        neither way recurses."""
+        position: dict[int, int] = {}
+        nodes: list = []
+        stack: list = [self]
+        while stack:
+            g = stack.pop()
+            if g is None:  # the App below has all its arguments listed
+                g = stack.pop()
+                position[id(g)] = len(nodes)
+                nodes.append((g.conn,
+                              tuple([position[id(a)] for a in g.args])))
+            elif id(g) in position:
+                continue
+            elif type(g) is Var:
+                position[id(g)] = len(nodes)
+                nodes.append(g.name)
+            else:
+                stack += (g, None, *reversed(g.args))
+        return _unpickle, (nodes,)
+
+
+def _unpickle(nodes: list) -> Formula:
+    """The last of the formulas that `_Interned.__reduce__` listed."""
+    built: list = []
+    for node in nodes:
+        built.append(Var(node) if type(node) is str else
+                     App(node[0], tuple([built[i] for i in node[1]])))
+    return built[-1]
 
 
 class Var(_Interned):
@@ -248,8 +284,9 @@ def _position(text: str, i: int) -> int:
 
 # Deepest nesting of prefix operators, parentheses and `->` right operands
 # the parser accepts, and the greatest height of a formula it returns (each
-# `&` or `|` chain link adds one), so that what still recurses over formulas
-# (`matrix.evaluate`, and pickling) stays inside the recursion limit.
+# `&` or `|` chain link adds one), so that `matrix.evaluate`, the one
+# function that still recurses over formulas, stays inside the recursion
+# limit.
 MAX_NESTING = 100
 
 # binary connective -> (spaced symbol, binding level, least level of its

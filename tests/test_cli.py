@@ -27,6 +27,13 @@ def _nested_derivation(depth: int) -> str:
     return (node + ', "premises": [') * depth + node + "}" + "]}" * depth
 
 
+def _deep_matrix(levels: int) -> bytes:
+    """A matrix file whose unary table is nested `levels` lists deep."""
+    return ('{"values": ["t", "f"], "designated": ["t"], "connectives": '
+            '{"c": {"arity": 1, "table": ' + "[" * levels + '"t"'
+            + "]" * levels + "}}}").encode()
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -234,6 +241,8 @@ class TestVerdicts:
          "connectives": {"not": {"arity": 1, "table": [["f"], "t"]}}},
         pytest.param(b"", id="empty"),                 # what /dev/null reads
         pytest.param(b"\xff\xfe{}", id="not-utf8"),
+        # too deep for `json` before 3.12, a malformed table from 3.12 on
+        pytest.param(_deep_matrix(1200), id="nested-1200"),
     ])
     def test_entails_malformed_matrix(self, capsys, tmp_path, data):
         path = tmp_path / "bad.json"
@@ -246,12 +255,10 @@ class TestVerdicts:
 
     @pytest.mark.parametrize("command", [["clone", "--matrix"], ["sr-encode"]])
     def test_matrix_file_nested_too_deep(self, capsys, tmp_path, command):
-        # json.load recurses once per level (json.dumps fails here too)
+        # json.load recurses once per level, past its limit on every
+        # supported Python (json.dumps fails here too)
         path = tmp_path / "deep.json"
-        path.write_text(
-            '{"values": ["t", "f"], "designated": ["t"], "connectives": '
-            '{"c": {"arity": 1, "table": ' + "[" * 1200 + '"t"' + "]" * 1200
-            + "}}}")
+        path.write_bytes(_deep_matrix(100_000))
         assert main([*command, str(path)]) == 2
         err = capsys.readouterr().err
         assert err == (f"error: cannot read matrix file {path}: "

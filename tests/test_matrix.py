@@ -1,5 +1,7 @@
 import functools
+import gc
 import itertools
+import json
 import random
 import re
 import signal
@@ -8,7 +10,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from fdekit import bd, matrix, presets
+from fdekit import bd, laws, matrix, presets
 from fdekit.definability import synonymous
 from fdekit.errors import (
     ArityCapError,
@@ -567,6 +569,16 @@ class TestSimplicity:
         assert len(verdicts) >= 19 + 200 + 10
         assert verdicts.count(False) >= 2  # the oracle sees both verdicts
 
+    def test_separator_tables_match_evaluate(self):
+        # p(k+2) stands for the value of index k
+        for name, m in [*_oracle_matrices(),
+                        ("polynomial only", _polynomial_only())]:
+            fixed = {f"p{k + 2}": v for k, v in enumerate(m.values)}
+            for tf in simplicity(m)[1].values():
+                assert list(tf.table) == [
+                    evaluate(m, tf.witness, {**fixed, "p1": v})
+                    for v in m.values], name
+
     def test_bd_is_simple_with_separators(self):
         simple, separators = simplicity(BD)
         assert simple
@@ -593,12 +605,7 @@ class TestSimplicity:
         tf = separators[frozenset("01")]
         assert tf.witness == App("h", (Var("p1"), Var("p4")))
         assert tf.table == ("0", "3", "0", "0")
-        # p(k+2) stands for the value of index k
-        fixed = {f"p{k + 2}": v for k, v in enumerate(m.values)}
         for pair, tf in separators.items():
-            assert list(tf.table) == [evaluate(m, tf.witness,
-                                               {**fixed, "p1": v})
-                                      for v in m.values]
             assert _separates(m, tf, *sorted(pair))
         # p and h(p, p) differ in value, and the matrix is simple
         assert not synonymous(m, Var("p"), App("h", (Var("p"), Var("p"))))
@@ -750,6 +757,24 @@ class TestValidation:
             assert dict(m.index_tables) == reference(m)
 
 
+def _reference_to_json(m):
+    """`matrix_to_json` by recursion over the name view, one call per
+    nesting level."""
+    def nest(name, k, prefix):
+        if k == 0:
+            return m.tables[name][prefix]
+        return [nest(name, k - 1, prefix + (v,)) for v in m.values]
+
+    return {
+        "values": list(m.values),
+        "designated": sorted(m.designated, key=m.values.index),
+        "connectives": {
+            name: {"arity": k, "table": nest(name, k, ())}
+            for name, k in sorted(m.signature.connectives.items())
+        },
+    }
+
+
 class TestJson:
     @pytest.mark.parametrize("values, designated", [
         (["t", "t", "f"], ["t"]), (["t", "f"], ["x"])],
@@ -772,34 +797,53 @@ class TestJson:
         assert data["connectives"]["not"]["table"] == ["f", "t", "b", "n"]
         assert data["connectives"]["and"]["arity"] == 2
 
-    def test_reading_many_carriers_keeps_few_cell_lists(self):
-        # each carrier and arity would keep its argument tuples for good
-        for n in range(2, 2 + 3 * matrix._CELLS_CACHED):
+    def test_matches_reference_nesting(self):
+        # oracle matrices, and random ones with every arity 0-3 over 2-5
+        # values listed in shuffled order
+        rng = random.Random(30)
+        matrices = [m for _, m in _oracle_matrices()]
+        sig = Signature({f"c{k}": k for k in range(4)})
+        for _ in range(100):
+            n = rng.randint(2, 5)
             values = [f"v{i}" for i in range(n)]
-            m = matrix_from_json({
-                "values": values, "designated": values[:1],
-                "connectives": {
-                    "not": {"arity": 1, "table": values[::-1]},
-                    "and": {"arity": 2,
-                            "table": [values[:1] * n for _ in values]}}})
-            assert m.tables["not"][(values[0],)] == values[-1]
-            info = matrix._shared_cells.cache_info()
-            assert info.maxsize == matrix._CELLS_CACHED
-            assert info.currsize <= matrix._CELLS_CACHED
+            rng.shuffle(values)
+            matrices.append(Matrix(
+                tuple(values), frozenset(values[:rng.randint(1, n - 1)]), sig,
+                {f"c{k}": bytes(rng.randrange(n) for _ in range(n ** k))
+                 for k in range(4)}))
+        for m in matrices:
+            data = matrix_to_json(m)
+            assert json.dumps(data) == json.dumps(_reference_to_json(m))
+            assert matrix_from_json(data) == m
 
-    def test_large_cell_lists_are_not_kept(self):
-        # 5 ** 4 = 625 argument tuples: built for the matrix, not shared
-        values = [f"v{i}" for i in range(5)]
+    def test_reading_a_wide_matrix_keeps_nothing(self):
+        # a 4-ary table over 16 values has 65,536 argument tuples: built
+        # for the matrix, and dropped with it
+        values = [f"v{i}" for i in range(16)]
         table = "v0"
         for _ in range(4):
-            table = [table] * 5
-        matrix._shared_cells.cache_clear()
-        m = matrix_from_json({
-            "values": values, "designated": values[:1],
-            "connectives": {"not": {"arity": 1, "table": values[::-1]},
-                            "f": {"arity": 4, "table": table}}})
-        assert m.tables["f"][("v4",) * 4] == "v0"
-        assert len(m.tables["f"]) == 5 ** 4 > matrix._CELLS_SHARED
-        assert matrix._shared_cells.cache_info().currsize == 1  # `not`
-        assert matrix._cells(tuple(values), 1) is \
-            matrix._cells(tuple(values), 1)
+            table = [table] * 16
+        data = {"values": values, "designated": values[:1],
+                "connectives": {"f": {"arity": 4, "table": table},
+                                "not": {"arity": 1, "table": values[::-1]}}}
+        tracemalloc.start()
+        try:
+            m = matrix_from_json(data)
+            same = matrix_to_json(m) == data
+            value = m.tables["f"][("v15",) * 4]
+            del m
+            gc.collect()  # also empties the free lists tracemalloc counts
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert same and value == "v0"
+        assert kept < 64 * 2 ** 10
+
+    def test_kernel_readers_leave_the_name_view_unbuilt(self):
+        # the implication-falsity expansion, a member of the family
+        m = bd.sr_decode(13129950543)
+        assert bd.sr_encode(m) == 13129950543
+        assert all(laws.holds(m, law) for law in laws.TABLE2_LAWS)
+        matrix_to_json(m)
+        assert simplicity(m)[0]
+        assert "tables" not in m.__dict__

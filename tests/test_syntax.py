@@ -536,6 +536,18 @@ class TestInterning:
         assert a is b and a == b and hash(a) == hash(b)
         assert a is not _chain(Var("deep_chain"), "not", 199_999)
 
+    def test_deep_formulas_copy_and_pickle(self):
+        # past the recursion limit, pickled and unpickled without recursion
+        deep = _chain(Var("p"), "not", 5000)
+        dag = _chain(Var("p"), "and", 25)  # 2^25 leaves, 26 distinct nodes
+        for f in (deep, dag):
+            assert copy.deepcopy(f) is f and copy.copy(f) is f
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(f, protocol)) is f
+        assert all(len(pickle.dumps(dag, protocol)) < 1000
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1))
+        assert pickle.loads(pickle.dumps([dag, deep, dag])) == [dag, deep, dag]
+
     def test_attributes_cannot_be_set(self):
         f = conj(p, q)
         for target, name in ((f, "conn"), (f, "args"), (p, "name"),
