@@ -24,7 +24,7 @@ from .bd import (
     CELLS, FREE_BITS, FREE_CELLS, SR_BITS, SR_SIGNATURE, VALUES,
     count_strongly_regular, sr_decode)
 from .errors import SignatureMismatchError, UnknownNameError
-from .matrix import Matrix, Program, compile_formulas, first_difference
+from .matrix import Matrix, Program, agrees, compile_formulas, first_difference
 from .syntax import BOT, TOP, Formula, Var, conj, disj, impl, neg
 
 # The filter re-verifies every survivor up to this many, else a sample.
@@ -92,16 +92,20 @@ def law_by_name(name: str) -> Law:
         raise UnknownNameError(f"unknown law {name!r}") from None
 
 
-def holds_countermodel(m: Matrix, law: Law) -> Optional[dict]:
+def _checked_program(m: Matrix, law: Law) -> Program:
     if not m.signature.connectives.keys() >= SR_SIGNATURE.connectives.keys():
         conn = next(c for c in SR_SIGNATURE.connectives if c not in m.signature)
         raise SignatureMismatchError(
             f"law evaluation needs connective {conn!r}")
-    return first_difference(m, law.program)
+    return law.program
+
+
+def holds_countermodel(m: Matrix, law: Law) -> Optional[dict]:
+    return first_difference(m, _checked_program(m, law))
 
 
 def holds(m: Matrix, law: Law) -> bool:
-    return holds_countermodel(m, law) is None
+    return agrees(m, _checked_program(m, law))
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,18 @@ A matrix is a finite carrier of truth values, a designated subset, and one
 interpretation per connective, stored as an index table of value indices.
 The dict view by value names is derived from it when first read; only
 `evaluate` (the independent oracle), `is_expansion`, `restrict` and callers
-read it, while the kernel, the JSON output and `simplicity` read the index
-tables.  One kernel computes
-truth tables as value vectors for consequence, equivalence and the law
-checks: `bytes` holding a value index per point, in `itertools.product`
-order, so a carrier has at most 256 values.  Formulas are compiled once,
-without recursion, into a flat `Program` with one step per distinct
-subterm, which runs on any matrix: each step applies a connective to whole
-vectors by `bytes.translate`, one block of at most `_BLOCK_POINTS` points
-at a time, and only a countermodel's point becomes an assignment.
+read it, while the kernel, JSON input and output and `simplicity` read the
+index tables.  One kernel computes truth tables as value vectors for
+consequence, equivalence and the law checks: `bytes` holding a value index
+per point, in `itertools.product` order, so a carrier has at most 256
+values.  Formulas are compiled once, without recursion, into a flat
+`Program` with one step per distinct subterm, which runs on any matrix:
+each step applies a connective to whole vectors by `bytes.translate`, one
+block of at most `_BLOCK_POINTS` points at a time.  The kernel answers
+with the index of the first point a query selects: the boolean answers
+(`consequence`, `equivalent`, `agrees`) build no assignment, and only a
+countermodel's point becomes one, decoded from its index by the one
+decoder `assignments` also uses.
 One closure, `subpower`, computes the subuniverse of a power of the carrier
 generated by the projections p1..pn restricted to some rows (points of
 carrier^n), in order of witness size, so every witness it reports has the
@@ -55,18 +58,19 @@ class Matrix:
 
     `values` fixes the enumeration order of the carrier.  A table is stored
     as its index table: `bytes` holding the value index of each argument
-    tuple in radix order (first argument most significant).  It may also be
-    given as its `tables` view, a dict from argument-name tuples to value
+    tuple in radix order (first argument most significant).  It may be
+    given as any sequence of those indices (`matrix_from_json` gives a
+    list), or as its `tables` view, a dict from argument-name tuples to value
     names, which is built from the index table when first read: by
     `evaluate`, `is_expansion`, `restrict` or a caller, never by the kernel,
-    `matrix_to_json` or `simplicity`.  Every mapping is read-only, so no
+    the JSON functions or `simplicity`.  Every mapping is read-only, so no
     cached property goes stale.
     """
 
     values: tuple[str, ...]
     designated: frozenset[str]
     signature: Signature
-    index_tables: Mapping[str, bytes | Mapping[tuple[str, ...], str]]
+    index_tables: Mapping[str, Sequence[int] | Mapping[tuple[str, ...], str]]
 
     def __post_init__(self):
         values, carrier, nvals = self.values, set(self.values), len(self.values)
@@ -83,7 +87,7 @@ class Matrix:
             if table is None:
                 raise InvalidInputError(
                     f"missing table for connective {name!r}")
-            if not isinstance(table, bytes):
+            if isinstance(table, Mapping):
                 cells = list(itertools.product(values, repeat=k))
                 if table.keys() != set(cells):
                     raise InvalidInputError(
@@ -138,12 +142,20 @@ def evaluate(m: Matrix, f: Formula, assignment: Mapping[str, str]) -> str:
 
 def assignments(m: Matrix, names: Iterable[str],
                 start: int = 0) -> Iterator[dict]:
-    """Assignments from index `start` on, each computed from its index:
+    """Assignments from index `start` on, each decoded from its index:
     variables in sorted name order, values in carrier order."""
-    ordered, nvals = sorted(set(names)), len(m.values)
-    for index in range(start, nvals ** len(ordered)):
-        yield {name: m.values[index // nvals ** (len(ordered) - 1 - i) % nvals]
-               for i, name in enumerate(ordered)}
+    ordered = tuple(sorted(set(names)))
+    for index in range(start, len(m.values) ** len(ordered)):
+        yield _assignment(m, ordered, index)
+
+
+def _assignment(m: Matrix, names: tuple, index: int) -> dict:
+    """The assignment at a point index, the first name most significant."""
+    nvals, digits = len(m.values), []
+    for _ in names:
+        index, digit = divmod(index, nvals)
+        digits.append(m.values[digit])
+    return dict(zip(names, reversed(digits)))
 
 
 @functools.cache
@@ -235,9 +247,9 @@ def compile_formulas(formulas: Iterable[Formula]) -> Program:
 _BLOCK_POINTS = 4 ** 8
 
 
-def _first_point(m: Matrix, program: Program,
-                 mask: Callable[[list[bytes], int], int]) -> Optional[dict]:
-    """The assignment at the first point where mask(the program's formula
+def _first_index(m: Matrix, program: Program,
+                 mask: Callable[[list[bytes], int], int]) -> Optional[int]:
+    """The index of the first point where mask(the program's formula
     vectors, their length) has a nonzero big-endian byte, blocks built in
     order; a program with at most `_BLOCK_POINTS` points is one block, and
     otherwise each block fixes the fewest leading variables that fit."""
@@ -251,8 +263,7 @@ def _first_point(m: Matrix, program: Program,
     if npoints <= _BLOCK_POINTS:
         bits = _block(program, tables, nvals, npoints,
                       list(_projections(nvals, len(names))), mask)
-        start = npoints - 1 - (bits.bit_length() - 1) // 8
-        return next(assignments(m, names, start)) if bits else None
+        return npoints - 1 - (bits.bit_length() - 1) // 8 if bits else None
     while npoints > _BLOCK_POINTS:
         lead += 1
         npoints //= nvals
@@ -262,8 +273,7 @@ def _first_point(m: Matrix, program: Program,
         vectors += tail
         bits = _block(program, tables, nvals, npoints, vectors, mask)
         if bits:
-            start = (i + 1) * npoints - 1 - (bits.bit_length() - 1) // 8
-            return next(assignments(m, names, start))
+            return (i + 1) * npoints - 1 - (bits.bit_length() - 1) // 8
     return None
 
 
@@ -271,11 +281,13 @@ def _block(program: Program, tables: Mapping[str, bytes], nvals: int,
            npoints: int, vectors: list[bytes],
            mask: Callable[[list[bytes], int], int]) -> int:
     """mask(the program's formula vectors, npoints) on one block, given
-    its variables' `vectors`; unary and binary steps inline `_compose`."""
+    its variables' `vectors`; steps of arity 0 to 2 inline `_compose`."""
     for conn, args in program.steps:
         table = tables[conn]
         if len(args) == 1:
             vectors.append(vectors[args[0]].translate(table))
+        elif not args:
+            vectors.append(table[:1] * npoints)
         elif len(args) == 2 and len(table) == 256:
             a, b = args
             packed = (int.from_bytes(vectors[a], "big") * nvals
@@ -287,10 +299,8 @@ def _block(program: Program, tables: Mapping[str, bytes], nvals: int,
     return mask([vectors[s] for s in program.slots], npoints)
 
 
-def consequence_countermodel(
-    m: Matrix, gamma: Iterable[Formula], delta: Iterable[Formula]
-) -> Optional[dict]:
-    """First assignment (in enumeration order) refuting gamma |= delta."""
+def _refuting(m: Matrix, gamma: Iterable, delta: Iterable) -> tuple:
+    """gamma + delta compiled, and the mask of the points refuting it."""
     gamma, delta = list(gamma), list(delta)
     designated = bytes(v in m.designated for v in m.values).ljust(256, b"\0")
     def refuting(vectors: list[bytes], npoints: int) -> int:
@@ -299,11 +309,20 @@ def consequence_countermodel(
             held = int.from_bytes(v.translate(designated), "big")
             bits &= held if i < len(gamma) else ~held
         return bits
-    return _first_point(m, compile_formulas(gamma + delta), refuting)
+    return compile_formulas(gamma + delta), refuting
+
+
+def consequence_countermodel(
+    m: Matrix, gamma: Iterable[Formula], delta: Iterable[Formula]
+) -> Optional[dict]:
+    """First assignment (in enumeration order) refuting gamma |= delta."""
+    program, mask = _refuting(m, gamma, delta)
+    index = _first_index(m, program, mask)
+    return None if index is None else _assignment(m, program.names, index)
 
 
 def consequence(m: Matrix, gamma: Iterable[Formula], delta: Iterable[Formula]) -> bool:
-    return consequence_countermodel(m, gamma, delta) is None
+    return _first_index(m, *_refuting(m, gamma, delta)) is None
 
 
 def _differing(vectors: list[bytes], _npoints: int) -> int:
@@ -313,7 +332,13 @@ def _differing(vectors: list[bytes], _npoints: int) -> int:
 def first_difference(m: Matrix, program: Program) -> Optional[dict]:
     """First assignment on which the program's two formulas take different
     values."""
-    return _first_point(m, program, _differing)
+    index = _first_index(m, program, _differing)
+    return None if index is None else _assignment(m, program.names, index)
+
+
+def agrees(m: Matrix, program: Program) -> bool:
+    """Whether the program's two formulas take the same value everywhere."""
+    return _first_index(m, program, _differing) is None
 
 
 def equivalence_countermodel(m: Matrix, a: Formula, b: Formula) -> Optional[dict]:
@@ -322,7 +347,7 @@ def equivalence_countermodel(m: Matrix, a: Formula, b: Formula) -> Optional[dict
 
 
 def equivalent(m: Matrix, a: Formula, b: Formula) -> bool:
-    return equivalence_countermodel(m, a, b) is None
+    return agrees(m, compile_formulas([a, b]))
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +563,9 @@ def matrix_from_json(data) -> Matrix:
     connectives = data.get("connectives")
     need(isinstance(connectives, dict), "'connectives' must be an object")
     values = tuple(data["values"])
+    # a cell outside the carrier gets index len(values), which the Matrix
+    # refuses; on 256 values it fits no byte, so each table is a list
+    position = {v: i for i, v in enumerate(values)}
     tables = {}
     arities = {}
     for name, entry in connectives.items():
@@ -555,7 +583,7 @@ def matrix_from_json(data) -> Matrix:
             cells = [c for row in cells for c in row]
         need(all(isinstance(c, str) for c in cells),
              f"table entries of {name!r} must be strings")
-        tables[name] = dict(zip(itertools.product(values, repeat=k), cells))
+        tables[name] = [position.get(c, len(values)) for c in cells]
     return Matrix(values, frozenset(data["designated"]), Signature(arities),
                   tables)
 

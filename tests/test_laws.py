@@ -15,7 +15,7 @@ from fdekit.laws import (
     holds_countermodel,
     law_by_name,
 )
-from fdekit.matrix import evaluate
+from fdekit.matrix import evaluate, matrix_from_json
 from fdekit.syntax import variables
 
 M = presets.preset("bd-impl-bot")
@@ -84,6 +84,19 @@ def _reference_countermodel(m, law):
     return None
 
 
+def _relisted(m, order):
+    """m read back from JSON with its carrier listed in `order`."""
+    def nest(name, k, args):
+        if k == 0:
+            return m.tables[name][args]
+        return [nest(name, k - 1, args + (v,)) for v in order]
+
+    return matrix_from_json({
+        "values": list(order), "designated": sorted(m.designated),
+        "connectives": {name: {"arity": k, "table": nest(name, k, ())}
+                        for name, k in m.signature.connectives.items()}})
+
+
 class TestAgainstEvaluate:
     """The compiled law programs against `evaluate`, on family members."""
 
@@ -98,6 +111,25 @@ class TestAgainstEvaluate:
                 assert holds(m, law) == (expected is None), law.name
                 failing += expected is not None
         assert failing  # the sample refutes some law somewhere
+
+    def test_holds_is_no_countermodel(self):
+        # the boolean answer stops at the first differing index, the
+        # countermodel decodes it: they agree on every law and member
+        rng = random.Random(31)
+        indices = [0, 2 ** 38 - 1] + [rng.randrange(2 ** 38)
+                                      for _ in range(500)]
+        members = [bd.sr_decode(i) for i in indices]
+        members.append(_relisted(bd.sr_decode(indices[2]), "ftbn"))
+        failing = 0
+        for m in members:
+            for law in TABLE2_LAWS + CLASSICAL_ONLY_LAWS:
+                cm = holds_countermodel(m, law)
+                assert holds(m, law) is (cm is None), law.name
+                failing += cm is not None
+        assert failing
+        for law in TABLE2_LAWS + CLASSICAL_ONLY_LAWS:
+            assert holds_countermodel(members[-1], law) \
+                == _reference_countermodel(members[-1], law), law.name
 
     def test_program_compiled_once(self):
         law = law_by_name("de-morgan-and")

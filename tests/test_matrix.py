@@ -336,6 +336,136 @@ class TestKernelAgainstEvaluate:
         assert program.slots == (1, 1, 0)
 
 
+def _at(digits):
+    """A mask that selects the one point where the program's formulas, the
+    variables themselves, take the value indices `digits`."""
+    def mask(vectors, npoints):
+        bits = int.from_bytes(b"\1" * npoints, "big")
+        for vector, d in zip(vectors, digits):
+            equal = bytes(x == d for x in range(256))
+            bits &= int.from_bytes(vector.translate(equal), "big")
+        return bits
+    return mask
+
+
+class TestPointIndices:
+    """Boolean answers stop at the first point index, and a countermodel is
+    decoded from its index once."""
+
+    def test_decoded_assignment_at_every_index(self):
+        rng = random.Random(31)
+        for nvals in range(2, 6):
+            values = [f"v{i}" for i in range(nvals)]
+            rng.shuffle(values)
+            m = Matrix(tuple(values), frozenset(values[:1]),
+                       Signature({"not": 1}), {"not": bytes(range(nvals))})
+            for nvars in range(4):
+                names = ("s", "q", "r")[:nvars]
+                ordered = tuple(sorted(names))
+                full = list(assignments(m, names))
+                assert [list(a.items()) for a in full] == [
+                    list(zip(ordered, combo))
+                    for combo in itertools.product(m.values, repeat=nvars)]
+                for i, expected in enumerate(full):
+                    decoded = matrix._assignment(m, ordered, i)
+                    assert list(decoded.items()) == list(expected.items())
+
+    @pytest.mark.parametrize("name, nvars", [("bd", 9), ("cl", 17)])
+    def test_index_across_blocks(self, name, nvars):
+        # the first index of a single point, in every block
+        m = presets.preset(name)
+        nvals = len(m.values)
+        program = compile_formulas([Var(f"p{i:02}") for i in range(nvars)])
+        rng = random.Random(nvars)
+        npoints = nvals ** nvars
+        for index in [0, npoints - 1, matrix._BLOCK_POINTS - 1,
+                      matrix._BLOCK_POINTS] + rng.sample(range(npoints), 20):
+            digits = [index // nvals ** (nvars - 1 - i) % nvals
+                      for i in range(nvars)]
+            assert matrix._first_index(m, program, _at(digits)) == index
+            assert matrix._assignment(m, program.names, index) \
+                == dict(zip(program.names, (m.values[d] for d in digits)))
+
+    @pytest.mark.parametrize("name, nvars", [
+        ("bd-impl-bot", 9), ("bd-b-n", 9), ("cl-impl-bot", 17)])
+    def test_multi_block_countermodels(self, name, nvars, monkeypatch):
+        # every variable occurs, and gamma holds lead -> c, with c a
+        # constant outside the designated set, so a refuting point leaves
+        # the first block
+        m = presets.preset(name)
+        c = App("N", ()) if name == "bd-b-n" else BOT
+        names = [f"p{i:02}" for i in range(nvars)]
+        every = functools.reduce(conj, map(Var, names))
+        rng = random.Random(name)
+
+        def some(count):
+            return [_random_formula(rng, m.signature, names, rng.randrange(8))
+                    for _ in range(count)]
+
+        def one_block(fn, *args):
+            with monkeypatch.context() as patch:
+                patch.setattr(matrix, "_BLOCK_POINTS", len(m.values) ** nvars)
+                return fn(*args)
+
+        later = 0
+        for _ in range(4):
+            gamma = [App("impl", (Var(names[0]), c))] + some(2)
+            delta = some(rng.randrange(2)) + [every]
+            cm = consequence_countermodel(m, gamma, delta)
+            assert cm == one_block(consequence_countermodel, m, gamma, delta)
+            assert consequence(m, gamma, delta) is (cm is None)
+            if cm is not None:
+                assert list(cm) == names
+                assert all(evaluate(m, f, cm) in m.designated for f in gamma)
+                assert not any(evaluate(m, f, cm) in m.designated
+                               for f in delta)
+                later += cm[names[0]] != m.values[0]
+            a, b = some(2)
+            a = disj(a, every)
+            cm = equivalence_countermodel(m, a, b)
+            assert cm == one_block(equivalence_countermodel, m, a, b)
+            assert equivalent(m, a, b) is (cm is None)
+            if cm is not None:
+                assert list(cm) == names
+                assert evaluate(m, a, cm) != evaluate(m, b, cm)
+        assert later
+
+    def test_nullary_steps_off_index_zero(self):
+        # B and N are b and n, value indices 2 and 3, and bot is f
+        m = presets.preset("bd-b-n")
+        b, n = App("B", ()), App("N", ())
+        program = compile_formulas([n, b])
+        assert matrix._block(program, m.byte_tables, 4, 5, [],
+                             lambda vectors, _: vectors) \
+            == [b"\3" * 5, b"\2" * 5]
+        assert equivalent(m, n, neg(n)) and not equivalent(m, b, n)
+        assert consequence_countermodel(m, [b], [n]) == {}
+        assert consequence(m, [n], [b])
+        assert equivalence_countermodel(m, conj(p, n), n) == {"p": "f"}
+        assert equivalence_countermodel(BDI, BOT, neg(TOP)) is None
+        assert consequence_countermodel(BDI, [TOP], [BOT]) == {}
+
+    def test_boolean_answers_agree_with_countermodels(self):
+        rng = random.Random(29)
+        for name, m in _oracle_matrices():
+            names = ["p", "q", "r"][:rng.randrange(4)]
+            deep = any(m.signature.connectives.values())
+
+            def some(count):
+                return [_random_formula(rng, m.signature, names,
+                                        rng.randrange(5) if deep else 0)
+                        for _ in range(count)]
+
+            for _ in range(4):
+                gamma, delta = some(rng.randrange(3)), some(rng.randrange(3))
+                assert consequence(m, gamma, delta) is (
+                    consequence_countermodel(m, gamma, delta) is None), name
+                a, b = some(2)
+                for x, y in ((a, b), (a, a)):
+                    assert equivalent(m, x, y) is (
+                        equivalence_countermodel(m, x, y) is None), name
+
+
 @contextmanager
 def _within(seconds):
     """Fail with TimeoutError once `seconds` of wall time have passed."""
@@ -838,6 +968,51 @@ class TestJson:
             tracemalloc.stop()
         assert same and value == "v0"
         assert kept < 64 * 2 ** 10
+
+    def test_reading_a_wide_matrix_peaks_low(self):
+        # 65,536 cells go straight to value indices: no argument tuples,
+        # no name-keyed dict
+        values = [f"v{i}" for i in range(16)]
+        table = values
+        for _ in range(3):
+            table = [table] * 16
+        data = {"values": values, "designated": values[:1],
+                "connectives": {"f": {"arity": 4, "table": table}}}
+        tracemalloc.start()
+        try:
+            m = matrix_from_json(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.index_tables["f"] == bytes(range(16)) * 16 ** 3
+        assert peak < 2 * 2 ** 20
+
+    @pytest.mark.parametrize("values, table, error", [
+        (["t", "t"], ["t", "t"], "duplicate truth-value names"),
+        ([str(i) for i in range(257)], [str(i) for i in range(257)],
+         "more than 256 truth values"),
+        (["t", "f"], ["f", "x"], "table for 'not' leaves the carrier"),
+        ([str(i) for i in range(256)], ["x"] + [str(i) for i in range(255)],
+         "table for 'not' leaves the carrier"),
+        (["t", "f"], ["f"], "malformed table for 'not'"),
+    ], ids=["duplicate", "wide", "outside", "outside-256", "malformed"])
+    def test_error_texts(self, values, table, error):
+        data = {"values": values, "designated": values[:1],
+                "connectives": {"not": {"arity": 1, "table": table}}}
+        with pytest.raises(FdekitError, match=error):
+            matrix_from_json(data)
+
+    @pytest.mark.parametrize("table, error", [
+        ([1, 0, 2], "has the wrong shape"),
+        ([1, 0, 2, 4], "leaves the carrier"),
+    ])
+    def test_index_list_input(self, table, error):
+        # the form `matrix_from_json` passes, checked as index tables are
+        with pytest.raises(FdekitError, match=error):
+            Matrix(BD.values, BD.designated, Signature({"not": 1}),
+                   {"not": table})
+        assert Matrix(BD.values, BD.designated, Signature({"not": 1}),
+                      {"not": [1, 0, 2, 3]}) == _not_matrix()
 
     def test_kernel_readers_leave_the_name_view_unbuilt(self):
         # the implication-falsity expansion, a member of the family
