@@ -14,8 +14,8 @@ each step applies a connective to whole vectors by `bytes.translate`, one
 block of at most `_BLOCK_POINTS` points at a time.  The kernel answers
 with the index of the first point a query selects: the boolean answers
 (`consequence`, `equivalent`, `agrees`) build no assignment, and only a
-countermodel's point becomes one, decoded from its index by the one
-decoder `assignments` also uses.
+countermodel's point becomes one, decoded from its index by
+`assignments`.
 One closure, `subpower`, computes the subuniverse of a power of the carrier
 generated by the projections p1..pn restricted to some rows (points of
 carrier^n), in order of witness size, so every witness it reports has the
@@ -142,20 +142,18 @@ def evaluate(m: Matrix, f: Formula, assignment: Mapping[str, str]) -> str:
 
 def assignments(m: Matrix, names: Iterable[str],
                 start: int = 0) -> Iterator[dict]:
-    """Assignments from index `start` on, each decoded from its index:
-    variables in sorted name order, values in carrier order."""
-    ordered = tuple(sorted(set(names)))
-    for index in range(start, len(m.values) ** len(ordered)):
-        yield _assignment(m, ordered, index)
-
-
-def _assignment(m: Matrix, names: tuple, index: int) -> dict:
-    """The assignment at a point index, the first name most significant."""
-    nvals, digits = len(m.values), []
-    for _ in names:
-        index, digit = divmod(index, nvals)
-        digits.append(m.values[digit])
-    return dict(zip(names, reversed(digits)))
+    """Assignments from index `start` on, each decoded from its index in
+    one `divmod` pass: variables in sorted name order, the first most
+    significant, values in carrier order.  The countermodel functions
+    decode their one point through it too."""
+    ordered, values = tuple(sorted(set(names))), m.values
+    nvals = len(values)
+    for index in range(start, nvals ** len(ordered)):
+        digits = []
+        for _ in ordered:
+            index, digit = divmod(index, nvals)
+            digits.append(values[digit])
+        yield dict(zip(ordered, reversed(digits)))
 
 
 @functools.cache
@@ -281,13 +279,11 @@ def _block(program: Program, tables: Mapping[str, bytes], nvals: int,
            npoints: int, vectors: list[bytes],
            mask: Callable[[list[bytes], int], int]) -> int:
     """mask(the program's formula vectors, npoints) on one block, given
-    its variables' `vectors`; steps of arity 0 to 2 inline `_compose`."""
+    its variables' `vectors`; unary and binary steps inline `_compose`."""
     for conn, args in program.steps:
         table = tables[conn]
         if len(args) == 1:
             vectors.append(vectors[args[0]].translate(table))
-        elif not args:
-            vectors.append(table[:1] * npoints)
         elif len(args) == 2 and len(table) == 256:
             a, b = args
             packed = (int.from_bytes(vectors[a], "big") * nvals
@@ -318,7 +314,8 @@ def consequence_countermodel(
     """First assignment (in enumeration order) refuting gamma |= delta."""
     program, mask = _refuting(m, gamma, delta)
     index = _first_index(m, program, mask)
-    return None if index is None else _assignment(m, program.names, index)
+    return None if index is None else next(
+        assignments(m, program.names, index))
 
 
 def consequence(m: Matrix, gamma: Iterable[Formula], delta: Iterable[Formula]) -> bool:
@@ -333,7 +330,8 @@ def first_difference(m: Matrix, program: Program) -> Optional[dict]:
     """First assignment on which the program's two formulas take different
     values."""
     index = _first_index(m, program, _differing)
-    return None if index is None else _assignment(m, program.names, index)
+    return None if index is None else next(
+        assignments(m, program.names, index))
 
 
 def agrees(m: Matrix, program: Program) -> bool:

@@ -367,7 +367,7 @@ class TestPointIndices:
                     list(zip(ordered, combo))
                     for combo in itertools.product(m.values, repeat=nvars)]
                 for i, expected in enumerate(full):
-                    decoded = matrix._assignment(m, ordered, i)
+                    decoded = next(assignments(m, names, i))
                     assert list(decoded.items()) == list(expected.items())
 
     @pytest.mark.parametrize("name, nvars", [("bd", 9), ("cl", 17)])
@@ -383,7 +383,7 @@ class TestPointIndices:
             digits = [index // nvals ** (nvars - 1 - i) % nvals
                       for i in range(nvars)]
             assert matrix._first_index(m, program, _at(digits)) == index
-            assert matrix._assignment(m, program.names, index) \
+            assert next(assignments(m, program.names, index)) \
                 == dict(zip(program.names, (m.values[d] for d in digits)))
 
     @pytest.mark.parametrize("name, nvars", [
@@ -947,11 +947,12 @@ class TestJson:
             assert matrix_from_json(data) == m
 
     def test_reading_a_wide_matrix_keeps_nothing(self):
-        # a 4-ary table over 16 values has 65,536 argument tuples: built
-        # for the matrix, and dropped with it
+        # a 4-ary table over 16 values has 65,536 cells: they go straight
+        # to value indices, with no argument tuples and no name-keyed dict,
+        # and the name view built later is dropped with the matrix
         values = [f"v{i}" for i in range(16)]
-        table = "v0"
-        for _ in range(4):
+        table = values
+        for _ in range(3):
             table = [table] * 16
         data = {"values": values, "designated": values[:1],
                 "connectives": {"f": {"arity": 4, "table": table},
@@ -959,33 +960,18 @@ class TestJson:
         tracemalloc.start()
         try:
             m = matrix_from_json(data)
+            peak = tracemalloc.get_traced_memory()[1]
             same = matrix_to_json(m) == data
-            value = m.tables["f"][("v15",) * 4]
+            indices = m.index_tables["f"] == bytes(range(16)) * 16 ** 3
+            value = m.tables["f"][("v0", "v1", "v2", "v15")]
             del m
             gc.collect()  # also empties the free lists tracemalloc counts
             kept = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert same and value == "v0"
-        assert kept < 64 * 2 ** 10
-
-    def test_reading_a_wide_matrix_peaks_low(self):
-        # 65,536 cells go straight to value indices: no argument tuples,
-        # no name-keyed dict
-        values = [f"v{i}" for i in range(16)]
-        table = values
-        for _ in range(3):
-            table = [table] * 16
-        data = {"values": values, "designated": values[:1],
-                "connectives": {"f": {"arity": 4, "table": table}}}
-        tracemalloc.start()
-        try:
-            m = matrix_from_json(data)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert m.index_tables["f"] == bytes(range(16)) * 16 ** 3
+        assert same and indices and value == "v15"
         assert peak < 2 * 2 ** 20
+        assert kept < 64 * 2 ** 10
 
     @pytest.mark.parametrize("values, table, error", [
         (["t", "t"], ["t", "t"], "duplicate truth-value names"),
