@@ -29,7 +29,6 @@ from .matrix import (
     equivalent,
     evaluate,
     is_expansion,
-    load_matrix,
     matrix_from_json,
     matrix_to_json,
     restrict,

@@ -1,4 +1,6 @@
-"""Command-line front door.
+"""Command-line front door, and the only module that does I/O: `_load`
+reads every matrix and derivation file (or stdin for `-`), and every
+command prints through `_emit`, except `prove`'s text derivation.
 
 Exit codes: 0 success / positive verdict, 1 negative verdict on yes-no
 queries, 2 usage or parse errors.
@@ -20,28 +22,29 @@ EXIT_NO = 1
 EXIT_ERROR = 2
 
 
+def _load(path: str, what: str, decode):
+    """decode(the JSON in a UTF-8 file, or on stdin for -, which stays
+    open); any failure, decode's too, is one FdekitError naming the file."""
+    try:
+        if path == "-":
+            return decode(json.load(sys.stdin))
+        with open(path, encoding="utf-8") as fh:
+            return decode(json.load(fh))
+    except RecursionError:
+        reason = "too deeply nested"
+    except (FdekitError, OSError, ValueError) as e:
+        reason = str(e)
+    raise FdekitError(f"cannot read {what} file {path}: {reason}")
+
+
 def _get_matrix(spec: str) -> mx.Matrix:
     if spec in presets.PRESET_NAMES:
         return presets.preset(spec)
     if os.path.exists(spec):
-        return mx.load_matrix(spec)
+        return _load(spec, "matrix", mx.matrix_from_json)
     raise FdekitError(
         f"{spec!r} is neither a preset ({', '.join(presets.PRESET_NAMES)}) "
         "nor a matrix file")
-
-
-def _parse_side(text: str, sig: syntax.Signature) -> list:
-    text = text.strip()
-    if not text:
-        return []
-    return [syntax.parse(part, sig) for part in text.split(",")]
-
-
-def _parse_sequent(text: str, sig: syntax.Signature):
-    if "|-" not in text:
-        raise FdekitError("sequent syntax is 'Gamma |- Delta'")
-    left, right = text.split("|-", 1)
-    return _parse_side(left, sig), _parse_side(right, sig)
 
 
 def _emit(args, data, text: str) -> None:
@@ -118,9 +121,9 @@ def _countermodel_verdict(args, key: str, counter, no: str = "NO") -> int:
          _arg("sequent", help="'Gamma |- Delta', comma-separated"))
 def cmd_entails(args) -> int:
     m = _get_matrix(args.matrix)
-    gamma, delta = _parse_sequent(args.sequent, m.signature)
+    seq = proof.Sequent.parse(args.sequent, m.signature)
     return _countermodel_verdict(
-        args, "entails", mx.consequence_countermodel(m, gamma, delta))
+        args, "entails", mx.consequence_countermodel(m, seq.left, seq.right))
 
 
 @command("equiv", "decide induced equivalence", MATRIX, _arg("lhs"), _arg("rhs"))
@@ -177,27 +180,19 @@ def cmd_clone(args) -> int:
         gens = list(m.signature.connectives)
     else:
         gens = args.using.split(",") if args.using else []
-    funcs = sorted(
-        mx.term_functions(m, args.arity, gens),
-        key=lambda tf: tf.table,
-    )
-    if args.json:
-        print(json.dumps([
-            {"table": list(tf.table),
-             "witness": syntax.print_formula(tf.witness)}
-            for tf in funcs
-        ]))
-    else:
-        print(f"{len(funcs)} term functions of arity {args.arity}")
-        for tf in funcs:
-            print(f"  {','.join(tf.table)}  <-  "
-                  f"{syntax.print_formula(tf.witness)}")
+    funcs = [(tf.table, syntax.print_formula(tf.witness)) for tf in sorted(
+        mx.term_functions(m, args.arity, gens), key=lambda tf: tf.table)]
+    _emit(args, [{"table": list(table), "witness": witness}
+                 for table, witness in funcs],
+          "\n".join([f"{len(funcs)} term functions of arity {args.arity}",
+                     *(f"  {','.join(table)}  <-  {witness}"
+                       for table, witness in funcs)]))
     return EXIT_OK
 
 
 @command("prove", "backward proof search", _system(proof.BD), _arg("sequent"))
 def cmd_prove(args) -> int:
-    seq = proof.Sequent.of(*_parse_sequent(args.sequent, bd.SR_SIGNATURE))
+    seq = proof.Sequent.parse(args.sequent)
     prover = proof.Prover(args.system)
     d = prover.derivation(seq)
     if d is None:
@@ -224,18 +219,7 @@ def _print_derivation(d: proof.Derivation) -> None:
 @command("check", "check a derivation JSON file",
          _arg("file", help="path or - for stdin"))
 def cmd_check(args) -> int:
-    try:
-        with open(args.file, encoding="utf-8") if args.file != "-" \
-                else sys.stdin as fh:
-            data = json.load(fh)
-    except RecursionError:
-        raise FdekitError("malformed derivation: JSON nests too deeply") \
-            from None
-    except (OSError, ValueError) as e:
-        raise FdekitError(
-            f"cannot read derivation file {args.file}: {e}") from None
-    d, system = proof.derivation_from_json(
-        data, lambda s: syntax.parse(s, bd.SR_SIGNATURE))
+    d, system = _load(args.file, "derivation", proof.derivation_from_json)
     ok, path = proof.check_with_path(d, system)
     if ok:
         return _verdict(args, True, {"valid": True}, "VALID")
@@ -260,15 +244,14 @@ def cmd_count_sr(args) -> int:
 
 @command("sr-decode", "family index to matrix JSON", _arg("index", type=int))
 def cmd_sr_decode(args) -> int:
-    m = bd.sr_decode(args.index)
-    print(json.dumps(mx.matrix_to_json(m), indent=None if args.json else 2))
+    data = mx.matrix_to_json(bd.sr_decode(args.index))
+    _emit(args, data, json.dumps(data, indent=2))
     return EXIT_OK
 
 
-@command("sr-encode", "matrix JSON file to family index", _arg("file"))
+@command("sr-encode", "preset or matrix file to family index", _arg("file"))
 def cmd_sr_encode(args) -> int:
-    m = mx.load_matrix(args.file)
-    index = bd.sr_encode(m)
+    index = bd.sr_encode(_get_matrix(args.file))
     _emit(args, {"index": index}, str(index))
     return EXIT_OK
 
@@ -280,22 +263,10 @@ def cmd_laws_filter(args) -> int:
     selected = ([laws.law_by_name(name) for name in args.law]
                 if args.law else list(laws.TABLE2_LAWS))
     result = laws.filter_strongly_regular(selected)
-    if result.is_all:
-        _emit(args, {"all": True, "count": result.count}, "all")
-        return EXIT_OK
-    if args.json:
-        payload: dict = {"all": False, "count": result.count}
-        if result.count <= laws.VERIFY_LIMIT:
-            payload["indices"] = list(result.indices())
-        print(json.dumps(payload))
-    else:
-        print(f"{result.count} surviving matrices")
-        if result.count <= 64:
-            for index in result.indices():
-                print(f"  {index}")
-        if result.count == 1:
-            (index,) = result.indices()
-            print(json.dumps(mx.matrix_to_json(bd.sr_decode(index)), indent=2))
+    data = {"all": result.is_all, "count": result.count}
+    if not result.is_all and result.count <= laws.VERIFY_LIMIT:
+        data["indices"] = list(result.indices())
+    _emit(args, data, f"{result.count} surviving matrices")
     return EXIT_OK
 
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -96,10 +95,13 @@ class Matrix:
             if len(table) != nvals ** k:
                 raise InvalidInputError(
                     f"table for {name!r} has the wrong shape")
-            if max(table) >= nvals:
-                raise InvalidInputError(
-                    f"table for {name!r} leaves the carrier")
-            tables[name] = bytes(table)
+            try:  # a negative or non-integer index fails `bytes`
+                if max(table) < nvals:
+                    tables[name] = bytes(table)
+                    continue
+            except (TypeError, ValueError):
+                pass
+            raise InvalidInputError(f"table for {name!r} leaves the carrier")
         object.__setattr__(self, "index_tables", MappingProxyType(tables))
 
     @cached_property
@@ -584,16 +586,3 @@ def matrix_from_json(data) -> Matrix:
         tables[name] = [position.get(c, len(values)) for c in cells]
     return Matrix(values, frozenset(data["designated"]), Signature(arities),
                   tables)
-
-
-def load_matrix(path: str) -> Matrix:
-    """The matrix in a UTF-8 JSON file; any failure to read it raises
-    FdekitError naming the path."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return matrix_from_json(json.load(fh))
-    except RecursionError:
-        reason = "too deeply nested"
-    except (FdekitError, OSError, ValueError) as e:
-        reason = str(e)
-    raise FdekitError(f"cannot read matrix file {path}: {reason}")

@@ -15,6 +15,11 @@ One search over pairs of bit masks, one bit per formula, answers
 derivations and countermodels take formulas in `formula_key` order, so
 their output depends neither on the hash seed nor on the order in which
 formulas were built (a set of formulas iterates in identity order).
+
+Sequent text is read by `Sequent.parse` beside the `__str__` that prints
+it, and derivation JSON written by `derivation_to_json` is read back by
+`derivation_from_json`, formulas over `SR_SIGNATURE`; neither touches a
+file, which only the CLI reads.
 """
 
 from __future__ import annotations
@@ -23,10 +28,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from typing import Callable, Iterable, NamedTuple, Optional
 
+from .bd import SR_SIGNATURE
 from .errors import FdekitError, UnknownNameError
 from .syntax import (
-    BOT, TOP, App, Formula, Var, disj, formula_key, impl, neg, print_formula,
-    variables)
+    BOT, TOP, App, Formula, Signature, Var, disj, formula_key, impl, neg,
+    parse, print_formula, variables)
 
 BD = "BD"
 CL = "CL"
@@ -108,6 +114,16 @@ class Sequent(NamedTuple):
     def __str__(self):
         return " |- ".join(", ".join(map(print_formula, side))
                            for side in self.key())
+
+    @staticmethod
+    def parse(text: str, sig: Signature = SR_SIGNATURE) -> "Sequent":
+        """The sequent in the form `str` prints, 'Gamma |- Delta', each
+        side a comma-separated list, possibly empty, of formulas over sig."""
+        if "|-" not in text:
+            raise FdekitError("sequent syntax is 'Gamma |- Delta'")
+        return Sequent.of(*([parse(part, sig) for part in side.split(",")]
+                            if side else []
+                            for side in map(str.strip, text.split("|-", 1))))
 
 
 @dataclass(frozen=True)
@@ -416,14 +432,15 @@ def derivation_to_json(d: Derivation, system: str) -> dict:
     return out
 
 
-def derivation_from_json(data, parse_formula) -> tuple[Derivation, str]:
-    """Inverse of `derivation_to_json`; malformed input raises FdekitError."""
+def derivation_from_json(data) -> tuple[Derivation, str]:
+    """Inverse of `derivation_to_json`, formulas read over `SR_SIGNATURE`;
+    malformed input raises FdekitError."""
     def need(ok: bool, what: str) -> None:
         if not ok:
             raise FdekitError(f"malformed derivation: {what}")
 
     # a context formula recurs in every node down to the step that uses it
-    formula = lru_cache(maxsize=None)(parse_formula)
+    formula = lru_cache(maxsize=None)(lambda s: parse(s, SR_SIGNATURE))
 
     def side(items) -> frozenset:
         need(isinstance(items, list) and all(isinstance(s, str) for s in items),

@@ -64,6 +64,8 @@ class Signature:
             raise InvalidInputError(
                 "a signature needs at least one connective")
         for name, arity in self.connectives.items():
+            if type(arity) is not int:
+                raise InvalidInputError(f"arity of {name!r} is not an integer")
             if arity < 0:
                 raise InvalidInputError(f"negative arity for {name!r}")
 
@@ -410,7 +412,9 @@ def parse(text: str, sig: Signature) -> Formula:
 
 def print_formula(f: Formula) -> str:
     """f with the fewest parentheses that parse back to it, built without
-    recursion.  Variables, constants and prefix operators have `_PREFIX`."""
+    recursion.  Variables, constants and prefix operators have `_PREFIX`.
+    A connective of arity 2 or more outside `_INFIX` prints as
+    conn(a, b, ...), which `parse` does not read yet."""
     parts: list[str] = []
     # text, or (an App, the least level it may have without parentheses)
     stack: list = [f.name if type(f) is Var else (f, 0)]
@@ -425,9 +429,16 @@ def print_formula(f: Formula) -> str:
             parts.append(conn)
             continue
         a, infix = args[0], _INFIX.get(conn)
-        if infix is None:  # unary prefix
-            parts.append("~" if conn == "not" else conn + " ")
-            stack.append(a.name if type(a) is Var else (a, _PREFIX))
+        if infix is None:
+            if len(args) == 1:  # unary prefix
+                parts.append("~" if conn == "not" else conn + " ")
+                stack.append(a.name if type(a) is Var else (a, _PREFIX))
+                continue
+            # any other arity: conn(a, b, ...), each argument at level 0
+            parts.append(conn + "(")
+            stack.append(")")
+            stack += [item for b in reversed(args) for item in (
+                ", ", b.name if type(b) is Var else (b, 0))][1:]
             continue
         symbol, level, left, right = infix
         if level < least:

@@ -10,6 +10,7 @@ from fdekit.errors import (
     IndexOutOfRangeError,
     NotStronglyRegularError,
     SignatureMismatchError,
+    UnknownNameError,
 )
 from fdekit.matrix import Matrix, matrix_from_json, matrix_to_json
 
@@ -73,6 +74,8 @@ class TestConnectiveTables:
                   for r in range(5)
                   for v in itertools.combinations(bd.VALUES, r)}
         assert len(tables) == 16
+        with pytest.raises(UnknownNameError, match=r"\['x'\]"):
+            bd.heart(("t", "x"))
 
     def test_named_lookup(self):
         assert bd.named("delta") is bd.DELTA
@@ -113,6 +116,16 @@ class TestStronglyRegularFamily:
             m = bd.sr_decode(index)
             assert bd.is_strongly_regular(m)
             assert bd.sr_encode(m) == index
+
+    def test_member_tables_on_another_carrier_or_designated_set(self):
+        m = presets.preset("bd-impl-bot")
+        assert not bd.is_strongly_regular(Matrix(
+            ("t", "f", "b", "x"), m.designated, m.signature, m.index_tables))
+        assert not bd.is_strongly_regular(Matrix(
+            m.values, frozenset(["t"]), m.signature, m.index_tables))
+        with pytest.raises(NotStronglyRegularError):
+            bd.sr_encode(Matrix(m.values, frozenset(["t"]), m.signature,
+                                m.index_tables))
 
     def test_extreme_indices(self):
         for index in (0, 2 ** 38 - 1):
@@ -245,6 +258,11 @@ class TestByteDecoder:
         with pytest.raises(SignatureMismatchError) as e:
             laws.holds(m, laws.law_by_name("double-negation"))
         assert str(e.value) == "law evaluation needs connective 'impl'"
+
+
+def test_unknown_preset():
+    with pytest.raises(UnknownNameError, match="unknown preset 'nope'"):
+        presets.preset("nope")
 
 
 def test_presets_unchanged():

@@ -283,6 +283,17 @@ class TestVerdicts:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"outside 0..{MAX_CLONE_ARITY}" in err
 
+    def test_clone_using_an_unknown_generator(self, capsys):
+        assert main(["clone", "--matrix", "bd", "--using", "not,nope"]) == 2
+        assert capsys.readouterr().err == (
+            "error: generator 'nope' not in the signature\n")
+
+    @pytest.mark.parametrize("command", ["entails", "prove"])
+    def test_sequent_without_turnstile(self, capsys, command):
+        assert main([command, "p, q"]) == 2
+        assert capsys.readouterr().err == (
+            "error: sequent syntax is 'Gamma |- Delta'\n")
+
     def test_clone_using_nothing(self, capsys):
         # an empty list reads no connectives, as in definable
         assert run(capsys, "clone", "--matrix", "bd", "--using", "") == (
@@ -342,6 +353,14 @@ class TestProofCommands:
         assert err.startswith(f"error: cannot read derivation file {path}: ")
         assert err.count("\n") == 1
 
+    def test_check_stdin_stays_open(self, capsys, monkeypatch):
+        derivation = run(capsys, "--json", "prove", "|- p -> p")[1]
+        for _ in range(2):
+            stdin = io.StringIO(derivation)
+            monkeypatch.setattr("sys.stdin", stdin)
+            assert run(capsys, "check", "-") == (0, "VALID\n")
+            assert not stdin.closed
+
     def test_check_invalid(self, capsys, tmp_path):
         sig = presets.preset("bd-impl-bot").signature
         d = prove(Sequent.of([], [parse("p -> p", sig)]), BD)
@@ -375,7 +394,8 @@ class TestProofCommands:
         path.write_text(data if isinstance(data, str) else json.dumps(data))
         assert main(["check", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith(f"error: cannot read derivation file {path}: ")
+        assert err.count("\n") == 1
 
     def test_check_at_depth_limit(self, capsys, tmp_path):
         # and-L steps, one per conjunction a_i & a_i, down to an Id leaf
@@ -410,6 +430,10 @@ class TestFamilyCommands:
         path.write_text(out)
         code, out = run(capsys, "sr-encode", str(path))
         assert code == 0 and out.strip() == "13129950543"
+
+    def test_encode_a_preset(self, capsys):
+        assert run(capsys, "--json", "sr-encode", "bd-impl-bot") == (
+            0, '{"index": 13129950543}\n')
 
     def test_decode_matches_library(self, capsys):
         code, out = run(capsys, "--json", "sr-decode", "0")

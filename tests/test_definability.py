@@ -9,6 +9,7 @@ import pytest
 from fdekit import bd, definability, presets
 from fdekit.claims import SYNONYMITIES
 from fdekit.definability import (
+    DefinabilityVerdict,
     bd_preservation_criterion,
     definable,
     interdefinable,
@@ -35,6 +36,13 @@ from fdekit.syntax import App, Signature, Var, parse
 
 p = Var("p")
 
+# no unary polynomial designates exactly one of y and z: not simple
+NOT_SIMPLE = Matrix(
+    ("x", "y", "z"), frozenset(["x"]), Signature({"f1": 1, "f2": 1}),
+    {"f1": {("x",): "x", ("y",): "y", ("z",): "y"},
+     "f2": {("x",): "x", ("y",): "y", ("z",): "y"}})
+
+
 class TestSynonymity:
     @pytest.mark.parametrize("preset_name,lhs,rhs", SYNONYMITIES)
     def test_displayed_synonymities(self, preset_name, lhs, rhs):
@@ -50,11 +58,8 @@ class TestSynonymity:
             m, parse("~p", m.signature), parse("p -> bot", m.signature))
 
     def test_rejects_non_simple_matrix(self):
-        m = Matrix(
-            ("x", "y", "z"), frozenset(["x"]), Signature({"f1": 1}),
-            {"f1": {("x",): "x", ("y",): "y", ("z",): "y"}})
         with pytest.raises(NotSimpleError):
-            synonymous(m, Var("p"), App("f1", (Var("p"),)))
+            synonymous(NOT_SIMPLE, Var("p"), App("f1", (Var("p"),)))
 
     def test_simplicity_cache_frees_matrix(self):
         m = bd.sr_decode(13129950543)
@@ -123,6 +128,17 @@ class TestDefinable:
                  for tf in term_functions(m, 1, allowed)}
         table = tuple(m.tables[target][(v,)] for v in m.values)
         assert definable(m, target, allowed).witness == clone.get(table)
+
+    def test_clone_exhausted(self):
+        # projections and the constant f hold the meet's restriction to
+        # any one or two rows, but not its whole table
+        verdict = definable(presets.preset("cl-impl-bot"), "and", ["bot"])
+        assert verdict == DefinabilityVerdict(
+            False, reason="clone exhausted without the table")
+
+    def test_rejects_non_simple_matrix(self):
+        with pytest.raises(NotSimpleError, match="needs a simple matrix"):
+            definable(NOT_SIMPLE, "f2", ["f1"])
 
     def test_target_validation(self):
         m = presets.preset("bd-impl-bot")
@@ -406,34 +422,6 @@ class TestInterdefinability:
             with pytest.raises(NotCommonExpansionError):
                 interdefinable(b, a, common)
 
-
-class TestRandomizedConsequenceAxioms:
-    def test_overlap_dilution_cut_structurality(self):
-        m = presets.preset("bd")
-        sig = m.signature
-        rng = random.Random(99)
-        pool = [parse(s, sig) for s in (
-            "p", "q", "~p", "~q", "p & q", "p | ~q", "~(p & q)",
-            "~p | ~q", "p & ~p", "q | ~q")]
-        from fdekit.matrix import consequence
-        from fdekit.syntax import substitute
-        for _ in range(10_000):
-            gamma = rng.sample(pool, rng.randrange(0, 4))
-            delta = rng.sample(pool, rng.randrange(0, 4))
-            if set(gamma) & set(delta):  # overlap
-                assert consequence(m, gamma, delta)
-            if consequence(m, gamma, delta):
-                extra = rng.choice(pool)
-                # dilution
-                assert consequence(m, gamma + [extra], delta)
-                assert consequence(m, gamma, delta + [extra])
-                # structurality
-                sub = {"p": rng.choice(pool), "q": rng.choice(pool)}
-                assert consequence(
-                    m, [substitute(g, sub) for g in gamma],
-                    [substitute(d, sub) for d in delta])
-            # cut
-            a = rng.choice(pool)
-            if consequence(m, gamma, delta + [a]) and \
-                    consequence(m, gamma + [a], delta):
-                assert consequence(m, gamma, delta)
+    def test_common_matrix_must_be_simple(self):
+        with pytest.raises(NotSimpleError, match="simple common matrix"):
+            logic_definable_in(NOT_SIMPLE, NOT_SIMPLE, NOT_SIMPLE)

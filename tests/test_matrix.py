@@ -38,8 +38,8 @@ from fdekit.matrix import (
     term_functions,
 )
 from fdekit.syntax import (
-    BOT, TOP, App, Signature, Var, conj, disj, neg, parse, substitute,
-    variables)
+    BOT, TOP, App, Signature, Var, conj, disj, neg, parse, print_formula,
+    substitute, variables)
 
 BD = presets.preset("bd")
 BDI = presets.preset("bd-impl-bot")
@@ -250,6 +250,7 @@ class TestKernelAgainstEvaluate:
         assert len(clone) == 4
         assert tuple(evaluate(WIDE_TABLE, clone[excluded_middle], {"p1": v})
                      for v in WIDE_TABLE.values) == excluded_middle
+        assert print_formula(clone[excluded_middle]) == "m4(p1, p1, ~p1, p1)"
         assert ("v4",) * 5 not in clone
 
     @pytest.mark.parametrize("name, nvars, blocks", [
@@ -991,6 +992,8 @@ class TestJson:
     @pytest.mark.parametrize("table, error", [
         ([1, 0, 2], "has the wrong shape"),
         ([1, 0, 2, 4], "leaves the carrier"),
+        ([-1, 0, 1, 2], "leaves the carrier"),
+        ([0, 1, 2, 3.0], "leaves the carrier"),
     ])
     def test_index_list_input(self, table, error):
         # the form `matrix_from_json` passes, checked as index tables are

@@ -8,13 +8,14 @@ from functools import reduce
 import pytest
 
 from fdekit import presets
-from fdekit.errors import UnknownNameError
+from fdekit.errors import FdekitError, UnknownNameError
 from fdekit.matrix import assignments, consequence, evaluate
 from fdekit.proof import (
     BD,
     CL,
     CLASSICAL_ONLY_RULES,
     LEFT,
+    MAX_DERIVATION_DEPTH,
     RIGHT,
     RULES,
     Derivation,
@@ -40,11 +41,7 @@ NEG_RULES = ("not-bot-R", "not-not-L", "not-not-R", "not-and-L", "not-and-R",
              "not-or-L", "not-or-R", "not-impl-L", "not-impl-R")
 
 
-def seq(text):
-    left, right = text.split("|-")
-    mk = lambda side: [parse(s, M.signature)
-                       for s in side.split(",") if s.strip()]
-    return Sequent.of(mk(left), mk(right))
+seq = Sequent.parse
 
 
 class TestProve:
@@ -194,6 +191,28 @@ class TestChecker:
         assert check(Derivation(seq("bot |- q"), "bot-L"), BD)
         assert check(Derivation(seq("p |- ~bot"), "not-bot-R"), BD)
         assert not check(Derivation(seq("p |- q"), "bot-L"), BD)
+
+    @pytest.mark.parametrize("d", [
+        # a Cut needs a cut formula and two premises
+        Derivation(seq("p |- p"), "Cut", None,
+                   (Derivation(seq("p |- p"), "Id", p),) * 2),
+        Derivation(seq("p |- p"), "Cut", p,
+                   (Derivation(seq("p |- p"), "Id", p),)),
+        # ... with the cut formula right in the first and left in the second
+        Derivation(seq("p |- p"), "Cut", q,
+                   (Derivation(seq("p |- p, q"), "Id", p),
+                    Derivation(seq("p |- p"), "Id", p))),
+        # a logical rule's principal formula is an application
+        Derivation(seq("p |- p"), "and-L", p,
+                   (Derivation(seq("p |- p"), "Id", p),)),
+        # a premise is the conclusion with the additions, principal kept
+        # or dropped
+        Derivation(seq("p & q |- p"), "and-L", conj(p, q),
+                   (Derivation(seq("p, r |- p"), "Id", p),)),
+    ], ids=["cut-no-formula", "cut-one-premise", "cut-formula-missing",
+            "variable-principal", "foreign-premise"])
+    def test_rejects_malformed_step(self, d):
+        assert check_with_path(d, CL) == (False, [])
 
 
 class TestDerivedRules:
@@ -499,12 +518,37 @@ class TestAllocationOrder:
         assert passes[0] == passes[1]
 
 
+class TestSequentText:
+    def test_parse_reads_what_str_prints(self):
+        formulas, corpus = _corpus()
+        for s in [seq("|-"), seq("p, ~q |- q | r, bot"), *(
+                Sequent.of(*([formulas[i] for i in side] for side in sides))
+                for sides in corpus[::97])]:
+            assert Sequent.parse(str(s)) == s
+
+    def test_parse_over_another_signature(self):
+        sig = presets.preset("bd-delta").signature
+        assert Sequent.parse("delta p |- p", sig) == Sequent.of(
+            [App("delta", (p,))], [p])
+        with pytest.raises(FdekitError, match="not in the signature"):
+            Sequent.parse("delta p |- p")
+
+    @pytest.mark.parametrize("text, error", [
+        ("p, q", "sequent syntax is 'Gamma |- Delta'"),
+        # positions count from the start of each formula, as stripped
+        ("p |-  q, r &", r"\(at position 4\)"),
+        ("p, |- q", r"\(at position 0\)"),
+    ])
+    def test_parse_errors(self, text, error):
+        with pytest.raises(FdekitError, match=error):
+            Sequent.parse(text)
+
+
 class TestJson:
     def test_round_trip(self):
         d = prove(seq("~(p & q) |- ~p | ~q"), BD)
         data = derivation_to_json(d, BD)
-        d2, system = derivation_from_json(
-            data, lambda s: parse(s, M.signature))
+        d2, system = derivation_from_json(data)
         assert system == BD
         assert d2 == d
         assert check(d2, BD)
@@ -516,3 +560,12 @@ class TestJson:
         assert data["rule"] == "impl-R"
         assert data["conclusion"] == {"left": [], "right": ["p -> p"]}
         assert data["principal"] == "p -> p"
+
+    def test_deeper_than_the_limit(self):
+        d = Derivation(seq("p |- p"), "Id", p)
+        for _ in range(MAX_DERIVATION_DEPTH):
+            d = Derivation(d.conclusion, "Id", p, (d,))
+        assert derivation_to_json(d, BD)["rule"] == "Id"
+        d = Derivation(d.conclusion, "Id", p, (d,))
+        with pytest.raises(FdekitError, match="derivation deeper than 400"):
+            derivation_to_json(d, BD)

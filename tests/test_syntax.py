@@ -350,6 +350,13 @@ class TestPrinting:
         assert print_formula(f) == "delta (p & q)"
         assert print_formula(App("delta", (p,))) == "delta p"
 
+    def test_other_arities_list_every_argument(self):
+        p1, p2 = Var("p1"), Var("p2")
+        assert print_formula(App("impl2", (p1, p2))) == "impl2(p1, p2)"
+        m4 = App("m4", (conj(p, q), neg(p), p, q))
+        assert print_formula(m4) == "m4(p & q, ~p, p, q)"
+        assert print_formula(neg(disj(m4, p))) == "~(m4(p & q, ~p, p, q) | p)"
+
 
 def _formulas(sig, max_depth):
     atoms = st.one_of(
@@ -495,8 +502,9 @@ class TestStructure:
         assert presets.preset("bd").signature.arity("not") == 1
 
     @pytest.mark.parametrize("arities, error", [
-        ({}, "at least one connective"), ({"not": -1}, "negative arity")],
-        ids=["empty", "negative"])
+        ({}, "at least one connective"), ({"not": -1}, "negative arity"),
+        ({"x": "1"}, "not an integer"), ({"x": 1.5}, "not an integer")],
+        ids=["empty", "negative", "string", "float"])
     def test_malformed_signature_is_fdekit_error(self, arities, error):
         with pytest.raises(FdekitError, match=error):
             Signature(arities)
