@@ -3,7 +3,8 @@
 A matrix is a finite carrier of truth values, a designated subset, and one
 interpretation per connective, stored as an index table of value indices.
 The dict view by value names is derived from it when first read; only
-`evaluate` (the independent oracle), `is_expansion`, `restrict` and callers
+`evaluate` (the independent oracle, which walks a formula as a tree with
+an explicit stack, so at any depth), `is_expansion`, `restrict` and callers
 read it, while the kernel, JSON input and output and `simplicity` read the
 index tables.  One kernel computes truth tables as value vectors for
 consequence, equivalence and the law checks: `bytes` holding a value index
@@ -77,6 +78,8 @@ class Matrix:
             raise InvalidInputError("duplicate truth-value names")
         if nvals > 256:
             raise InvalidInputError("more than 256 truth values")
+        if not isinstance(self.designated, (set, frozenset)):
+            raise InvalidInputError("designated set must be a set of values")
         if not (self.designated and self.designated < carrier):
             raise InvalidInputError(
                 "designated set must be non-empty and proper")
@@ -92,7 +95,11 @@ class Matrix:
                     raise InvalidInputError(
                         f"table for {name!r} has the wrong shape")
                 table = [position.get(table[args], nvals) for args in cells]
-            if len(table) != nvals ** k:
+            try:  # `len` fails on a table that is no sequence
+                shaped = len(table) == nvals ** k
+            except TypeError:
+                shaped = False
+            if not shaped:
                 raise InvalidInputError(
                     f"table for {name!r} has the wrong shape")
             try:  # a negative or non-integer index fails `bytes`
@@ -132,14 +139,31 @@ def _interpreted(m: Matrix, conn: str, arity: int) -> None:
 
 
 def evaluate(m: Matrix, f: Formula, assignment: Mapping[str, str]) -> str:
-    """Compositional value of f under the assignment."""
-    if isinstance(f, Var):
-        try:
-            return assignment[f.name]
-        except KeyError:
-            raise UnboundVariableError(f"variable {f.name!r} is unbound") from None
-    _interpreted(m, f.conn, len(f.args))
-    return m.tables[f.conn][tuple(evaluate(m, a, assignment) for a in f.args)]
+    """Compositional value of f under the assignment, walked as a tree
+    without recursion: an application's connective is checked when it is
+    met, before its arguments, which are valued left to right."""
+    conns, values = m.signature.connectives, []
+    # formulas to value, and (table, arity) where a table is to be applied
+    # to the last `arity` values
+    stack: list = [f]
+    while stack:
+        g = stack.pop()
+        if type(g) is Var:
+            try:
+                values.append(assignment[g.name])
+            except KeyError:
+                raise UnboundVariableError(
+                    f"variable {g.name!r} is unbound") from None
+        elif type(g) is App:
+            args = g.args
+            if conns.get(g.conn) != len(args):
+                _interpreted(m, g.conn, len(args))
+            stack.append((m.tables[g.conn], len(args)))
+            stack += args[::-1]
+        else:
+            table, first = g[0], len(values) - g[1]
+            values[first:] = [table[tuple(values[first:])]]
+    return values[0]
 
 
 def assignments(m: Matrix, names: Iterable[str],

@@ -10,9 +10,10 @@ Grammar (`->` is right-associative and binds weakest):
     atom    := IDENT | "bot" | "top" | "B" | "N" | "(" formula ")"
 
 The parser reads this grammar by operator precedence, without recursion,
-from one token list made in one regular-expression pass; token positions
-are computed only for an error message.  Precedence and associativity are
-stated once, in `_INFIX`, which both `parse` and `print_formula` read.
+from one token list made in one regular-expression pass, so a text may
+nest to any depth; token positions are computed only for an error
+message.  Precedence and associativity are stated once, in `_INFIX`,
+which both `parse` and `print_formula` read.
 
 `top` is an abbreviation for `~bot` and is expanded while parsing; the AST
 has no node for it.  Any identifier naming a unary connective of the
@@ -284,13 +285,6 @@ def _position(text: str, i: int) -> int:
     return starts[i] if i < len(starts) else len(text)
 
 
-# Deepest nesting of prefix operators, parentheses and `->` right operands
-# the parser accepts, and the greatest height of a formula it returns (each
-# `&` or `|` chain link adds one), so that `matrix.evaluate`, the one
-# function that still recurses over formulas, stays inside the recursion
-# limit.
-MAX_NESTING = 100
-
 # binary connective -> (spaced symbol, binding level, least level of its
 # left and right operand that needs no parentheses): `&` and `|` associate
 # to the left, `->` to the right; `parse` reduces a pending operator whose
@@ -311,10 +305,6 @@ def _unknown(name: str, text: str, i: int) -> UnknownConnectiveError:
         f"connective {name!r} is not in the signature", _position(text, i))
 
 
-def _too_deep(text: str, i: int) -> ParseError:
-    return ParseError(f"nesting deeper than {MAX_NESTING}", _position(text, i))
-
-
 def parse(text: str, sig: Signature) -> Formula:
     """The formula the text denotes in the signature's syntax.  Pending
     operators wait on one stack, innermost last, and are applied once an
@@ -325,10 +315,9 @@ def parse(text: str, sig: Signature) -> Formula:
         raise ParseError(f"unexpected character {text[pos]!r}", pos)
     tokens.append(None)
     conns = sig.connectives
-    # (level, connective, token index, left operand, its height); a prefix
-    # operator or "(" has no left operand
+    # (level, connective, left operand); a prefix operator or "(" has no
+    # left operand
     stack: list = []
-    depth = 0  # pending prefix operators, "(" and `->` right operands
     i = 0
     while True:
         # an operand: prefix operators, then an atom or "("
@@ -339,24 +328,21 @@ def parse(text: str, sig: Signature) -> Formula:
                 tok = "not"
                 if tok not in conns:
                     raise _unknown(tok, text, i)
-            if depth == MAX_NESTING:
-                raise _too_deep(text, i)
-            depth += 1
             level = 0 if tok == "(" and arity != 1 else _PREFIX
-            stack.append((level, tok, i, None, 0))
+            stack.append((level, tok, None))
             i += 1
             continue
         if arity is None and tok not in _NOT_VARIABLE:
-            f, height = Var(tok), 0
+            f = Var(tok)
         elif tok is None:
             raise ParseError("unexpected end of input", len(text))
         elif tok == "top":
             for name in ("not", "bot"):
                 if name not in conns:
                     raise _unknown(name, text, i)
-            f, height = TOP, 1
+            f = TOP
         elif arity == 0:
-            f, height = App(tok, ()), 0
+            f = App(tok, ())
         elif arity is not None:
             raise ArityMismatchError(
                 f"connective {tok!r} has arity {arity}, not usable as an atom")
@@ -373,30 +359,17 @@ def parse(text: str, sig: Signature) -> Formula:
             binary = _BINARY.get(tok)
             least = 1 if binary is None else binary[2]
             while stack and stack[-1][0] >= least:
-                level, conn, j, left, left_height = stack.pop()
-                if level == _PREFIX:
-                    f, height = App(conn, (f,)), height + 1
-                else:
-                    f = App(conn, (left, f))
-                    height = 1 + max(left_height, height)
-                if level == _PREFIX or level == 1:
-                    depth -= 1
-                if height > MAX_NESTING:
-                    raise _too_deep(text, j)
+                level, conn, left = stack.pop()
+                f = App(conn, (f,) if level == _PREFIX else (left, f))
             if binary is not None:
                 conn, level, _ = binary
                 if conn not in conns:
                     raise _unknown(conn, text, i)
-                if level == 1:
-                    if depth == MAX_NESTING:
-                        raise _too_deep(text, i)
-                    depth += 1
-                stack.append((level, conn, i, f, height))
+                stack.append((level, conn, f))
                 i += 1
                 break
             if stack and tok == ")":
                 stack.pop()
-                depth -= 1
                 i += 1
                 continue
             if stack:

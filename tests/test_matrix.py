@@ -65,10 +65,24 @@ class TestEvaluate:
     def test_unbound_variable(self):
         with pytest.raises(UnboundVariableError):
             evaluate(BD, p, {})
+        # arguments are valued left to right
+        with pytest.raises(UnboundVariableError, match="'q'"):
+            evaluate(BD, conj(q, p), {})
+
+    def test_deep_negation_chain(self):
+        # built in code, far past the recursion limit
+        chain = p
+        for _ in range(5000):
+            chain = neg(chain)
+        assert evaluate(BD, chain, {"p": "t"}) == "t"
+        assert evaluate(BD, neg(chain), {"p": "t"}) == "f"
 
     def test_foreign_connective(self):
         with pytest.raises(SignatureMismatchError):
             evaluate(BD, App("impl", (p, q)), {"p": "t", "q": "t"})
+        # a connective is checked before its arguments are valued
+        with pytest.raises(SignatureMismatchError):
+            evaluate(BD, App("impl", (p, q)), {})
 
 
 class TestConsequence:
@@ -864,14 +878,15 @@ class TestValidation:
         (("t", "f"), {"t"}, {("t",): "f"}, "wrong shape"),
         (("t", "f"), {"t"}, b"\1", "wrong shape"),
         (("t", "f"), {"t"}, b"\1\2", "leaves the carrier"),
+        (("t", "f"), ["t"], b"\1\0", "a set of values"),
+        (("t", "f"), {"t"}, 5, "wrong shape"),
     ], ids=["duplicate", "wide", "designated", "missing", "dict-shape",
-            "bytes-shape", "outside"])
+            "bytes-shape", "outside", "designated-list", "not-a-sequence"])
     def test_malformed_is_fdekit_error(self, values, designated, table,
                                        error):
         tables = {} if table is None else {"not": table}
         with pytest.raises(FdekitError, match=error):
-            Matrix(values, frozenset(designated), Signature({"not": 1}),
-                   tables)
+            Matrix(values, designated, Signature({"not": 1}), tables)
 
     def test_index_tables(self):
         def reference(m):

@@ -20,10 +20,10 @@ from fdekit.errors import (
     ParseError,
     UnknownConnectiveError,
 )
+from fdekit.matrix import compile_formulas
 from fdekit.proof import Sequent
 from fdekit.syntax import (
     KEYWORDS,
-    MAX_NESTING,
     App,
     BOT,
     Formula,
@@ -50,9 +50,13 @@ p, q, r = Var("p"), Var("q"), Var("r")
 
 
 # ---------------------------------------------------------------------------
-# The recursive-descent parser that `parse` replaced, kept verbatim as the
+# The recursive-descent parser that `parse` replaced, kept as the
 # reference: the new parser must return an equal formula or raise the same
-# error, with the same message and position, on every text.
+# error, with the same message and position, on every text that nests
+# within the reference's bound.  The reference recurses, so past that bound
+# it raises its own error, which `parse` does not.
+_REFERENCE_NESTING = 100
+_REFERENCE_TOO_DEEP = f"nesting deeper than {_REFERENCE_NESTING}"
 
 _TOKEN_RE = re.compile(r"\s*(->|[~&|()]|[A-Za-z_][A-Za-z_0-9]*)")
 
@@ -74,8 +78,8 @@ def _tokenize(text: str) -> Iterator[tuple[str, int]]:
 def _app(conn: str, operands, pos: int) -> tuple[Formula, int]:
     """conn applied to (formula, height) operands, with its height."""
     height = 1 + max(h for _, h in operands)
-    if height > MAX_NESTING:
-        raise ParseError(f"nesting deeper than {MAX_NESTING}", pos)
+    if height > _REFERENCE_NESTING:
+        raise ParseError(_REFERENCE_TOO_DEEP, pos)
     return App(conn, tuple(f for f, _ in operands)), height
 
 
@@ -89,8 +93,8 @@ class _Parser:
 
     def nested(self, parse, pos: int) -> tuple[Formula, int]:
         """Run one recursive sub-parse one nesting level deeper."""
-        if self.depth == MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING}", pos)
+        if self.depth == _REFERENCE_NESTING:
+            raise ParseError(_REFERENCE_TOO_DEEP, pos)
         self.depth += 1
         f = parse()
         self.depth -= 1
@@ -302,6 +306,41 @@ def _nested(n):
     }
 
 
+def _nested_formulas(n, q_atom):
+    """What each `_nested(n)` text denotes in a signature with all its
+    connectives, built in code; q_atom is what q denotes there."""
+    def unary(f, conn, k):
+        for _ in range(k):
+            f = App(conn, (f,))
+        return f
+
+    def left(f, conn, b, k):  # k links of a left-associative chain
+        for _ in range(k):
+            f = App(conn, (f, b))
+        return f
+
+    arrows = p
+    for _ in range(n):
+        arrows = impl(p, arrows)
+    keywords = unary(p, "det", n % 2)
+    for _ in range(n // 2):
+        keywords = App("cons", (neg(keywords),))
+    return {
+        "negations": unary(p, "not", n),
+        "negations-of-top": unary(TOP, "not", n - 1),
+        "parentheses": p,
+        "arrows": arrows,
+        "mixed": unary(p, "not", n // 2 + n % 2),
+        "and-chain": left(p, "and", p, n),
+        "or-chain": left(p, "or", q_atom, n),
+        "or-chain-then-arrow": impl(left(p, "or", q_atom, n), p),
+        "negation-in-parentheses": neg(p),
+        "chain-under-negations": unary(left(p, "and", p, n - 50), "not", 50),
+        "prefix-keywords": unary(p, "delta", n),
+        "mixed-keywords": keywords,
+    }
+
+
 # Names that overlap the token grammar: "&" is also a prefix operator,
 # ")" and q atoms, top a prefix operator, and delta binary; not, and and
 # impl are missing.
@@ -326,14 +365,29 @@ class TestAgainstReferenceParser:
         assert kinds == {"formula", ParseError, ArityMismatchError} | (
             set() if sig is RICH_SIG else {UnknownConnectiveError})
 
-    @pytest.mark.parametrize("n", [MAX_NESTING - 1, MAX_NESTING,
-                                   MAX_NESTING + 1])
+    @pytest.mark.parametrize("n", [_REFERENCE_NESTING - 1,
+                                   _REFERENCE_NESTING, _REFERENCE_NESTING + 1])
     @pytest.mark.parametrize("sig", [SIG, RICH_SIG, ODD_SIG],
                              ids=["bd-impl-bot", "rich", "odd"])
     def test_nesting_limit(self, sig, n):
-        for name, text in _nested(n).items():
-            expected = _outcome(_reference_parse, text, sig)
-            assert _outcome(parse, text, sig) == expected, name
+        # n levels and 50n: where the reference refuses a text as too
+        # deep, the text denotes the formula built in code, or, in a
+        # signature without one of its connectives, names a missing one
+        q_atom = parse("q", sig)
+        for depth in (n, 50 * n):
+            built = _nested_formulas(depth, q_atom)
+            for name, text in _nested(depth).items():
+                expected = _outcome(_reference_parse, text, sig)
+                got = _outcome(parse, text, sig)
+                if type(expected) is tuple and expected[1].startswith(
+                        _REFERENCE_TOO_DEEP):
+                    conns = compile_formulas([built[name]]).connectives
+                    if all(sig.connectives.get(c) == k for c, k in conns):
+                        expected = built[name]
+                    else:
+                        expected = UnknownConnectiveError
+                        got = got[0] if type(got) is tuple else got
+                assert got == expected, (depth, name)
 
 
 class TestPrinting:
@@ -390,17 +444,18 @@ class TestRoundTrip:
         assert parse(print_formula(f), RICH_SIG) == f
 
     @pytest.mark.parametrize("text", [
-        "~" * MAX_NESTING + "p",
-        "(" * MAX_NESTING + "p" + ")" * MAX_NESTING,
-        "p -> " * MAX_NESTING + "p",
-        "~(" * (MAX_NESTING // 2) + "p" + ")" * (MAX_NESTING // 2),
-        "p" + " & p" * MAX_NESTING,
-        "p" + " | q" * MAX_NESTING,
+        "~" * 5000 + "p",
+        "(" * 5000 + "p" + ")" * 5000,
+        "p -> " * 5000 + "p",
+        "~(" * 2500 + "p" + ")" * 2500,
+        "p" + " & p" * 5000,
+        "p" + " | q" * 5000,
     ], ids=["negations", "parentheses", "arrows", "mixed", "and-chain",
             "or-chain"])
     def test_round_trip_at_nesting_limit(self, text):
+        # 5,000 levels or links, far past the recursion limit
         f = parse(text, RICH_SIG)
-        assert parse(print_formula(f), RICH_SIG) == f
+        assert parse(print_formula(f), RICH_SIG) is f
 
 
 def _chain(f, conn, depth):
@@ -430,7 +485,7 @@ class TestSubstitution:
         assert substitute(r, {"p": BOT}) == r
 
     def test_deep_formulas_without_recursion(self):
-        # built in code, past the parser's nesting limit: a 1,000-deep
+        # built in code: a 1,000-deep
         # chain, and 40 doublings g = g & g, whose shared DAG is rebuilt
         # once per object, so the image shares its arguments too
         for conn, depth in [("not", 1000), ("and", 40)]:
@@ -452,7 +507,7 @@ class TestStructure:
         assert variables(BOT) == set()
 
     def test_deep_formula_hashes(self):
-        # built in code, past the parser's nesting limit: hashing reads
+        # built in code: hashing reads
         # each node's cached hash and does not recurse
         f = p
         for _ in range(1000):
@@ -462,7 +517,7 @@ class TestStructure:
         assert hash(neg(neg(p))) == hash(parse("~~p", SIG))
 
     def test_deep_formulas_without_recursion(self):
-        # built in code, past the parser's nesting limit
+        # built in code
         chain = p
         for _ in range(1000):
             chain = neg(chain)
