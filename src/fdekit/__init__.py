@@ -59,6 +59,7 @@ from .syntax import (
     Signature,
     parse,
     print_formula,
+    subformulas,
     substitute,
     variables,
 )

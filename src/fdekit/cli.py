@@ -101,8 +101,6 @@ def cmd_eval(args) -> int:
     assignment = {}
     for item in args.assign or []:
         name, _, value = item.partition("=")
-        if value not in m.values:
-            raise FdekitError(f"{value!r} is not a truth value of the matrix")
         assignment[name] = value
     value = mx.evaluate(m, f, assignment)
     _emit(args, {"value": value}, value)

@@ -21,9 +21,9 @@ from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 from .bd import (
-    CELLS, FREE_BITS, FREE_CELLS, SR_BITS, SR_SIGNATURE, VALUES,
-    count_strongly_regular, sr_decode)
-from .errors import SignatureMismatchError, UnknownNameError
+    CELLS, FREE_BITS, FREE_CELLS, SR_BITS, VALUES, count_strongly_regular,
+    sr_decode)
+from .errors import UnknownNameError
 from .matrix import Matrix, Program, agrees, compile_formulas, first_difference
 from .syntax import BOT, TOP, Formula, Var, conj, disj, impl, neg
 
@@ -92,20 +92,14 @@ def law_by_name(name: str) -> Law:
         raise UnknownNameError(f"unknown law {name!r}") from None
 
 
-def _checked_program(m: Matrix, law: Law) -> Program:
-    if not m.signature.connectives.keys() >= SR_SIGNATURE.connectives.keys():
-        conn = next(c for c in SR_SIGNATURE.connectives if c not in m.signature)
-        raise SignatureMismatchError(
-            f"law evaluation needs connective {conn!r}")
-    return law.program
-
-
 def holds_countermodel(m: Matrix, law: Law) -> Optional[dict]:
-    return first_difference(m, _checked_program(m, law))
+    """First assignment refuting the law; `SignatureMismatchError` names the
+    first connective of the law that the matrix does not interpret."""
+    return first_difference(m, law.program)
 
 
 def holds(m: Matrix, law: Law) -> bool:
-    return agrees(m, _checked_program(m, law))
+    return agrees(m, law.program)
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +160,9 @@ class FilterResult:
                 yield base + sum(v << free[i] for i, v in enumerate(combo))
 
     def __contains__(self, index: int) -> bool:
-        return any(all(b is None or ((index >> i) & 1) == b
-                       for i, b in enumerate(cube)) for cube in self.cubes)
+        return 0 <= index < 1 << SR_BITS and any(
+            all(b is None or ((index >> i) & 1) == b
+                for i, b in enumerate(cube)) for cube in self.cubes)
 
     def sample(self, k: int, seed: int = 0) -> list[int]:
         rng = random.Random(seed)

@@ -109,6 +109,7 @@ class Matrix:
             except (TypeError, ValueError):
                 pass
             raise InvalidInputError(f"table for {name!r} leaves the carrier")
+        object.__setattr__(self, "designated", frozenset(self.designated))
         object.__setattr__(self, "index_tables", MappingProxyType(tables))
 
     @cached_property
@@ -141,7 +142,12 @@ def _interpreted(m: Matrix, conn: str, arity: int) -> None:
 def evaluate(m: Matrix, f: Formula, assignment: Mapping[str, str]) -> str:
     """Compositional value of f under the assignment, walked as a tree
     without recursion: an application's connective is checked when it is
-    met, before its arguments, which are valued left to right."""
+    met, before its arguments, which are valued left to right.  Every
+    value the assignment gives must be a truth value of m."""
+    for value in assignment.values():
+        if value not in m.values:
+            raise InvalidInputError(
+                f"{value!r} is not a truth value of the matrix")
     conns, values = m.signature.connectives, []
     # formulas to value, and (table, arity) where a table is to be applied
     # to the last `arity` values
@@ -531,8 +537,12 @@ def is_expansion(m2: Matrix, m1: Matrix) -> bool:
 
 def restrict(m: Matrix, sub: Iterable[str]) -> Matrix:
     """Submatrix on a table-closed subset of the carrier."""
-    keep = [v for v in m.values if v in set(sub)]
-    keep_set = set(keep)
+    keep_set = set(sub)
+    unknown = sorted(map(repr, keep_set.difference(m.values)))
+    if unknown:
+        raise InvalidInputError(
+            f"not truth values of the matrix: {', '.join(unknown)}")
+    keep = [v for v in m.values if v in keep_set]
     tables = {}
     for name, k in m.signature.connectives.items():
         table = {}

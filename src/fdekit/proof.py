@@ -32,7 +32,7 @@ from .bd import SR_SIGNATURE
 from .errors import FdekitError, UnknownNameError
 from .syntax import (
     BOT, TOP, App, Formula, Signature, Var, disj, formula_key, impl, neg,
-    parse, print_formula, variables)
+    parse, print_formula, subformulas)
 
 BD = "BD"
 CL = "CL"
@@ -300,20 +300,16 @@ class Prover:
             return None
         left, bits = found[0], self.bits
         values = "ft" if self.system == CL else "ntfb"
+        names = sorted(g.name for g in subformulas(seq.left | seq.right)
+                       if type(g) is Var)
         return {v: values[bool(left & bits.get(Var(v), 0))
                           + 2 * bool(left & bits.get(neg(Var(v)), 0))]
-                for v in sorted(set().union(*map(variables,
-                                                 seq.left | seq.right)))}
+                for v in names}
 
 
 def prove(seq: Sequent, system: str) -> Optional[Derivation]:
     """Cut-free backward search; None when a branch stays open."""
     return Prover(system).derivation(seq)
-
-
-def countermodel(seq: Sequent, system: str) -> Optional[dict]:
-    """`Prover.countermodel` on a fresh prover."""
-    return Prover(system).countermodel(seq)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,12 @@ Formulas are hash-consed: `Var` and `App` return the one live object for
 a name, or for a connective and argument objects, so formulas are equal
 exactly when they are the same object.  Equality and hashing are identity,
 so neither recurses nor depends on the hash seed.
+
+A formula is thus a DAG, and `subformulas` is the one walk over its
+distinct subformula objects: each once, in post-order, without recursion.
+`substitute`, `variables`, pickling and the prover's countermodels read
+it; `formula_key` and `print_formula` walk the tree, repeats included, on
+purpose.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ import weakref
 from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import (
     ArityMismatchError,
@@ -135,27 +141,15 @@ class _Interned:
         return self
 
     def __reduce__(self):
-        """Pickled as its distinct subformulas in post-order, each variable
-        as its name and each App as its connective and argument positions,
-        so a shared DAG stays small; unpickling interns them again, and
-        neither way recurses."""
-        position: dict[int, int] = {}
+        """Pickled as its `subformulas`, each variable as its name and each
+        App as its connective and argument positions, so a shared DAG stays
+        small; unpickling interns them again, and neither way recurses."""
+        position: dict = {}
         nodes: list = []
-        stack: list = [self]
-        while stack:
-            g = stack.pop()
-            if g is None:  # the App below has all its arguments listed
-                g = stack.pop()
-                position[id(g)] = len(nodes)
-                nodes.append((g.conn,
-                              tuple([position[id(a)] for a in g.args])))
-            elif id(g) in position:
-                continue
-            elif type(g) is Var:
-                position[id(g)] = len(nodes)
-                nodes.append(g.name)
-            else:
-                stack += (g, None, *reversed(g.args))
+        for g in subformulas((self,)):
+            position[g] = len(nodes)
+            nodes.append(g.name if type(g) is Var else
+                         (g.conn, tuple([position[a] for a in g.args])))
         return _unpickle, (nodes,)
 
 
@@ -218,39 +212,39 @@ BOT = App("bot", ())
 TOP = App("not", (App("bot", ()),))
 
 
+def subformulas(formulas: Iterable[Formula]) -> Iterator[Formula]:
+    """Each distinct subformula object of the formulas once, in post-order
+    (an App after its arguments, arguments left to right, the formulas in
+    the order given), without recursion."""
+    seen: set = set()
+    for f in formulas:
+        stack: list = [f]
+        while stack:
+            g = stack.pop()
+            if g is None:  # the App below has all its arguments yielded
+                g = stack.pop()
+            elif g in seen:
+                continue
+            elif type(g) is App:
+                stack += (g, None, *reversed(g.args))
+                continue
+            seen.add(g)
+            yield g
+
+
 def substitute(f: Formula, s: Substitution) -> Formula:
     """Apply the homomorphic extension of s to f, rebuilding each object
-    of a shared DAG once and without recursion."""
-    # id of a formula -> its image: depth first, an App is met again only
-    # after it is rebuilt
-    image: dict[int, Formula] = {}
-    stack: list = [f]
-    while stack:
-        g = stack.pop()
-        if g is None:  # the App below has all its arguments rebuilt
-            g = stack.pop()
-            image[id(g)] = App(g.conn, tuple([image[id(a)] for a in g.args]))
-        elif type(g) is Var:
-            image[id(g)] = s.get(g.name, g)
-        elif id(g) not in image:
-            stack += (g, None, *g.args)
-    return image[id(f)]
+    of a shared DAG once."""
+    image: dict = {}
+    for g in subformulas((f,)):
+        image[g] = (s.get(g.name, g) if type(g) is Var else
+                    App(g.conn, tuple([image[a] for a in g.args])))
+    return image[f]
 
 
 def variables(f: Formula) -> set:
-    """The names of f's variables, visiting each subformula object once
-    and without recursion."""
-    out: set = set()
-    seen: set = set()  # ids of the Apps visited
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if type(g) is Var:
-            out.add(g.name)
-        elif id(g) not in seen:
-            seen.add(id(g))
-            stack += g.args
-    return out
+    """The names of f's variables."""
+    return {g.name for g in subformulas((f,)) if type(g) is Var}
 
 
 def formula_key(f: Formula):

@@ -255,9 +255,10 @@ class TestByteDecoder:
         data = matrix_to_json(bd.sr_decode(BD_IMPL_BOT_INDEX))
         del data["connectives"]["impl"]
         m = matrix_from_json(data)
+        assert laws.holds(m, laws.law_by_name("double-negation"))
         with pytest.raises(SignatureMismatchError) as e:
-            laws.holds(m, laws.law_by_name("double-negation"))
-        assert str(e.value) == "law evaluation needs connective 'impl'"
+            laws.holds(m, laws.law_by_name("contradiction-implies"))
+        assert str(e.value) == "connective 'impl' not interpreted with arity 2"
 
 
 def test_unknown_preset():

@@ -17,6 +17,7 @@ from fdekit.errors import (
     DegenerateDesignatedError,
     DuplicateConnectiveError,
     FdekitError,
+    InvalidInputError,
     NotClosedError,
     SignatureMismatchError,
     UnboundVariableError,
@@ -68,6 +69,11 @@ class TestEvaluate:
         # arguments are valued left to right
         with pytest.raises(UnboundVariableError, match="'q'"):
             evaluate(BD, conj(q, p), {})
+
+    def test_value_outside_the_carrier(self):
+        for f in (neg(p), p):
+            with pytest.raises(InvalidInputError, match="'x' is not a truth"):
+                evaluate(BD, f, {"p": "x"})
 
     def test_deep_negation_chain(self):
         # built in code, far past the recursion limit
@@ -810,6 +816,10 @@ class TestExpansionRestriction:
         with pytest.raises(DegenerateDesignatedError):
             restrict(lattice_only, ("t", "b"))
 
+    def test_restriction_to_unknown_values(self):
+        with pytest.raises(InvalidInputError, match="'zz'"):
+            restrict(BD, ["t", "f", "zz"])
+
     def test_tables_are_read_only(self):
         with pytest.raises(TypeError):
             presets.preset("bd").tables["not"][("t",)] = "t"
@@ -865,6 +875,13 @@ class TestValidation:
         m = Matrix(BD.values, BD.designated, Signature({"not": 1}),
                    {"not": BD.index_tables["not"]})
         assert m == _not_matrix() and m.tables["not"] == BD.tables["not"]
+
+    def test_designated_set_is_a_copy(self):
+        given = {"t"}
+        m = Matrix(bd.VALUES, given, Signature({"not": 1}),
+                   {"not": b"\1\0\2\3"})
+        given.add("b")
+        assert type(m.designated) is frozenset and m.designated == {"t"}
 
     def test_missing_table(self):
         with pytest.raises(ValueError, match="missing table"):

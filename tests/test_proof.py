@@ -23,7 +23,6 @@ from fdekit.proof import (
     Sequent,
     check,
     check_with_path,
-    countermodel,
     derivation_from_json,
     derivation_to_json,
     derived_rule_check,
@@ -289,17 +288,18 @@ class TestCountermodel:
         tower = parse("~" * 24 + "p", M.signature)
         sample = unprovable[::16] + [([], [tower])]
         for left, right in sample:
-            counter = countermodel(Sequent.of(left, right), system)
+            counter = Prover(system).countermodel(Sequent.of(left, right))
             assert counter is not None
             assert all(evaluate(m, f, counter) in m.designated for f in left)
             assert all(evaluate(m, f, counter) not in m.designated
                        for f in right)
 
     def test_small_cases(self):
-        assert countermodel(seq("|- p -> p"), BD) is None
-        assert countermodel(seq("|- p | ~p"), BD) == {"p": "n"}
-        assert countermodel(seq("p, ~p |- q"), BD) == {"p": "b", "q": "n"}
-        assert countermodel(seq("|- p | ~p"), CL) is None
+        assert Prover(BD).countermodel(seq("|- p -> p")) is None
+        assert Prover(BD).countermodel(seq("|- p | ~p")) == {"p": "n"}
+        assert Prover(BD).countermodel(seq("p, ~p |- q")) \
+            == {"p": "b", "q": "n"}
+        assert Prover(CL).countermodel(seq("|- p | ~p")) is None
 
 
 class TestProverInternals:
@@ -383,7 +383,7 @@ def _reference_walk(s, system):
 
 def _reference_answers(s, system):
     """(derivation, countermodel) read off `_reference_walk`; the
-    countermodel as `countermodel` documents it."""
+    countermodel as `Prover.countermodel` documents it."""
     nodes = list(_reference_walk(s, system))
     for left, _, applied in nodes:
         if applied is None:
@@ -421,7 +421,8 @@ class TestMaskSearch:
             for got in (prover.derivation(s), prove(s, system)):
                 assert json.dumps(got and derivation_to_json(got, system)) \
                     == expected
-            for got in (prover.countermodel(s), countermodel(s, system)):
+            for got in (prover.countermodel(s),
+                        Prover(system).countermodel(s)):
                 assert json.dumps(got) == json.dumps(counter)
             verdicts.append(verdict)
         assert 300 < sum(verdicts) < 1200
@@ -490,7 +491,8 @@ def _outputs(system, d, counter):
 
 
 def _answers(s, system):
-    return _outputs(system, prove(s, system), countermodel(s, system))
+    return _outputs(system, prove(s, system),
+                    Prover(system).countermodel(s))
 
 
 class TestAllocationOrder:

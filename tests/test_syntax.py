@@ -37,6 +37,7 @@ from fdekit.syntax import (
     neg,
     parse,
     print_formula,
+    subformulas,
     substitute,
     variables,
 )
@@ -493,6 +494,33 @@ class TestSubstitution:
             assert _spine(image) == ([conn] * depth + ["not"], q)
 
 
+class TestSubformulas:
+    def test_post_order_each_object_once(self):
+        x = neg(p)
+        assert list(subformulas([conj(p, p)])) == [p, conj(p, p)]
+        assert list(subformulas([conj(x, x)])) == [p, x, conj(x, x)]
+        # a shared DAG: ~q and p are met twice, and yielded once
+        f = conj(disj(p, neg(q)), disj(neg(q), conj(p, p)))
+        assert list(subformulas([f])) == [
+            p, q, neg(q), disj(p, neg(q)), conj(p, p),
+            disj(neg(q), conj(p, p)), f]
+        # formulas in the order given; what an earlier one yielded is
+        # not yielded again
+        assert list(subformulas([neg(q), conj(p, neg(q)), p])) == [
+            q, neg(q), p, conj(p, neg(q))]
+        assert list(subformulas([])) == []
+
+    def test_deep_formulas_without_recursion(self):
+        # built in code: a chain far past the recursion limit, and 25
+        # doublings, whose 2^25 leaves are one object
+        for conn, depth in [("not", 200_000), ("and", 25)]:
+            f = _chain(p, conn, depth)
+            found = list(subformulas([f]))
+            assert len(found) == depth + 1 and found[0] is p
+            assert found[-1] is f
+            assert all(g.args[0] is h for h, g in zip(found, found[1:]))
+
+
 def _formula_key(f):
     """The recursive `formula_key` that the loop replaced, kept as its
     reference."""
@@ -610,6 +638,23 @@ class TestInterning:
         assert all(len(pickle.dumps(dag, protocol)) < 1000
                    for protocol in range(pickle.HIGHEST_PROTOCOL + 1))
         assert pickle.loads(pickle.dumps([dag, deep, dag])) == [dag, deep, dag]
+
+    def test_pickled_node_lists(self):
+        # the subformulas in post-order, each variable as its name and each
+        # App as its connective and argument positions
+        f = parse("~(p & (q | r)) -> bot | top", SIG)
+        assert f.__reduce__()[1][0] == [
+            "p", "q", "r", ("or", (1, 2)), ("and", (0, 3)), ("not", (4,)),
+            ("bot", ()), ("not", (6,)), ("or", (6, 7)), ("impl", (5, 8))]
+        x = neg(p)
+        assert conj(x, x).__reduce__()[1][0] == [
+            "p", ("not", (0,)), ("and", (1, 1))]
+        assert BOT.__reduce__()[1][0] == [("bot", ())]
+        assert p.__reduce__()[1][0] == ["p"]
+        assert _chain(p, "not", 200_000).__reduce__()[1][0] == \
+            ["p"] + [("not", (i,)) for i in range(200_000)]
+        assert _chain(p, "and", 25).__reduce__()[1][0] == \
+            ["p"] + [("and", (i, i)) for i in range(25)]
 
     def test_attributes_cannot_be_set(self):
         f = conj(p, q)
