@@ -4,7 +4,9 @@ regular family.
 Truth values t, f, b, n are ordered with f least, t greatest, and b, n
 incomparable; conjunction is the meet and disjunction the join of that
 lattice.  A 38-bit index addresses one member of the strongly regular
-family of {not, and, or, impl, bot}-matrices.
+family of {not, and, or, impl, bot}-matrices.  A member is a 53-byte
+word, its index tables joined: member 0's word XOR one patch per byte of
+the index, and a matrix's word XOR member 0's reads its index back.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Optional
 
 from .errors import (
     DuplicateConnectiveError,
@@ -147,49 +149,72 @@ def count_strongly_regular() -> int:
     return 2 ** SR_BITS
 
 
+# A member's word: its index tables joined in `SR_SIGNATURE` order, 53
+# bytes read as one big-endian int; each table's (start, stop) in it.
+_ENDS = list(itertools.accumulate(
+    len(VALUES) ** k for k in SR_SIGNATURE.connectives.values()))
+_SPANS = dict(zip(SR_SIGNATURE.connectives, zip([0, *_ENDS], _ENDS)))
+
+
 @functools.cache
-def _layout(values: tuple[str, ...]) -> tuple[dict, dict, list]:
-    """For one order of the values: member 0's index tables, each cell's
-    allowed output indices in index-table order, and each free cell's
-    (bit, connective, position, first output index, second)."""
+def _layout(values: tuple[str, ...]) -> tuple[int, list]:
+    """For one order of the values: member 0's word, and per byte of the
+    index (its first bit, its patches, the dict from patch to byte, the mask
+    of its free cells); patch j XORs the changes of the free cells j sets."""
     position = {v: i for i, v in enumerate(values)}
-    allowed, first, free = {}, {}, []
-    for conn, k in SR_SIGNATURE.connectives.items():
-        cells = list(itertools.product(values, repeat=k))
-        allowed[conn] = [bytes([position[v] for v in CELLS[conn, args]])
-                         for args in cells]
-        free += [(FREE_BITS[conn, args], conn, i, *allowed[conn][i])
-                 for i, args in enumerate(cells) if (conn, args) in FREE_BITS]
-        first[conn] = bytes([ok[0] for ok in allowed[conn]])
-    return first, allowed, free
+    cells = [(conn, args) for conn, k in SR_SIGNATURE.connectives.items()
+             for args in itertools.product(values, repeat=k)]
+    word = int.from_bytes(bytes([position[CELLS[c][0]] for c in cells]), "big")
+    shift = {c: 8 * i for i, c in enumerate(reversed(cells))}
+    chunks = []
+    for lo in range(0, SR_BITS, 8):
+        free, patches = FREE_CELLS[lo:lo + 8], [0]
+        for c in free:  # doubled per bit
+            delta = (position[CELLS[c][0]] ^ position[CELLS[c][1]]) << shift[c]
+            patches += [patch ^ delta for patch in patches]
+        chunks.append((lo, patches, {p: j for j, p in enumerate(patches)},
+                       sum(255 << shift[c] for c in free)))
+    return word, chunks
+
+
+def _member_index(m: Matrix) -> Optional[int]:
+    """m's index, or None if its word XOR member 0's is no patch on some
+    byte's free cells, or keeps a bit (a forced cell's) once they are out."""
+    if (m.signature.connectives != SR_SIGNATURE.connectives
+            or set(m.values) != set(VALUES) or m.designated != DESIGNATED):
+        return None
+    word, chunks = _layout(tuple(m.values))
+    word ^= int.from_bytes(b"".join(map(m.index_tables.get, _SPANS)), "big")
+    index = 0
+    for lo, patches, found, mask in chunks:
+        j = found.get(word & mask)
+        if j is None:
+            return None
+        word ^= patches[j]
+        index |= j << lo
+    return None if word else index
 
 
 def is_strongly_regular(m: Matrix) -> bool:
-    if m.signature.connectives != SR_SIGNATURE.connectives:
-        return False
-    if set(m.values) != set(VALUES) or m.designated != DESIGNATED:
-        return False
-    _, allowed, _ = _layout(tuple(m.values))
-    return all(v in ok for conn, oks in allowed.items()
-               for v, ok in zip(m.index_tables[conn], oks))
+    return _member_index(m) is not None
 
 
 def sr_decode(index: int) -> Matrix:
-    """Member 0's index tables with one cell patched per set bit."""
+    """Member 0's word with one patch XORed in per byte of the index."""
+    if not isinstance(index, int):
+        raise IndexOutOfRangeError(f"index {index!r} is not an integer")
     if not 0 <= index < count_strongly_regular():
         raise IndexOutOfRangeError(f"index {index} is not below 2^{SR_BITS}")
-    first, _, free = _layout(VALUES)
-    tables = {conn: bytearray(table) for conn, table in first.items()}
-    for bit, conn, i, _, second in free:
-        if index >> bit & 1:
-            tables[conn][i] = second
+    word, chunks = _layout(VALUES)
+    for lo, patches, _, _ in chunks:
+        word ^= patches[index >> lo & 255]
+    data = word.to_bytes(_ENDS[-1], "big")
     return Matrix(VALUES, DESIGNATED, SR_SIGNATURE,
-                  {conn: bytes(table) for conn, table in tables.items()})
+                  {conn: data[a:b] for conn, (a, b) in _SPANS.items()})
 
 
 def sr_encode(m: Matrix) -> int:
-    if not is_strongly_regular(m):
+    index = _member_index(m)
+    if index is None:
         raise NotStronglyRegularError("matrix is not strongly regular")
-    return sum(1 << bit for bit, conn, i, first, _
-               in _layout(tuple(m.values))[2]
-               if m.index_tables[conn][i] != first)
+    return index

@@ -31,10 +31,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     ArityCapError,
@@ -311,11 +312,13 @@ def _block(program: Program, tables: Mapping[str, bytes], nvals: int,
            npoints: int, vectors: list[bytes],
            mask: Callable[[list[bytes], int], int]) -> int:
     """mask(the program's formula vectors, npoints) on one block, given
-    its variables' `vectors`; unary and binary steps inline `_compose`."""
+    its variables' `vectors`; nullary to binary steps inline `_compose`."""
     for conn, args in program.steps:
         table = tables[conn]
         if len(args) == 1:
             vectors.append(vectors[args[0]].translate(table))
+        elif not args:
+            vectors.append(table[:1] * npoints)
         elif len(args) == 2 and len(table) == 256:
             a, b = args
             packed = (int.from_bytes(vectors[a], "big") * nvals

@@ -234,11 +234,13 @@ def subformulas(formulas: Iterable[Formula]) -> Iterator[Formula]:
 
 def substitute(f: Formula, s: Substitution) -> Formula:
     """Apply the homomorphic extension of s to f, rebuilding each object
-    of a shared DAG once."""
+    of a shared DAG once; an image that is no formula is refused."""
     image: dict = {}
     for g in subformulas((f,)):
         image[g] = (s.get(g.name, g) if type(g) is Var else
                     App(g.conn, tuple([image[a] for a in g.args])))
+        if type(image[g]) not in (Var, App):
+            raise InvalidInputError(f"the image of {g.name!r} is no formula")
     return image[f]
 
 

@@ -155,6 +155,11 @@ class TestStronglyRegularFamily:
         with pytest.raises(IndexOutOfRangeError):
             bd.sr_decode(2 ** 38)
 
+    def test_index_not_an_integer(self):
+        for index in (1.5, float(BD_IMPL_BOT_INDEX), "3", None):
+            with pytest.raises(IndexOutOfRangeError, match="not an integer"):
+                bd.sr_decode(index)
+
     def test_encode_rejects_non_member(self):
         with pytest.raises(NotStronglyRegularError):
             bd.sr_encode(bd.bd_matrix())
@@ -185,6 +190,42 @@ def _reference_decode(index):
         if (index >> bit) & 1:
             tables[conn][args] = bd.CELLS[conn, args][1]
     return tables
+
+
+def _reference_layout(values):
+    """For one order of the values: each cell's allowed output indices in
+    index-table order, and each free cell's (bit, connective, position,
+    first output index)."""
+    position = {v: i for i, v in enumerate(values)}
+    allowed, free = {}, []
+    for conn, k in bd.SR_SIGNATURE.connectives.items():
+        cells = list(itertools.product(values, repeat=k))
+        allowed[conn] = [bytes([position[v] for v in bd.CELLS[conn, args]])
+                         for args in cells]
+        free += [(bd.FREE_BITS[conn, args], conn, i, allowed[conn][i][0])
+                 for i, args in enumerate(cells)
+                 if (conn, args) in bd.FREE_BITS]
+    return allowed, free
+
+
+def _reference_regular(m):
+    """The per-cell check: every cell holds one of its allowed outputs."""
+    if m.signature.connectives != bd.SR_SIGNATURE.connectives:
+        return False
+    if set(m.values) != set(bd.VALUES) or m.designated != bd.DESIGNATED:
+        return False
+    allowed, _ = _reference_layout(tuple(m.values))
+    return all(v in ok for conn, oks in allowed.items()
+               for v, ok in zip(m.index_tables[conn], oks))
+
+
+def _reference_encode(m):
+    """The per-cell encoder: one bit per free cell off its first output."""
+    if not _reference_regular(m):
+        raise NotStronglyRegularError("matrix is not strongly regular")
+    return sum(1 << bit for bit, conn, i, first
+               in _reference_layout(tuple(m.values))[1]
+               if m.index_tables[conn][i] != first)
 
 
 def _relisted(m, order):
@@ -259,6 +300,68 @@ class TestByteDecoder:
         with pytest.raises(SignatureMismatchError) as e:
             laws.holds(m, laws.law_by_name("contradiction-implies"))
         assert str(e.value) == "connective 'impl' not interpreted with arity 2"
+
+
+_ORDERS = pytest.mark.parametrize(
+    "order", [bd.VALUES, ("f", "t", "b", "n")], ids=["canonical", "f-t-b-n"])
+
+
+def _in_order(m, order):
+    return m if order == m.values else _relisted(m, order)
+
+
+def _agrees_with_reference(m):
+    """Whether m is a member, after checking that the word check and
+    encoder answer as the per-cell ones do."""
+    regular = bd.is_strongly_regular(m)
+    assert regular is _reference_regular(m)
+    if regular:
+        assert bd.sr_encode(m) == _reference_encode(m)
+    else:
+        with pytest.raises(NotStronglyRegularError):
+            bd.sr_encode(m)
+        with pytest.raises(NotStronglyRegularError):
+            _reference_encode(m)
+    return regular
+
+
+class TestWordEncoder:
+    @_ORDERS
+    def test_matches_reference_on_decoder_inputs(self, order):
+        for index in _decoder_inputs():
+            m = _in_order(bd.sr_decode(index), order)
+            assert _reference_encode(m) == index
+            assert _agrees_with_reference(m)
+
+    @_ORDERS
+    def test_matches_reference_on_perturbed_cells(self, order):
+        # two or three cells set to random other values, and every third
+        # member also a free cell set to a value off both its outputs that
+        # shares a bit of their XOR, the patch of that cell
+        allowed, _ = _reference_layout(order)
+        cells = [(conn, i) for conn, oks in allowed.items()
+                 for i in range(len(oks))]
+        sharing = [(conn, i, v) for conn, oks in allowed.items()
+                   for i, ok in enumerate(oks) if len(ok) == 2
+                   for v in range(4)
+                   if v not in ok and (v ^ ok[0]) & (ok[0] ^ ok[1])]
+        assert sharing
+        rng = random.Random("".join(order))
+        members = 0
+        for trial in range(600):
+            m = _in_order(bd.sr_decode(rng.randrange(2 ** 38)), order)
+            tables = {c: bytearray(t) for c, t in m.index_tables.items()}
+            for conn, i in rng.sample(cells, 2 + trial % 2):
+                tables[conn][i] = rng.choice(
+                    [v for v in range(4) if v != tables[conn][i]])
+            if trial % 3 == 0:
+                conn, i, v = rng.choice(sharing)
+                tables[conn][i] = v
+            members += _agrees_with_reference(
+                Matrix(order, bd.DESIGNATED, bd.SR_SIGNATURE, tables))
+        # both kinds occur: a free cell moved to its other output keeps a
+        # member in the family
+        assert 0 < members < 600
 
 
 def test_unknown_preset():

@@ -167,6 +167,11 @@ class TestFilter:
         assert BD_INDEX + 2 ** 38 not in result
         assert BD_INDEX - 2 ** 38 not in result
 
+    def test_membership_of_a_non_integer(self):
+        result = filter_strongly_regular(TABLE2_LAWS)
+        for index in (float(BD_INDEX), str(BD_INDEX), None, 1.5, "3"):
+            assert index not in result
+
     def test_non_survivor_fails_some_law(self):
         result = filter_strongly_regular(TABLE2_LAWS)
         rng = random.Random(3)

@@ -39,8 +39,8 @@ from fdekit.matrix import (
     term_functions,
 )
 from fdekit.syntax import (
-    BOT, TOP, App, Signature, Var, conj, disj, neg, parse, print_formula,
-    substitute, variables)
+    BOT, TOP, App, Signature, Var, conj, disj, impl, neg, parse,
+    print_formula, substitute, variables)
 
 BD = presets.preset("bd")
 BDI = presets.preset("bd-impl-bot")
@@ -465,6 +465,38 @@ class TestPointIndices:
         assert equivalence_countermodel(m, conj(p, n), n) == {"p": "f"}
         assert equivalence_countermodel(BDI, BOT, neg(TOP)) is None
         assert consequence_countermodel(BDI, [TOP], [BOT]) == {}
+
+    @pytest.mark.parametrize("nvars", [2, 9])
+    def test_nullary_steps_agree_with_evaluate(self, nvars):
+        # bot, B and N alone and inside terms; nine variables take four
+        # blocks, each of which builds its own constant vectors
+        m = presets.preset("bd-impl-b-n-bot")
+        names = [f"p{i}" for i in range(nvars)]
+        every = functools.reduce(conj, map(Var, names))
+        bot, b, n = (App(c, ()) for c in ("bot", "B", "N"))
+        rng = random.Random(nvars)
+        formulas = [bot, b, n, neg(b), conj(Var("p0"), n),
+                    disj(every, b), impl(n, every)] + [
+            _random_formula(rng, m.signature, names, rng.randrange(2, 8))
+            for _ in range(8)]
+        program = compile_formulas(formulas)
+        assert program.names == tuple(names)
+        blocks = []
+
+        def record(vectors, npoints):
+            blocks.append(vectors)
+            return 0
+
+        assert matrix._first_index(m, program, record) is None
+        assert len(blocks) == (1 if nvars < 9 else 4)
+        columns = [b"".join(vectors) for vectors in zip(*blocks)]
+        npoints = len(m.values) ** nvars
+        points = (range(npoints) if npoints <= 64 else
+                  [0, npoints - 1] + rng.sample(range(npoints), 300))
+        for index in points:
+            asg = next(assignments(m, names, index))
+            assert [m.values[c[index]] for c in columns] == [
+                evaluate(m, f, asg) for f in formulas], index
 
     def test_boolean_answers_agree_with_countermodels(self):
         rng = random.Random(29)

@@ -17,6 +17,7 @@ from fdekit import bd, presets, syntax
 from fdekit.errors import (
     ArityMismatchError,
     FdekitError,
+    InvalidInputError,
     ParseError,
     UnknownConnectiveError,
 )
@@ -484,6 +485,15 @@ class TestSubstitution:
 
     def test_identity_outside_domain(self):
         assert substitute(r, {"p": BOT}) == r
+
+    def test_image_that_is_no_formula(self):
+        # a number, a name and a tuple are refused, not built into an App
+        for image in (5, "q", (q,)):
+            with pytest.raises(InvalidInputError,
+                               match="image of 'p' is no formula"):
+                substitute(neg(p), {"p": image})
+        # an image the formula never uses is not looked at
+        assert substitute(neg(p), {"p": q, "r": 5}) is neg(q)
 
     def test_deep_formulas_without_recursion(self):
         # built in code: a 1,000-deep
