@@ -20,6 +20,7 @@ from typing import Iterable, Mapping, Optional
 from .errors import (
     DuplicateConnectiveError,
     IndexOutOfRangeError,
+    InvalidInputError,
     NotStronglyRegularError,
     UnknownNameError,
 )
@@ -100,10 +101,20 @@ def heart(subset: Iterable[str]) -> NamedConnective:
                        lambda a: "t" if a in members else "f")
 
 
+def _index_table(c: NamedConnective, values: tuple[str, ...]) -> list[int]:
+    """c's table as an index table over `values`; a cell outside them gets
+    an index that `Matrix` refuses."""
+    position = {v: i for i, v in enumerate(values)}
+    cells = list(itertools.product(values, repeat=c.arity))
+    if c.table.keys() != set(cells):
+        raise InvalidInputError(f"table for {c.name!r} has the wrong shape")
+    return [position.get(c.table[args], len(values)) for args in cells]
+
+
 def bd_matrix() -> Matrix:
     sig = Signature({"not": 1, "and": 2, "or": 2})
-    return Matrix(VALUES, DESIGNATED, sig,
-                  {"not": NOT.table, "and": AND.table, "or": OR.table})
+    return Matrix(VALUES, DESIGNATED, sig, {
+        c.name: _index_table(c, VALUES) for c in (NOT, AND, OR)})
 
 
 def expand(m: Matrix, *connectives: NamedConnective) -> Matrix:
@@ -114,7 +125,7 @@ def expand(m: Matrix, *connectives: NamedConnective) -> Matrix:
         if c.name in arities:
             raise DuplicateConnectiveError(
                 f"connective {c.name!r} already present")
-        arities[c.name], tables[c.name] = c.arity, c.table
+        arities[c.name], tables[c.name] = c.arity, _index_table(c, m.values)
     return Matrix(m.values, m.designated, Signature(arities), tables)
 
 

@@ -1,15 +1,14 @@
 """Finite logical matrices: valuations, consequence, clones, simplicity.
 
 A matrix is a finite carrier of truth values, a designated subset, and one
-interpretation per connective, stored as an index table of value indices.
-The dict view by value names is derived from it when first read; only
-`evaluate` (the independent oracle, which walks a formula as a tree with
-an explicit stack, so at any depth), `is_expansion`, `restrict` and callers
-read it, while the kernel, JSON input and output and `simplicity` read the
-index tables.  One kernel computes truth tables as value vectors for
-consequence, equivalence and the law checks: `bytes` holding a value index
-per point, in `itertools.product` order, so a carrier has at most 256
-values.  Formulas are compiled once, without recursion, into a flat
+interpretation per connective, stored as an index table of value indices:
+its only table form.  `evaluate` (the independent oracle, which walks a
+formula as a tree with an explicit stack, so at any depth) reads one cell
+at a time; `is_expansion` and `restrict` relist the tables over another
+order or subset of the values.  One kernel computes truth tables as value
+vectors for consequence, equivalence and the law checks: `bytes` holding a
+value index per point, in `itertools.product` order, so a carrier has at
+most 256 values.  Formulas are compiled once, without recursion, into a flat
 `Program` with one step per distinct subterm, which runs on any matrix:
 each step applies a connective to whole vectors by `bytes.translate`, one
 block of at most `_BLOCK_POINTS` points at a time.  The kernel answers
@@ -31,11 +30,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import (
     ArityCapError,
@@ -57,23 +56,21 @@ MAX_CLONE_ARITY = 2
 class Matrix:
     """A finite logical matrix.
 
-    `values` fixes the enumeration order of the carrier.  A table is stored
-    as its index table: `bytes` holding the value index of each argument
-    tuple in radix order (first argument most significant).  It may be
-    given as any sequence of those indices (`matrix_from_json` gives a
-    list), or as its `tables` view, a dict from argument-name tuples to value
-    names, which is built from the index table when first read: by
-    `evaluate`, `is_expansion`, `restrict` or a caller, never by the kernel,
-    the JSON functions or `simplicity`.  Every mapping is read-only, so no
-    cached property goes stale.
+    `values` fixes the enumeration order of the carrier.  Each table is an
+    index table: `bytes` holding the value index of each argument tuple in
+    radix order (first argument most significant), given as any sequence
+    of those indices (`matrix_from_json` gives a list).  The values are
+    kept as a tuple and every mapping is read-only, so no cached property
+    goes stale.
     """
 
     values: tuple[str, ...]
     designated: frozenset[str]
     signature: Signature
-    index_tables: Mapping[str, Sequence[int] | Mapping[tuple[str, ...], str]]
+    index_tables: Mapping[str, Sequence[int]]
 
     def __post_init__(self):
+        object.__setattr__(self, "values", tuple(self.values))
         values, carrier, nvals = self.values, set(self.values), len(self.values)
         if nvals != len(carrier):
             raise InvalidInputError("duplicate truth-value names")
@@ -82,25 +79,16 @@ class Matrix:
         if not isinstance(self.designated, (set, frozenset)):
             raise InvalidInputError("designated set must be a set of values")
         if not (self.designated and self.designated < carrier):
+            _known(values, self.designated)
             raise InvalidInputError(
                 "designated set must be non-empty and proper")
-        position, tables = {v: i for i, v in enumerate(values)}, {}
+        tables = {}
         for name, k in self.signature.connectives.items():
             table = self.index_tables.get(name)
             if table is None:
                 raise InvalidInputError(
                     f"missing table for connective {name!r}")
-            if isinstance(table, Mapping):
-                cells = list(itertools.product(values, repeat=k))
-                if table.keys() != set(cells):
-                    raise InvalidInputError(
-                        f"table for {name!r} has the wrong shape")
-                table = [position.get(table[args], nvals) for args in cells]
-            try:  # `len` fails on a table that is no sequence
-                shaped = len(table) == nvals ** k
-            except TypeError:
-                shaped = False
-            if not shaped:
+            if not isinstance(table, Sequence) or len(table) != nvals ** k:
                 raise InvalidInputError(
                     f"table for {name!r} has the wrong shape")
             try:  # a negative or non-integer index fails `bytes`
@@ -114,15 +102,6 @@ class Matrix:
         object.__setattr__(self, "index_tables", MappingProxyType(tables))
 
     @cached_property
-    def tables(self) -> Mapping[str, Mapping[tuple[str, ...], str]]:
-        """Each table as a dict from argument-name tuples to a value name."""
-        return MappingProxyType({
-            name: MappingProxyType(dict(zip(
-                itertools.product(self.values, repeat=k),
-                [self.values[i] for i in self.index_tables[name]])))
-            for name, k in self.signature.connectives.items()})
-
-    @cached_property
     def byte_tables(self) -> Mapping[str, bytes]:
         """Index tables padded to `bytes.translate` tables (see `_compose`)."""
         return MappingProxyType({
@@ -132,6 +111,13 @@ class Matrix:
     def simple(self) -> bool:
         """Simplicity, decided once per matrix (see `simplicity`)."""
         return simplicity(self)[0]
+
+
+def _known(values: tuple[str, ...], names: Iterable[str]) -> None:
+    unknown = sorted(map(repr, set(names).difference(values)))
+    if unknown:
+        raise InvalidInputError(
+            f"not truth values of the matrix: {', '.join(unknown)}")
 
 
 def _interpreted(m: Matrix, conn: str, arity: int) -> None:
@@ -149,15 +135,15 @@ def evaluate(m: Matrix, f: Formula, assignment: Mapping[str, str]) -> str:
         if value not in m.values:
             raise InvalidInputError(
                 f"{value!r} is not a truth value of the matrix")
-    conns, values = m.signature.connectives, []
-    # formulas to value, and (table, arity) where a table is to be applied
-    # to the last `arity` values
+    conns, nvals, indices = m.signature.connectives, len(m.values), []
+    # formulas to value, and (index table, arity) where a table is to be
+    # applied to the last `arity` value indices
     stack: list = [f]
     while stack:
         g = stack.pop()
         if type(g) is Var:
             try:
-                values.append(assignment[g.name])
+                indices.append(m.values.index(assignment[g.name]))
             except KeyError:
                 raise UnboundVariableError(
                     f"variable {g.name!r} is unbound") from None
@@ -165,12 +151,12 @@ def evaluate(m: Matrix, f: Formula, assignment: Mapping[str, str]) -> str:
             args = g.args
             if conns.get(g.conn) != len(args):
                 _interpreted(m, g.conn, len(args))
-            stack.append((m.tables[g.conn], len(args)))
+            stack.append((m.index_tables[g.conn], len(args)))
             stack += args[::-1]
         else:
-            table, first = g[0], len(values) - g[1]
-            values[first:] = [table[tuple(values[first:])]]
-    return values[0]
+            table, first = g[0], len(indices) - g[1]
+            indices[first:] = [table[_radix(indices[first:], nvals)]]
+    return m.values[indices[0]]
 
 
 def assignments(m: Matrix, names: Iterable[str],
@@ -527,40 +513,43 @@ def simplicity(m: Matrix) -> tuple[bool, dict[frozenset, TermFunction]]:
 # ---------------------------------------------------------------------------
 # Expansion and restriction
 
+def _relisted(m: Matrix, order: Sequence[str]) -> dict[str, bytes]:
+    """m's index tables over `order`, some of m's values in any order; the
+    first cell whose value is not in `order` raises NotClosedError."""
+    index = {v: i for i, v in enumerate(m.values)}
+    new, tables = {v: j for j, v in enumerate(order)}, {}
+    for name, k in m.signature.connectives.items():
+        table, cells = m.index_tables[name], []
+        for args in itertools.product(order, repeat=k):
+            out = m.values[table[_radix(map(index.get, args), len(index))]]
+            if out not in new:
+                raise NotClosedError(
+                    f"{name}{args!r} = {out!r} leaves the subset")
+            cells.append(new[out])
+        tables[name] = bytes(cells)
+    return tables
+
+
 def is_expansion(m2: Matrix, m1: Matrix) -> bool:
     """True iff m2 adds connectives to m1 without touching anything else;
     the order in which each lists its values does not matter."""
-    if set(m2.values) != set(m1.values) or m2.designated != m1.designated:
-        return False
-    if not m2.signature.extends(m1.signature):
-        return False
-    return all(m2.tables[name] == m1.tables[name]
-               for name in m1.signature.connectives)
+    return (set(m2.values) == set(m1.values)
+            and m2.designated == m1.designated
+            and m2.signature.extends(m1.signature)
+            and _relisted(m1, m2.values).items() <= m2.index_tables.items())
 
 
 def restrict(m: Matrix, sub: Iterable[str]) -> Matrix:
     """Submatrix on a table-closed subset of the carrier."""
-    keep_set = set(sub)
-    unknown = sorted(map(repr, keep_set.difference(m.values)))
-    if unknown:
-        raise InvalidInputError(
-            f"not truth values of the matrix: {', '.join(unknown)}")
-    keep = [v for v in m.values if v in keep_set]
-    tables = {}
-    for name, k in m.signature.connectives.items():
-        table = {}
-        for combo in itertools.product(keep, repeat=k):
-            out = m.tables[name][combo]
-            if out not in keep_set:
-                raise NotClosedError(
-                    f"{name}{combo!r} = {out!r} leaves the subset")
-            table[combo] = out
-        tables[name] = table
-    designated = m.designated & keep_set
-    if not designated or designated == keep_set:
+    keep = set(sub)
+    _known(m.values, keep)
+    order = [v for v in m.values if v in keep]
+    tables = _relisted(m, order)
+    designated = m.designated & keep
+    if not designated or designated == keep:
         raise DegenerateDesignatedError(
             "restriction leaves an empty or full designated set")
-    return Matrix(tuple(keep), frozenset(designated), m.signature, tables)
+    return Matrix(order, designated, m.signature, tables)
 
 
 # ---------------------------------------------------------------------------

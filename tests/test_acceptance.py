@@ -63,7 +63,7 @@ def test_02_law_filter_survivors():
         and BD_IMPL_BOT_INDEX in result
         and all(holds(bd.sr_decode(i), law)
                 for i in indices for law in TABLE2_LAWS)
-        and bd.sr_decode(BD_IMPL_BOT_INDEX).tables == BDI.tables
+        and bd.sr_decode(BD_IMPL_BOT_INDEX).index_tables == BDI.index_tables
     )
     _report(2, "equivalence-law filter survivors", ok)
 

@@ -12,11 +12,20 @@ from fdekit.errors import (
     SignatureMismatchError,
     UnknownNameError,
 )
-from fdekit.matrix import Matrix, matrix_from_json, matrix_to_json
+from fdekit.matrix import (
+    Matrix, evaluate, is_expansion, matrix_from_json, matrix_to_json)
+from fdekit.syntax import App, Var
 
 # The family index of the implication-falsity expansion of the base
 # matrix under the documented bit layout, frozen as a regression constant.
 BD_IMPL_BOT_INDEX = 13129950543
+
+
+def _cell(m, conn, args):
+    """One cell of m's table for conn, read through `evaluate`."""
+    names = [f"x{i}" for i in range(len(args))]
+    return evaluate(m, App(conn, tuple(map(Var, names))),
+                    dict(zip(names, args)))
 
 
 class TestConnectiveTables:
@@ -135,7 +144,7 @@ class TestStronglyRegularFamily:
         # index 0 is the all-classical member
         m0 = bd.sr_decode(0)
         for conn in ("not", "and", "or", "impl"):
-            assert set(m0.tables[conn].values()) <= {"t", "f"}
+            assert {m0.values[i] for i in m0.index_tables[conn]} <= {"t", "f"}
 
     def test_decode_sets_each_free_cell(self):
         rng = random.Random(7)
@@ -143,11 +152,11 @@ class TestStronglyRegularFamily:
                                          for _ in range(50)]:
             m = bd.sr_decode(index)
             for bit, (conn, args) in enumerate(bd.FREE_CELLS):
-                assert m.tables[conn][args] == \
+                assert _cell(m, conn, args) == \
                     bd.CELLS[conn, args][(index >> bit) & 1]
             for (conn, args), outputs in bd.CELLS.items():
                 if len(outputs) == 1:
-                    assert m.tables[conn][args] == outputs[0]
+                    assert _cell(m, conn, args) == outputs[0]
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRangeError):
@@ -171,9 +180,9 @@ class TestStronglyRegularFamily:
         # flipping bit 0 changes exactly the table cell not(b)
         m0 = bd.sr_decode(0)
         m1 = bd.sr_decode(1)
-        assert m0.tables["not"][("b",)] == "t"
-        assert m1.tables["not"][("b",)] == "b"
-        assert m0.tables["and"] == m1.tables["and"]
+        assert _cell(m0, "not", ("b",)) == "t"
+        assert _cell(m1, "not", ("b",)) == "b"
+        assert m0.index_tables["and"] == m1.index_tables["and"]
         # bit 2 is the first free cell of "and": (t, b)
         assert bd.FREE_CELLS[2] == ("and", ("t", "b"))
         assert bd.FREE_CELLS[14] == ("or", ("t", "b"))
@@ -228,18 +237,26 @@ def _reference_encode(m):
                if m.index_tables[conn][i] != first)
 
 
-def _relisted(m, order):
-    """m read back from JSON that lists its values in `order`."""
+def _index_tables(tables, order):
+    """Name-keyed {not, and, or, impl, bot}-tables as index tables over the
+    values in `order`."""
+    return {conn: bytes(order.index(tables[conn][args])
+                        for args in itertools.product(order, repeat=k))
+            for conn, k in bd.SR_SIGNATURE.connectives.items()}
+
+
+def _relisted(tables, order):
+    """The matrix of name-keyed {not, and, or, impl, bot}-tables, read back
+    from JSON that lists its values in `order`."""
     def nest(name, k, prefix):
         if len(prefix) == k:
-            return m.tables[name][prefix]
+            return tables[name][prefix]
         return [nest(name, k, prefix + (v,)) for v in order]
 
-    data = matrix_to_json(m)
-    data["values"] = list(order)
-    for name, entry in data["connectives"].items():
-        entry["table"] = nest(name, entry["arity"], ())
-    return matrix_from_json(data)
+    return matrix_from_json({
+        "values": list(order), "designated": sorted(bd.DESIGNATED),
+        "connectives": {name: {"arity": k, "table": nest(name, k, ())}
+                        for name, k in bd.SR_SIGNATURE.connectives.items()}})
 
 
 def _decoder_inputs():
@@ -252,42 +269,39 @@ class TestByteDecoder:
     def test_matches_reference_decoder(self):
         for index in _decoder_inputs():
             m, tables = bd.sr_decode(index), _reference_decode(index)
-            ref = Matrix(bd.VALUES, bd.DESIGNATED, bd.SR_SIGNATURE, tables)
+            ref = Matrix(bd.VALUES, bd.DESIGNATED, bd.SR_SIGNATURE,
+                         _index_tables(tables, bd.VALUES))
             assert m == ref, index
-            assert m.tables == tables, index
-            assert m.index_tables == ref.index_tables, index
             assert matrix_to_json(m) == matrix_to_json(ref), index
             assert bd.is_strongly_regular(m) and bd.is_strongly_regular(ref)
             assert bd.sr_encode(m) == bd.sr_encode(ref) == index
 
-    def test_lazy_tables_are_read_only(self):
+    def test_member_tables_are_read_only(self):
         m = bd.sr_decode(BD_IMPL_BOT_INDEX)
         with pytest.raises(TypeError):
-            m.tables["not"][("t",)] = "t"
-        with pytest.raises(TypeError):
-            m.tables["not"] = {}
+            m.index_tables["not"][0] = 0
         with pytest.raises(TypeError):
             m.index_tables["not"] = b"\0\0\0\0"
 
     def test_other_value_order(self):
         order = ("f", "t", "b", "n")
         for index in _decoder_inputs()[:60]:
-            m = bd.sr_decode(index)
-            relisted = _relisted(m, order)
-            assert relisted.values == order and relisted.tables == m.tables
+            m, tables = bd.sr_decode(index), _reference_decode(index)
+            relisted = _relisted(tables, order)
+            assert relisted.values == order
+            assert relisted.index_tables == _index_tables(tables, order)
+            assert is_expansion(relisted, m) and is_expansion(m, relisted)
             assert bd.is_strongly_regular(relisted)
             assert bd.sr_encode(relisted) == index
 
     @pytest.mark.parametrize("order", [bd.VALUES, ("f", "t", "b", "n")],
                              ids=["canonical", "f-t-b-n"])
     def test_cell_outside_its_outputs_is_rejected(self, order):
-        m = bd.sr_decode(BD_IMPL_BOT_INDEX)
         for (conn, args), outputs in bd.CELLS.items():
             for wrong in [v for v in bd.VALUES if v not in outputs]:
-                tables = {c: dict(t) for c, t in m.tables.items()}
+                tables = _reference_decode(BD_IMPL_BOT_INDEX)
                 tables[conn][args] = wrong
-                bad = _relisted(Matrix(bd.VALUES, bd.DESIGNATED,
-                                       bd.SR_SIGNATURE, tables), order)
+                bad = _relisted(tables, order)
                 assert not bd.is_strongly_regular(bad), (conn, args, wrong)
                 with pytest.raises(NotStronglyRegularError):
                     bd.sr_encode(bad)
@@ -306,8 +320,11 @@ _ORDERS = pytest.mark.parametrize(
     "order", [bd.VALUES, ("f", "t", "b", "n")], ids=["canonical", "f-t-b-n"])
 
 
-def _in_order(m, order):
-    return m if order == m.values else _relisted(m, order)
+def _in_order(index, order):
+    """The member of this index, its values listed in `order`."""
+    if order == bd.VALUES:
+        return bd.sr_decode(index)
+    return _relisted(_reference_decode(index), order)
 
 
 def _agrees_with_reference(m):
@@ -329,7 +346,7 @@ class TestWordEncoder:
     @_ORDERS
     def test_matches_reference_on_decoder_inputs(self, order):
         for index in _decoder_inputs():
-            m = _in_order(bd.sr_decode(index), order)
+            m = _in_order(index, order)
             assert _reference_encode(m) == index
             assert _agrees_with_reference(m)
 
@@ -349,7 +366,7 @@ class TestWordEncoder:
         rng = random.Random("".join(order))
         members = 0
         for trial in range(600):
-            m = _in_order(bd.sr_decode(rng.randrange(2 ** 38)), order)
+            m = _in_order(rng.randrange(2 ** 38), order)
             tables = {c: bytearray(t) for c, t in m.index_tables.items()}
             for conn, i in rng.sample(cells, 2 + trial % 2):
                 tables[conn][i] = rng.choice(

@@ -13,10 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 from fdekit import bd, claims, laws, presets
 from fdekit.cli import main
-from fdekit.matrix import MAX_CLONE_ARITY, Matrix, evaluate, matrix_to_json
+from fdekit.matrix import MAX_CLONE_ARITY, evaluate, matrix_to_json
 from fdekit.proof import (
     BD, MAX_DERIVATION_DEPTH, RULE_IDS, Sequent, derivation_to_json, prove)
-from fdekit.syntax import parse
+from fdekit.syntax import App, Var, parse
 
 
 def _nested_derivation(depth: int) -> str:
@@ -32,6 +32,13 @@ def _deep_matrix(levels: int) -> bytes:
     return ('{"values": ["t", "f"], "designated": ["t"], "connectives": '
             '{"c": {"arity": 1, "table": ' + "[" * levels + '"t"'
             + "]" * levels + "}}}").encode()
+
+
+def _cell(m, conn, args):
+    """One cell of m's table for conn, read through `evaluate`."""
+    names = [f"x{i}" for i in range(len(args))]
+    return evaluate(m, App(conn, tuple(map(Var, names))),
+                    dict(zip(names, args)))
 
 
 def run(capsys, *argv):
@@ -143,7 +150,7 @@ class TestVerdicts:
         m = presets.preset("bd-impl-bot-delta")
         witness = parse(data["witness"], m.signature)
         for a in m.values:
-            assert evaluate(m, witness, {"p1": a}) == m.tables["delta"][(a,)]
+            assert evaluate(m, witness, {"p1": a}) == _cell(m, "delta", (a,))
 
     def test_not_definable(self, capsys):
         code, out = run(capsys, "definable", "--matrix", "bd-impl-bot-confl",
@@ -158,9 +165,9 @@ class TestVerdicts:
         m, tfn = presets.preset("bd-impl-bot-confl"), "tfn"
         for c in ["not", "and", "or", "impl", "bot"]:
             k = m.signature.arity(c)
-            assert all(m.tables[c][args] in tfn
+            assert all(_cell(m, c, args) in tfn
                        for args in itertools.product(tfn, repeat=k)), c
-        assert m.tables["confl"]["n",] == "b"
+        assert _cell(m, "confl", ("n",)) == "b"
 
     def test_not_definable_certificate(self, capsys):
         # impl from ~, &, |, B, N: the binary clone search gives no verdict
@@ -212,9 +219,18 @@ class TestVerdicts:
 
     def test_interdef_logic_listing_its_values_in_another_order(
             self, tmp_path):
-        m = presets.preset("bd-impl-bot")
-        data = matrix_to_json(
-            Matrix(("f", "t", "b", "n"), m.designated, m.signature, m.tables))
+        # bd-impl-bot's JSON, its named tables nested over f, t, b, n
+        order = ["f", "t", "b", "n"]
+
+        def nest(table, k, args):
+            if len(args) == k:
+                return table[args]
+            return [nest(table, k, args + (v,)) for v in order]
+
+        data = matrix_to_json(presets.preset("bd-impl-bot"))
+        data["values"] = order
+        for name, entry in data["connectives"].items():
+            entry["table"] = nest(bd.named(name).table, entry["arity"], ())
         path = tmp_path / "ftbn.json"
         for expected in (0, 2):
             path.write_text(json.dumps(data))
@@ -277,6 +293,16 @@ class TestVerdicts:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "more than 256 truth values" in err
+
+    def test_designated_value_outside_the_carrier(self, capsys, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps({
+            "values": ["t", "f"], "designated": ["x"],
+            "connectives": {"not": {"arity": 1, "table": ["f", "t"]}}}))
+        assert main(["entails", "--matrix", str(path), "p |- p"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'x'" in err
 
     def test_clone_arity_limit(self, capsys):
         assert main(["clone", "--matrix", "bd", "--arity",

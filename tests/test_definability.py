@@ -39,8 +39,14 @@ p = Var("p")
 # no unary polynomial designates exactly one of y and z: not simple
 NOT_SIMPLE = Matrix(
     ("x", "y", "z"), frozenset(["x"]), Signature({"f1": 1, "f2": 1}),
-    {"f1": {("x",): "x", ("y",): "y", ("z",): "y"},
-     "f2": {("x",): "x", ("y",): "y", ("z",): "y"}})
+    {"f1": [0, 1, 1], "f2": [0, 1, 1]})
+
+
+def _cell(m, conn, args):
+    """One cell of m's table for conn, read through `evaluate`."""
+    names = [f"x{i}" for i in range(len(args))]
+    return evaluate(m, App(conn, tuple(map(Var, names))),
+                    dict(zip(names, args)))
 
 
 class TestSynonymity:
@@ -89,7 +95,7 @@ class TestDefinable:
         assert verdict.definable
         for a in m.values:
             assert evaluate(m, verdict.witness, {"p1": a}) == \
-                m.tables["delta"][(a,)]
+                _cell(m, "delta", (a,))
 
     def test_conflation_not_definable(self):
         m = presets.preset("bd-impl-bot-confl")
@@ -126,7 +132,7 @@ class TestDefinable:
         m, allowed = presets.preset(name), allowed.split(",")
         clone = {tf.table: tf.witness
                  for tf in term_functions(m, 1, allowed)}
-        table = tuple(m.tables[target][(v,)] for v in m.values)
+        table = tuple(m.values[i] for i in m.index_tables[target])
         assert definable(m, target, allowed).witness == clone.get(table)
 
     def test_clone_exhausted(self):
@@ -164,11 +170,12 @@ def _named_relation(reason):
 
 def _preserves(m, conn, rel):
     """Brute force, over value names: conn maps members into rel."""
-    width = len(next(iter(rel)))
+    k, width = m.signature.arity(conn), len(next(iter(rel)))
+    table = {args: _cell(m, conn, args)
+             for args in itertools.product(m.values, repeat=k)}
     return all(
-        tuple(m.tables[conn][col]
-              for col in (zip(*args) if args else [()] * width)) in rel
-        for args in itertools.product(rel, repeat=m.signature.arity(conn)))
+        tuple(table[col] for col in (zip(*args) if args else [()] * width))
+        in rel for args in itertools.product(rel, repeat=k))
 
 
 def _targets(arities=(0, 1, 2)):
@@ -249,7 +256,7 @@ class TestRelationCertificate:
                         if r == len(rest):
                             assert definable(m, c, rest).definable, (name, c)
                     elif reason == "diagonal missing from the unary clone":
-                        diagonal = tuple(m.tables[c][(v,) * n]
+                        diagonal = tuple(_cell(m, c, (v,) * n)
                                          for v in m.values)
                         assert diagonal not in {
                             tf.table for tf in term_functions(m, 1, allowed)}

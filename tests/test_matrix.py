@@ -10,7 +10,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from fdekit import bd, laws, matrix, presets
+from fdekit import bd, matrix, presets
 from fdekit.definability import synonymous
 from fdekit.errors import (
     ArityCapError,
@@ -49,6 +49,13 @@ K3 = presets.preset("k3")
 CL = presets.preset("cl")
 
 p, q = Var("p"), Var("q")
+
+
+def _cell(m, conn, args):
+    """One cell of m's table for conn, read through `evaluate`."""
+    names = [f"x{i}" for i in range(len(args))]
+    return evaluate(m, App(conn, tuple(map(Var, names))),
+                    dict(zip(names, args)))
 
 
 class TestEvaluate:
@@ -686,7 +693,7 @@ def _reference_reduced(m):
     label = {v: v in m.designated for v in m.values}
     while True:
         refined = {v: (label[v], *(
-            label[m.tables[name][(*rest[:i], v, *rest[i:])]]
+            label[_cell(m, name, (*rest[:i], v, *rest[i:]))]
             for name, k in sorted(m.signature.connectives.items())
             for i in range(k)
             for rest in itertools.product(m.values, repeat=k - 1)))
@@ -701,8 +708,8 @@ def _polynomial_only():
     terms are p1 and the constant 0, so only polynomials such as h(p1, 2)
     separate 0, 1 and 2."""
     return Matrix(tuple("0123"), frozenset("3"), Signature({"h": 2}),
-                  {"h": {(a, b_): "3" if (a, b_) == ("1", "2") else "0"
-                         for a in "0123" for b_ in "0123"}})
+                  {"h": [3 if (a, b_) == (1, 2) else 0
+                         for a in range(4) for b_ in range(4)]})
 
 
 def _oracle_matrices():
@@ -729,7 +736,7 @@ def _oracle_matrices():
             sig = Signature({c: m.signature.arity(c) for c in keep})
             yield (f"{name} reduct {keep}",
                    Matrix(m.values, m.designated, sig,
-                          {c: m.tables[c] for c in keep}))
+                          {c: m.index_tables[c] for c in keep}))
 
 
 class TestSimplicity:
@@ -772,8 +779,8 @@ class TestSimplicity:
         # only g(p1, c) separates y from z
         m = Matrix(
             ("x", "y", "z"), frozenset(["x"]), Signature({"g": 2, "c": 0}),
-            {"g": {(a, b_): "x" if a == b_ else "y"
-                   for a in "xyz" for b_ in "xyz"}, "c": {(): "z"}})
+            {"g": [0 if a == b_ else 1 for a in range(3) for b_ in range(3)],
+             "c": [2]})
         simple, separators = simplicity(m)
         assert simple and _reference_simple(m)
         assert separators[frozenset("yz")].witness == App(
@@ -811,7 +818,7 @@ class TestSimplicity:
             ("x", "y", "z"),
             frozenset(["x"]),
             Signature({"f1": 1}),
-            {"f1": {("x",): "x", ("y",): "y", ("z",): "y"}},
+            {"f1": [0, 1, 1]},
         )
         assert not m.simple
 
@@ -844,7 +851,7 @@ class TestExpansionRestriction:
     def test_degenerate_designated(self):
         lattice_only = Matrix(
             BD.values, BD.designated, Signature({"and": 2}),
-            {"and": BD.tables["and"]})
+            {"and": BD.index_tables["and"]})
         with pytest.raises(DegenerateDesignatedError):
             restrict(lattice_only, ("t", "b"))
 
@@ -854,36 +861,38 @@ class TestExpansionRestriction:
 
     def test_tables_are_read_only(self):
         with pytest.raises(TypeError):
-            presets.preset("bd").tables["not"][("t",)] = "t"
+            presets.preset("bd").index_tables["not"] = b"\0\0\0\0"
         with pytest.raises(TypeError):
-            presets.preset("bd").tables["not"] = {}
-        table = dict(BD.tables["not"])
+            presets.preset("bd").index_tables["not"][0] = 0
+        table = bytearray(BD.index_tables["not"])
         m = Matrix(BD.values, BD.designated, Signature({"not": 1}),
                    {"not": table})
-        table[("t",)] = "t"
-        assert m.tables["not"][("t",)] == "f"
+        table[0] = 0
+        assert m.index_tables["not"] == BD.index_tables["not"]
+        assert _cell(m, "not", ("t",)) == "f"
 
 
-def _not_matrix(values=BD.values, designated=BD.designated, cells=None):
-    """BD's negation alone, its table updated by `cells` (None deletes)."""
-    table = dict(BD.tables["not"])
-    for key, out in (cells or {}).items():
-        if out is None:
-            del table[key]
-        else:
-            table[key] = out
+# BD's negation as value indices over bd.VALUES, from its named table
+_NOT = [bd.VALUES.index(bd.NOT.table[v,]) for v in bd.VALUES]
+
+
+def _not_matrix(values=BD.values, designated=BD.designated, table=_NOT):
+    """BD's negation alone, or another table in its place."""
     return Matrix(values, designated, Signature({"not": 1}), {"not": table})
 
 
 class TestValidation:
     def test_valid(self):
-        assert _not_matrix().tables["not"] == BD.tables["not"]
+        m = _not_matrix()
+        assert m.index_tables["not"] == b"\1\0\2\3"
+        assert [_cell(m, "not", (v,)) for v in m.values] == [
+            bd.NOT.table[v,] for v in bd.VALUES]
 
     @pytest.mark.parametrize("change", [
-        {"cells": {("t",): None}},                # a missing cell
-        {"cells": {("x",): "t"}},                 # an extra cell
-        {"cells": {("t",): None, ("t", "t"): "f"}},  # a key of length 2
-        {"cells": {("t",): "x"}},                 # outside the carrier
+        {"table": _NOT[:3]},                      # a missing cell
+        {"table": _NOT + [0]},                    # an extra cell
+        {"table": _NOT * 4},                      # a binary table's shape
+        {"table": _NOT[:3] + [4]},                # outside the carrier
         {"values": ("t", "f", "b", "b")},         # duplicate values
         {"designated": frozenset()},              # empty designated set
         {"designated": frozenset(BD.values)},     # full designated set
@@ -906,7 +915,15 @@ class TestValidation:
     def test_index_table_input(self):
         m = Matrix(BD.values, BD.designated, Signature({"not": 1}),
                    {"not": BD.index_tables["not"]})
-        assert m == _not_matrix() and m.tables["not"] == BD.tables["not"]
+        assert m == _not_matrix()
+
+    def test_values_are_a_tuple(self):
+        for name in presets.PRESET_NAMES:
+            m = presets.preset(name)
+            given = list(m.values)
+            copy = Matrix(given, m.designated, m.signature, m.index_tables)
+            given.append("x")
+            assert copy == m and type(copy.values) is tuple, name
 
     def test_designated_set_is_a_copy(self):
         given = {"t"}
@@ -923,14 +940,17 @@ class TestValidation:
         (("t", "t"), {"t"}, b"\0\0", "duplicate"),
         (tuple(map(str, range(257))), {"0"}, b"\0" * 257, "more than 256"),
         (("t", "f"), set(), b"\1\0", "non-empty and proper"),
+        (("t", "f"), {"t", "x"}, b"\1\0",
+         "not truth values of the matrix: 'x'$"),
         (("t", "f"), {"t"}, None, "missing table"),
         (("t", "f"), {"t"}, {("t",): "f"}, "wrong shape"),
         (("t", "f"), {"t"}, b"\1", "wrong shape"),
         (("t", "f"), {"t"}, b"\1\2", "leaves the carrier"),
         (("t", "f"), ["t"], b"\1\0", "a set of values"),
         (("t", "f"), {"t"}, 5, "wrong shape"),
-    ], ids=["duplicate", "wide", "designated", "missing", "dict-shape",
-            "bytes-shape", "outside", "designated-list", "not-a-sequence"])
+    ], ids=["duplicate", "wide", "designated", "designated-unknown",
+            "missing", "dict-shape", "bytes-shape", "outside",
+            "designated-list", "not-a-sequence"])
     def test_malformed_is_fdekit_error(self, values, designated, table,
                                        error):
         tables = {} if table is None else {"not": table}
@@ -938,26 +958,48 @@ class TestValidation:
             Matrix(values, designated, Signature({"not": 1}), tables)
 
     def test_index_tables(self):
-        def reference(m):
-            return {name: bytes(m.values.index(m.tables[name][args])
-                                for args in itertools.product(m.values,
-                                                              repeat=k))
-                    for name, k in m.signature.connectives.items()}
-
         rng = random.Random(38)
         indices = [0, 2 ** 38 - 1] + [rng.randrange(2 ** 38)
                                       for _ in range(198)]
-        members = [bd.sr_decode(i) for i in indices]
-        for m in [presets.preset(n) for n in presets.PRESET_NAMES] + members:
-            assert dict(m.index_tables) == reference(m)
+        for m, tables in _named_matrices(indices):
+            assert dict(m.index_tables) == {
+                name: bytes(m.values.index(tables[name][args])
+                            for args in itertools.product(m.values, repeat=k))
+                for name, k in m.signature.connectives.items()}
 
 
-def _reference_to_json(m):
-    """`matrix_to_json` by recursion over the name view, one call per
+def _named_matrices(indices):
+    """Each preset and its table-closed restrictions, then the family
+    members of these indices, each with its tables as dicts from
+    argument-name tuples to value names: the presets' from `bd`'s named
+    connectives, the members' from `bd.CELLS`, neither from the matrix."""
+    for name in presets.PRESET_NAMES:
+        m = presets.preset(name)
+        for r in range(2, len(m.values) + 1):
+            for sub in itertools.combinations(m.values, r):
+                try:
+                    restricted = restrict(m, sub)
+                except (NotClosedError, DegenerateDesignatedError):
+                    continue
+                yield restricted, {
+                    c: {args: bd.named(c).table[args] for args in
+                        itertools.product(restricted.values, repeat=k)}
+                    for c, k in m.signature.connectives.items()}
+    for index in indices:
+        yield bd.sr_decode(index), {
+            c: {args: bd.CELLS[c, args][
+                index >> bd.FREE_BITS[c, args] & 1
+                if (c, args) in bd.FREE_BITS else 0]
+                for args in itertools.product(bd.VALUES, repeat=k)}
+            for c, k in bd.SR_SIGNATURE.connectives.items()}
+
+
+def _reference_to_json(m, tables):
+    """`matrix_to_json` by recursion over name-keyed tables, one call per
     nesting level."""
     def nest(name, k, prefix):
         if k == 0:
-            return m.tables[name][prefix]
+            return tables[name][prefix]
         return [nest(name, k - 1, prefix + (v,)) for v in m.values]
 
     return {
@@ -993,28 +1035,34 @@ class TestJson:
         assert data["connectives"]["and"]["arity"] == 2
 
     def test_matches_reference_nesting(self):
-        # oracle matrices, and random ones with every arity 0-3 over 2-5
-        # values listed in shuffled order
+        # the presets, their restrictions and 200 family members, and random
+        # matrices with every arity 0-3 over 2-5 values listed in shuffled
+        # order, each with its tables keyed by value names
         rng = random.Random(30)
-        matrices = [m for _, m in _oracle_matrices()]
+        matrices = list(_named_matrices(
+            rng.randrange(2 ** 38) for _ in range(200)))
         sig = Signature({f"c{k}": k for k in range(4)})
         for _ in range(100):
             n = rng.randint(2, 5)
             values = [f"v{i}" for i in range(n)]
             rng.shuffle(values)
-            matrices.append(Matrix(
-                tuple(values), frozenset(values[:rng.randint(1, n - 1)]), sig,
-                {f"c{k}": bytes(rng.randrange(n) for _ in range(n ** k))
-                 for k in range(4)}))
-        for m in matrices:
+            tables = {f"c{k}": {args: rng.choice(values) for args in
+                                itertools.product(values, repeat=k)}
+                      for k in range(4)}
+            matrices.append((Matrix(
+                values, frozenset(values[:rng.randint(1, n - 1)]), sig,
+                {c: [values.index(v) for v in t.values()]
+                 for c, t in tables.items()}), tables))
+        for m, tables in matrices:
             data = matrix_to_json(m)
-            assert json.dumps(data) == json.dumps(_reference_to_json(m))
+            expected = _reference_to_json(m, tables)
+            assert json.dumps(data) == json.dumps(expected)
             assert matrix_from_json(data) == m
 
     def test_reading_a_wide_matrix_keeps_nothing(self):
         # a 4-ary table over 16 values has 65,536 cells: they go straight
         # to value indices, with no argument tuples and no name-keyed dict,
-        # and the name view built later is dropped with the matrix
+        # and nothing read later outlives the matrix
         values = [f"v{i}" for i in range(16)]
         table = values
         for _ in range(3):
@@ -1028,7 +1076,7 @@ class TestJson:
             peak = tracemalloc.get_traced_memory()[1]
             same = matrix_to_json(m) == data
             indices = m.index_tables["f"] == bytes(range(16)) * 16 ** 3
-            value = m.tables["f"][("v0", "v1", "v2", "v15")]
+            value = _cell(m, "f", ("v0", "v1", "v2", "v15"))
             del m
             gc.collect()  # also empties the free lists tracemalloc counts
             kept = tracemalloc.get_traced_memory()[0]
@@ -1067,11 +1115,82 @@ class TestJson:
         assert Matrix(BD.values, BD.designated, Signature({"not": 1}),
                       {"not": [1, 0, 2, 3]}) == _not_matrix()
 
-    def test_kernel_readers_leave_the_name_view_unbuilt(self):
-        # the implication-falsity expansion, a member of the family
-        m = bd.sr_decode(13129950543)
-        assert bd.sr_encode(m) == 13129950543
-        assert all(laws.holds(m, law) for law in laws.TABLE2_LAWS)
-        matrix_to_json(m)
-        assert simplicity(m)[0]
-        assert "tables" not in m.__dict__
+
+def _random_json(rng):
+    """A random matrix as JSON data, one connective of each arity 0-3 over
+    2-8 values, and a subset of its values that the tables keep closed,
+    with designated and undesignated members."""
+    n = rng.randint(2, 8)
+    values = [f"v{i}" for i in range(n)]
+    designated = values[:rng.randint(1, n - 1)]
+    closed = [v for v in values if rng.random() < 0.5]
+    closed = sorted({*closed, designated[0], values[-1]}, key=values.index)
+
+    def nest(k, args):
+        if len(args) == k:
+            return rng.choice(closed if set(args) <= set(closed) else values)
+        return [nest(k, args + (v,)) for v in values]
+
+    return {"values": values, "designated": designated,
+            "connectives": {f"c{k}": {"arity": k, "table": nest(k, ())}
+                            for k in range(4)}}, closed
+
+
+def _json_relisted(data, order):
+    """JSON matrix data with its values listed in `order`."""
+    def relist(table, k):
+        return table if k == 0 else [
+            relist(table[data["values"].index(v)], k - 1) for v in order]
+
+    return {"values": list(order), "designated": data["designated"],
+            "connectives": {
+                name: {"arity": e["arity"],
+                       "table": relist(e["table"], e["arity"])}
+                for name, e in data["connectives"].items()}}
+
+
+class TestValueOrder:
+    """Random JSON matrices against themselves with their values relisted
+    in a shuffled order: `evaluate`, `is_expansion` and `restrict` do not
+    depend on the order."""
+
+    def test_relisted_matrices_agree(self):
+        rng = random.Random(36)
+        for trial in range(60):
+            data, closed = _random_json(rng)
+            order = list(data["values"])
+            rng.shuffle(order)
+            m = matrix_from_json(data)
+            relisted = matrix_from_json(_json_relisted(data, order))
+            assert relisted.values == tuple(order), trial
+            for _ in range(5):
+                f = _random_formula(rng, m.signature, ["p", "q", "r"], 6)
+                a = {name: rng.choice(order) for name in "pqr"}
+                assert evaluate(m, f, a) == evaluate(relisted, f, a), trial
+            assert is_expansion(m, relisted) and is_expansion(relisted, m)
+            # the same two matrices restricted to the closed subset
+            kept = restrict(m, closed), restrict(relisted, closed)
+            assert kept[1].values == tuple(v for v in order if v in closed)
+            assert is_expansion(*kept) and is_expansion(*kept[::-1]), trial
+            # one cell changed: the path to it, and the list holding it
+            entry = data["connectives"][f"c{rng.randrange(4)}"]
+            *path, last = ["table", *(rng.randrange(len(order))
+                                      for _ in range(entry["arity"]))]
+            row = functools.reduce(lambda table, i: table[i], path, entry)
+            row[last] = rng.choice([v for v in order if v != row[last]])
+            changed = matrix_from_json(data)
+            assert not is_expansion(changed, relisted), trial
+            assert not is_expansion(relisted, changed), trial
+
+    def test_name_keyed_tables_are_refused(self):
+        # the old form: a dict from argument-name tuples to value names
+        rng = random.Random(37)
+        for _ in range(20):
+            data, _ = _random_json(rng)
+            m = matrix_from_json(data)
+            for name, k in m.signature.connectives.items():
+                table = {args: _cell(m, name, args)
+                         for args in itertools.product(m.values, repeat=k)}
+                with pytest.raises(InvalidInputError, match="wrong shape"):
+                    Matrix(m.values, m.designated, m.signature,
+                           {**m.index_tables, name: table})
