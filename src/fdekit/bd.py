@@ -111,6 +111,7 @@ def _index_table(c: NamedConnective, values: tuple[str, ...]) -> list[int]:
     return [position.get(c.table[args], len(values)) for args in cells]
 
 
+@functools.cache  # a matrix is immutable, so one is shared
 def bd_matrix() -> Matrix:
     sig = Signature({"not": 1, "and": 2, "or": 2})
     return Matrix(VALUES, DESIGNATED, sig, {

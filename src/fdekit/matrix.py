@@ -6,15 +6,20 @@ its only table form.  `evaluate` (the independent oracle, which walks a
 formula as a tree with an explicit stack, so at any depth) reads one cell
 at a time; `is_expansion` and `restrict` relist the tables over another
 order or subset of the values.  One kernel computes truth tables as value
-vectors for consequence, equivalence and the law checks: `bytes` holding a
-value index per point, in `itertools.product` order, so a carrier has at
-most 256 values.  Formulas are compiled once, without recursion, into a flat
-`Program` with one step per distinct subterm, which runs on any matrix:
-each step applies a connective to whole vectors by `bytes.translate`, one
-block of at most `_BLOCK_POINTS` points at a time.  The kernel answers
-with the index of the first point a query selects: the boolean answers
-(`consequence`, `equivalent`, `agrees`) build no assignment, and only a
-countermodel's point becomes one, decoded from its index by
+vectors for consequence, equivalence and the law checks, points in
+`itertools.product` order, and a carrier has at most 256 values.  Formulas
+are compiled once, without recursion, into a flat `Program` with one step
+per distinct subterm, which runs on any matrix one block of at most
+`_BLOCK_POINTS` points at a time, in one of two vector forms.  A program of
+at most `_PLANE_POINTS` points runs on `bytes`, one value index per point,
+and a step applies a connective by `bytes.translate`.  A larger one runs
+on bit planes, ints of one bit per point: bit p of plane j is bit j of the
+value index at point p, and a step is a few bitwise operations synthesised
+from the connective's table (`Matrix.circuits`; a table of more than 256
+cells keeps its matrix on bytes).  The kernel answers with the index of
+the first point a query selects, on planes its lowest set bit: the boolean
+answers (`consequence`, `equivalent`, `agrees`) build no assignment, and
+only a countermodel's point becomes one, decoded from its index by
 `assignments`.
 One closure, `subpower`, computes the subuniverse of a power of the carrier
 generated by the projections p1..pn restricted to some rows (points of
@@ -34,7 +39,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import (
     ArityCapError,
@@ -101,11 +106,28 @@ class Matrix:
         object.__setattr__(self, "designated", frozenset(self.designated))
         object.__setattr__(self, "index_tables", MappingProxyType(tables))
 
+    def __hash__(self) -> int:
+        return hash((self.values, self.designated, self.signature,
+                     frozenset(self.index_tables.items())))
+
     @cached_property
     def byte_tables(self) -> Mapping[str, bytes]:
         """Index tables padded to `bytes.translate` tables (see `_compose`)."""
         return MappingProxyType({
             n: t.ljust(256, b"\0") for n, t in self.index_tables.items()})
+
+    @cached_property
+    def circuits(self) -> Optional[tuple[Callable, Mapping[str, Callable]]]:
+        """The designated set's and each connective's circuit (see
+        `_circuit`), built for the first query above `_PLANE_POINTS`; None
+        if a table has more than 256 cells: the matrix stays on bytes."""
+        if any(len(t) > 256 for t in self.index_tables.values()):
+            return None
+        nvals, arity = len(self.values), self.signature.arity
+        return (_circuit(bytes(v in self.designated for v in self.values),
+                         nvals, 1),
+                MappingProxyType({n: _circuit(t, nvals, arity(n))
+                                  for n, t in self.index_tables.items()}))
 
     @cached_property
     def simple(self) -> bool:
@@ -184,6 +206,16 @@ def _projections(nvals: int, k: int) -> tuple[bytes, ...]:
                  for i in range(k))
 
 
+@functools.cache
+def _plane_projections(nvals: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """`_projections` as planes: plane j reads bit j of each byte as a
+    binary digit (an ASCII 0 or 1), point 0 the least significant."""
+    digits = [bytes(48 + (x >> j & 1) for x in range(256))
+              for j in range((nvals - 1).bit_length())]
+    return tuple(tuple(int(v[::-1].translate(d), 2) for d in digits)
+                 for v in _projections(nvals, k))
+
+
 def _compose(table: bytes, nvals: int, npoints: int,
              args: Sequence[bytes]) -> bytes:
     """A connective's byte table applied pointwise to argument vectors; one
@@ -203,6 +235,53 @@ def _radix(digits: Iterable[int], base: int) -> int:
     for d in digits:
         idx = idx * base + d
     return idx
+
+
+def _synthesised(cells: dict[int, int], inputs: list[int]) -> str:
+    """An expression in the planes x<t> (t in `inputs`) and the all-ones
+    plane M that has bit cells[w] at each input word w in `cells` (bit t of
+    w is x<t>'s), by Shannon expansion: inputs the cells do not depend on,
+    given the don't-cares (the other words), go first, and then it splits
+    on the first input, as an XOR if a cofactor is the other's complement."""
+    if 1 not in cells.values():
+        return "0"
+    if 0 not in cells.values():
+        return "M"
+    for t in inputs[::-1]:  # low and high end as the first input's cofactors
+        low = {w: b for w, b in cells.items() if not w >> t & 1}
+        high = {w ^ 1 << t: b for w, b in cells.items() if w >> t & 1}
+        if all(low.get(w, b) == b for w, b in high.items()):
+            return _synthesised(low | high, [u for u in inputs if u != t])
+    x, rest = f"x{t}", inputs[1:]
+    flipped = {w: 1 - b for w, b in high.items()}
+    if all(low.get(w, b) == b for w, b in flipped.items()):
+        e = _synthesised(low | flipped, rest)
+        return x if e == "0" else f"({x} ^ {e})"
+    e0, e1 = _synthesised(low, rest), _synthesised(high, rest)
+    if e0 == "0":
+        return x if e1 == "M" else f"({x} & {e1})"
+    if e1 == "0":
+        return f"({e0} & ~{x})"
+    if e1 == "M":
+        return f"({x} | {e0})"
+    if e0 == "M":
+        return f"({e1} | {x} ^ M)"
+    return f"({e1} & {x} | {e0} & ~{x})"
+
+
+def _circuit(table: Sequence[int], nvals: int, arity: int) -> Callable:
+    """A table of value indices, of at most 256 cells, on planes: a function
+    of the all-ones plane and its arguments' planes, in order, that returns
+    the result's planes.  A value's code is its index; codes no value has
+    are don't-cares.  The source holds only the synthesiser's tokens."""
+    width = (nvals - 1).bit_length()
+    inputs = range(arity * width)
+    words = [sum(v << a * width for a, v in enumerate(args))
+             for args in itertools.product(range(nvals), repeat=arity)]
+    planes = [_synthesised({w: v >> j & 1 for w, v in zip(words, table)},
+                           list(inputs)) for j in range(width)]
+    return eval(f"lambda M{''.join(f', x{t}' for t in inputs)}: "
+                f"({', '.join(planes)},)", {"__builtins__": {}})
 
 
 @dataclass(frozen=True)
@@ -262,12 +341,21 @@ def compile_formulas(formulas: Iterable[Formula]) -> Program:
 # Points of one block: a vector covers one block at a time, so memory stays
 # bounded however many variables a query has and however many values.
 _BLOCK_POINTS = 4 ** 8
+# Programs of more points run on planes; smaller ones never build circuits.
+_PLANE_POINTS = 256
 
 
-def _first_index(m: Matrix, program: Program,
-                 mask: Callable[[list[bytes], int], int]) -> Optional[int]:
-    """The index of the first point where mask(the program's formula
-    vectors, their length) has a nonzero big-endian byte, blocks built in
+class _Mask(NamedTuple):
+    """The points a query selects, from the formula vectors of a block: on
+    bytes, given its point count, one big-endian byte per point; on planes,
+    given its all-ones plane, one bit per point, point p at bit p."""
+
+    on_bytes: Callable[[list[bytes], int], int]
+    on_planes: Callable[[list[tuple[int, ...]], int], int]
+
+
+def _first_index(m: Matrix, program: Program, mask: _Mask) -> Optional[int]:
+    """The index of the first point that the mask selects, blocks built in
     order; a program with at most `_BLOCK_POINTS` points is one block, and
     otherwise each block fixes the fewest leading variables that fit."""
     conns = m.signature.connectives
@@ -277,9 +365,12 @@ def _first_index(m: Matrix, program: Program,
     names, tables = program.names, m.byte_tables
     nvals, lead = len(m.values), 0
     npoints = nvals ** len(names)
+    if npoints > _PLANE_POINTS and m.circuits:
+        return _first_on_planes(m, program, mask.on_planes)
+    on_bytes = mask.on_bytes
     if npoints <= _BLOCK_POINTS:
         bits = _block(program, tables, nvals, npoints,
-                      list(_projections(nvals, len(names))), mask)
+                      list(_projections(nvals, len(names))), on_bytes)
         return npoints - 1 - (bits.bit_length() - 1) // 8 if bits else None
     while npoints > _BLOCK_POINTS:
         lead += 1
@@ -288,7 +379,7 @@ def _first_index(m: Matrix, program: Program,
     for i, prefix in enumerate(itertools.product(range(nvals), repeat=lead)):
         vectors = [bytes([v]) * npoints for v in prefix]
         vectors += tail
-        bits = _block(program, tables, nvals, npoints, vectors, mask)
+        bits = _block(program, tables, nvals, npoints, vectors, on_bytes)
         if bits:
             return (i + 1) * npoints - 1 - (bits.bit_length() - 1) // 8
     return None
@@ -316,17 +407,47 @@ def _block(program: Program, tables: Mapping[str, bytes], nvals: int,
     return mask([vectors[s] for s in program.slots], npoints)
 
 
+def _first_on_planes(m: Matrix, program: Program,
+                     mask: Callable) -> Optional[int]:
+    """`_first_index` on planes, with the same blocks: bit p of plane j is
+    bit j of the value index at the block's point p."""
+    circuits, nvals = m.circuits[1], len(m.values)
+    npoints, lead = nvals ** len(program.names), 0
+    while npoints > _BLOCK_POINTS:
+        lead += 1
+        npoints //= nvals
+    ones, width = (1 << npoints) - 1, (nvals - 1).bit_length()
+    tail = _plane_projections(nvals, len(program.names) - lead)
+    for i, prefix in enumerate(itertools.product(range(nvals), repeat=lead)):
+        vectors = [tuple(ones * (v >> j & 1) for j in range(width))
+                   for v in prefix]
+        vectors += tail
+        for conn, args in program.steps:
+            vectors.append(circuits[conn](
+                ones, *[plane for a in args for plane in vectors[a]]))
+        bits = mask([vectors[s] for s in program.slots], ones)
+        if bits:
+            return i * npoints + (bits & -bits).bit_length() - 1
+    return None
+
+
 def _refuting(m: Matrix, gamma: Iterable, delta: Iterable) -> tuple:
     """gamma + delta compiled, and the mask of the points refuting it."""
     gamma, delta = list(gamma), list(delta)
     designated = bytes(v in m.designated for v in m.values).ljust(256, b"\0")
-    def refuting(vectors: list[bytes], npoints: int) -> int:
+    def on_bytes(vectors: list[bytes], npoints: int) -> int:
         bits = int.from_bytes(b"\1" * npoints, "big")
         for i, v in enumerate(vectors):
             held = int.from_bytes(v.translate(designated), "big")
             bits &= held if i < len(gamma) else ~held
         return bits
-    return compile_formulas(gamma + delta), refuting
+    def on_planes(vectors: list[tuple[int, ...]], ones: int) -> int:
+        bits, held_at = ones, m.circuits[0]
+        for i, v in enumerate(vectors):
+            held = held_at(ones, *v)[0]
+            bits &= held if i < len(gamma) else ~held
+        return bits
+    return compile_formulas(gamma + delta), _Mask(on_bytes, on_planes)
 
 
 def consequence_countermodel(
@@ -347,17 +468,21 @@ def _differing(vectors: list[bytes], _npoints: int) -> int:
     return int.from_bytes(vectors[0], "big") ^ int.from_bytes(vectors[1], "big")
 
 
+_DIFFERING = _Mask(_differing, lambda vectors, _ones: functools.reduce(
+    int.__or__, map(int.__xor__, *vectors)))
+
+
 def first_difference(m: Matrix, program: Program) -> Optional[dict]:
     """First assignment on which the program's two formulas take different
     values."""
-    index = _first_index(m, program, _differing)
+    index = _first_index(m, program, _DIFFERING)
     return None if index is None else next(
         assignments(m, program.names, index))
 
 
 def agrees(m: Matrix, program: Program) -> bool:
     """Whether the program's two formulas take the same value everywhere."""
-    return _first_index(m, program, _differing) is None
+    return _first_index(m, program, _DIFFERING) is None
 
 
 def equivalence_countermodel(m: Matrix, a: Formula, b: Formula) -> Optional[dict]:

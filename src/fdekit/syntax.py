@@ -76,6 +76,9 @@ class Signature:
             if arity < 0:
                 raise InvalidInputError(f"negative arity for {name!r}")
 
+    def __hash__(self) -> int:
+        return hash(frozenset(self.connectives.items()))
+
     def __contains__(self, name: str) -> bool:
         return name in self.connectives
 

@@ -26,13 +26,14 @@ from fdekit.errors import (
 )
 from fdekit.matrix import (
     Matrix,
+    consequence,
     equivalent,
     _compose,
     evaluate,
     subpower,
     term_functions,
 )
-from fdekit.syntax import App, Signature, Var, parse
+from fdekit.syntax import App, Signature, Var, neg, parse
 
 p = Var("p")
 
@@ -86,6 +87,24 @@ class TestSynonymity:
     def test_via_consequence_needs_bd_expansion(self):
         with pytest.raises(NotBdExpansionError):
             synonymity_via_consequence(presets.preset("lp"), p, p)
+
+    def test_via_consequence_shares_one_base_matrix(self):
+        # matrices are immutable, so the base is built once; the verdict
+        # is still the four consequences
+        base = bd.bd_matrix()
+        assert bd.bd_matrix() is base
+        texts = ["p", "~~p", "p & q", "q & p", "~(p | q)", "~p & ~q",
+                 "p | p & q", "p & (q | ~q)", "~(p & ~p)"]
+        for name in ("bd", "bd-impl-bot", "bd-cons-det-circ"):
+            m = presets.preset(name)
+            for a, b in itertools.product(
+                    [parse(t, m.signature) for t in texts], repeat=2):
+                expected = all(consequence(m, [x], [y]) for x, y in (
+                    (a, b), (b, a), (neg(a), neg(b)), (neg(b), neg(a))))
+                assert synonymity_via_consequence(m, a, b) is expected
+        assert bd.bd_matrix() is base
+        with pytest.raises(NotBdExpansionError):
+            synonymity_via_consequence(presets.preset("k3"), p, p)
 
 
 class TestDefinable:

@@ -10,7 +10,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from fdekit import bd, matrix, presets
+from fdekit import bd, laws, matrix, presets
 from fdekit.definability import synonymous
 from fdekit.errors import (
     ArityCapError,
@@ -283,21 +283,28 @@ class TestKernelAgainstEvaluate:
     @pytest.mark.parametrize("name, nvars, blocks", [
         ("bd", 8, 1), ("bd", 9, 4), ("k3", 10, 1), ("k3", 11, 3),
         ("cl", 16, 1), ("cl", 17, 2)])
-    def test_blocks_bounded_by_points(self, name, nvars, blocks,
-                                      monkeypatch):
-        # the fewest leading variables that leave at most 4^8 points
-        calls = []
+    def test_blocks_bounded_by_points(self, name, nvars, blocks, monkeypatch):
+        # the fewest leading variables that leave at most 4^8 points, on
+        # the plane form that these programs take, and then on bytes; the
+        # refuting mask sees each block's points
+        def refuting(*args):
+            program, mask = run_refuting(*args)
+            return program, matrix._Mask(
+                lambda vectors, npoints: calls.append(("bytes", npoints))
+                or mask.on_bytes(vectors, npoints),
+                lambda vectors, ones: calls.append(
+                    ("planes", ones.bit_length()))
+                or mask.on_planes(vectors, ones))
 
-        def block(*args):
-            calls.append(args[3])
-            return run_block(*args)
-
-        run_block = matrix._block
-        monkeypatch.setattr(matrix, "_block", block)
+        run_refuting = matrix._refuting
+        monkeypatch.setattr(matrix, "_refuting", refuting)
         ps = [Var(f"p{i}") for i in range(nvars)]
         m = presets.preset(name)
-        assert consequence(m, [functools.reduce(conj, ps)], ps[:1])
-        assert calls == [len(m.values) ** nvars // blocks] * blocks
+        for form, plane_points in (("planes", 256), ("bytes", 4 ** 9)):
+            monkeypatch.setattr(matrix, "_PLANE_POINTS", plane_points)
+            calls = []
+            assert consequence(m, [functools.reduce(conj, ps)], ps[:1])
+            assert calls == [(form, len(m.values) ** nvars // blocks)] * blocks
 
     def test_wide_carrier_block_memory(self):
         # 16 values and 5 variables: 16 blocks of 16^4 points, not one
@@ -367,13 +374,27 @@ class TestKernelAgainstEvaluate:
 def _at(digits):
     """A mask that selects the one point where the program's formulas, the
     variables themselves, take the value indices `digits`."""
-    def mask(vectors, npoints):
+    def on_bytes(vectors, npoints):
         bits = int.from_bytes(b"\1" * npoints, "big")
         for vector, d in zip(vectors, digits):
             equal = bytes(x == d for x in range(256))
             bits &= int.from_bytes(vector.translate(equal), "big")
         return bits
-    return mask
+
+    def on_planes(vectors, ones):
+        bits = ones
+        for vector, d in zip(vectors, digits):
+            for j, plane in enumerate(vector):
+                bits &= plane if d >> j & 1 else ~plane
+        return bits
+    return matrix._Mask(on_bytes, on_planes)
+
+
+def _value_at(vector, point):
+    """The value index at a point of a block's vector, in either form."""
+    if isinstance(vector, bytes):
+        return vector[point]
+    return sum((plane >> point & 1) << j for j, plane in enumerate(vector))
 
 
 class TestPointIndices:
@@ -399,20 +420,24 @@ class TestPointIndices:
                     assert list(decoded.items()) == list(expected.items())
 
     @pytest.mark.parametrize("name, nvars", [("bd", 9), ("cl", 17)])
-    def test_index_across_blocks(self, name, nvars):
-        # the first index of a single point, in every block
+    def test_index_across_blocks(self, name, nvars, monkeypatch):
+        # the first index of a single point, in every block, on the plane
+        # form that these programs take and then on bytes
         m = presets.preset(name)
         nvals = len(m.values)
         program = compile_formulas([Var(f"p{i:02}") for i in range(nvars)])
         rng = random.Random(nvars)
         npoints = nvals ** nvars
-        for index in [0, npoints - 1, matrix._BLOCK_POINTS - 1,
-                      matrix._BLOCK_POINTS] + rng.sample(range(npoints), 20):
-            digits = [index // nvals ** (nvars - 1 - i) % nvals
-                      for i in range(nvars)]
-            assert matrix._first_index(m, program, _at(digits)) == index
-            assert next(assignments(m, program.names, index)) \
-                == dict(zip(program.names, (m.values[d] for d in digits)))
+        indices = [0, npoints - 1, matrix._BLOCK_POINTS - 1,
+                   matrix._BLOCK_POINTS] + rng.sample(range(npoints), 20)
+        for plane_points in (256, 4 ** 9):
+            monkeypatch.setattr(matrix, "_PLANE_POINTS", plane_points)
+            for index in indices:
+                digits = [index // nvals ** (nvars - 1 - i) % nvals
+                          for i in range(nvars)]
+                assert matrix._first_index(m, program, _at(digits)) == index
+                assert next(assignments(m, program.names, index)) == dict(
+                    zip(program.names, (m.values[d] for d in digits)))
 
     @pytest.mark.parametrize("name, nvars", [
         ("bd-impl-bot", 9), ("bd-b-n", 9), ("cl-impl-bot", 17)])
@@ -490,20 +515,25 @@ class TestPointIndices:
         assert program.names == tuple(names)
         blocks = []
 
-        def record(vectors, npoints):
+        def record(vectors, _npoints_or_ones):
             blocks.append(vectors)
             return 0
 
-        assert matrix._first_index(m, program, record) is None
+        assert matrix._first_index(
+            m, program, matrix._Mask(record, record)) is None
         assert len(blocks) == (1 if nvars < 9 else 4)
-        columns = [b"".join(vectors) for vectors in zip(*blocks)]
+        # 16 points run on bytes, 4^9 on planes
+        assert {type(v) for vectors in blocks for v in vectors} \
+            == {bytes if nvars < 9 else tuple}
         npoints = len(m.values) ** nvars
+        block_points = npoints // len(blocks)
         points = (range(npoints) if npoints <= 64 else
                   [0, npoints - 1] + rng.sample(range(npoints), 300))
         for index in points:
             asg = next(assignments(m, names, index))
-            assert [m.values[c[index]] for c in columns] == [
-                evaluate(m, f, asg) for f in formulas], index
+            block, point = divmod(index, block_points)
+            assert [m.values[_value_at(v, point)] for v in blocks[block]] \
+                == [evaluate(m, f, asg) for f in formulas], index
 
     def test_boolean_answers_agree_with_countermodels(self):
         rng = random.Random(29)
@@ -1194,3 +1224,152 @@ class TestValueOrder:
                 with pytest.raises(InvalidInputError, match="wrong shape"):
                     Matrix(m.values, m.designated, m.signature,
                            {**m.index_tables, name: table})
+
+
+def _recording(mask, selections):
+    """mask, recording the form and the selection of each block, as one bit
+    per point (point p at bit p) on either form, and selecting no point, so
+    that every block is built."""
+    def on_bytes(vectors, npoints):
+        selected = mask.on_bytes(vectors, npoints).to_bytes(npoints, "big")
+        # a nonzero byte to an ASCII 1, zero to 0, point 0 last
+        digits = selected[::-1].translate(b"0" + b"1" * 255)
+        selections.append(("bytes", int(digits, 2)))
+        return 0
+
+    def on_planes(vectors, ones):
+        selections.append(("planes", mask.on_planes(vectors, ones)))
+        return 0
+    return matrix._Mask(on_bytes, on_planes)
+
+
+class TestPlanes:
+    """The plane form of the kernel against the byte form, its oracle."""
+
+    @staticmethod
+    def _on_both_forms(m, program, mask, monkeypatch):
+        """The first index and every block's selection, with `_PLANE_POINTS`
+        forced to 0 and then above every count."""
+        answers = []
+        for plane_points, form in ((0, "planes"), (9 ** 9, "bytes")):
+            monkeypatch.setattr(matrix, "_PLANE_POINTS", plane_points)
+            selections = []
+            first = matrix._first_index(m, program, mask)
+            matrix._first_index(m, program, _recording(mask, selections))
+            # a table of more than 256 cells keeps the matrix on bytes
+            assert {f for f, _ in selections} == {
+                form if m.circuits else "bytes"}
+            answers.append((first, [bits for _, bits in selections]))
+        return answers
+
+    @pytest.mark.parametrize("block_points", [64, matrix._BLOCK_POINTS],
+                             ids=["blocks", "one-block"])
+    def test_same_index_as_bytes(self, block_points, monkeypatch):
+        # every preset, and random JSON matrices: 2-8 values, one
+        # connective of each arity 0-3, and where the ternary table has
+        # more than 256 cells, also the matrix without it
+        monkeypatch.setattr(matrix, "_BLOCK_POINTS", block_points)
+        rng = random.Random(block_points)
+        matrices = [presets.preset(name) for name in presets.PRESET_NAMES]
+        wide = nine = 0
+        for _ in range(24):
+            data, _ = _random_json(rng)
+            matrices.append(matrix_from_json(data))
+            if matrices[-1].circuits is None:
+                wide += 1
+                del data["connectives"]["c3"]
+                matrices.append(matrix_from_json(data))
+                assert matrices[-1].circuits
+        assert wide
+        for m in matrices:
+            # 1 to 9 variables, at most 4^7 points
+            most = max(n for n in range(1, 10) if len(m.values) ** n <= 4 ** 7)
+            for nvars in (1, most, rng.randint(1, most), rng.randint(1, most)):
+                names = [f"p{i}" for i in range(nvars)]
+                nine += nvars == 9
+
+                def some(count):
+                    return [_random_formula(rng, m.signature, names,
+                                            rng.randrange(1, 9))
+                            for _ in range(count)]
+
+                program, refuting = matrix._refuting(
+                    m, some(rng.randrange(3)), some(rng.randrange(1, 3)))
+                planes, on_bytes = self._on_both_forms(
+                    m, program, refuting, monkeypatch)
+                assert planes == on_bytes
+                program = compile_formulas(some(2))
+                planes, on_bytes = self._on_both_forms(
+                    m, program, matrix._DIFFERING, monkeypatch)
+                assert planes == on_bytes
+        assert nine
+
+    def test_codes_with_no_value(self):
+        # five values take 3-bit codes, three of which no value has; 4
+        # variables make 625 points, on planes, against `evaluate`
+        m = Matrix(WIDE_TABLE.values, WIDE_TABLE.designated,
+                   Signature({"not": 1, "and": 2}),
+                   {n: WIDE_TABLE.index_tables[n] for n in ("not", "and")})
+        assert m.circuits
+        rng = random.Random(5)
+        names = ["p", "q", "r", "s"]
+        every = functools.reduce(conj, map(Var, names))
+        for _ in range(4):
+            a, b = (conj(every, _random_formula(rng, m.signature, names, 6))
+                    for _ in range(2))
+            assert consequence_countermodel(m, [a], [b]) \
+                == _reference_consequence(m, [a], [b])
+            assert equivalence_countermodel(m, a, b) \
+                == _reference_equivalence(m, a, b)
+        assert equivalent(m, every, neg(neg(every)))
+
+    def test_small_programs_build_no_circuits(self):
+        # a family member's laws have at most 16 points: bytes only
+        m = bd.sr_decode(123456789)
+        for law in laws.TABLE2_LAWS:
+            laws.holds(m, law)
+        assert "circuits" not in vars(m)
+        # a program above 256 points builds them once, for the matrix
+        ps = [Var(f"p{i}") for i in range(5)]
+        assert consequence(m, [functools.reduce(conj, ps)], ps[:1])
+        circuits = vars(m)["circuits"]
+        assert consequence(m, ps, [functools.reduce(conj, ps)])
+        assert m.circuits is circuits
+        assert set(circuits[1]) == set(m.signature.connectives)
+
+
+class TestHashing:
+    def test_equal_matrices_hash_equal(self):
+        for name in presets.PRESET_NAMES:
+            m = presets.preset(name)
+            copy = Matrix(list(m.values), set(m.designated),
+                          Signature(dict(m.signature.connectives)),
+                          {n: list(t) for n, t in m.index_tables.items()})
+            assert copy == m and hash(copy) == hash(m), name
+            assert hash(copy.signature) == hash(m.signature)
+        # the order of the connectives does not matter to == or the hash
+        assert Signature({"not": 1, "and": 2}) \
+            == Signature({"and": 2, "not": 1})
+        assert hash(Signature({"not": 1, "and": 2})) \
+            == hash(Signature({"and": 2, "not": 1}))
+
+    def test_cache_keys(self):
+        calls = []
+
+        @functools.cache
+        def values(m):
+            calls.append(m)
+            return m.values
+
+        @functools.cache
+        def arities(signature):
+            calls.append(signature)
+            return dict(signature.connectives)
+
+        m = presets.preset("bd-impl-bot")
+        copy = Matrix(list(m.values), m.designated, m.signature,
+                      {n: list(t) for n, t in m.index_tables.items()})
+        assert values(m) == values(copy) == m.values
+        assert arities(m.signature) == arities(copy.signature)
+        assert values(LP) == LP.values
+        assert calls == [m, m.signature, LP]
