@@ -213,7 +213,7 @@ def is_strongly_regular(m: Matrix) -> bool:
 
 def sr_decode(index: int) -> Matrix:
     """Member 0's word with one patch XORed in per byte of the index."""
-    if not isinstance(index, int):
+    if type(index) is not int:  # a bool is no family index
         raise IndexOutOfRangeError(f"index {index!r} is not an integer")
     if not 0 <= index < count_strongly_regular():
         raise IndexOutOfRangeError(f"index {index} is not below 2^{SR_BITS}")

@@ -160,7 +160,7 @@ class FilterResult:
                 yield base + sum(v << free[i] for i, v in enumerate(combo))
 
     def __contains__(self, index: int) -> bool:
-        return isinstance(index, int) and 0 <= index < 1 << SR_BITS and any(
+        return type(index) is int and 0 <= index < 1 << SR_BITS and any(
             all(b is None or ((index >> i) & 1) == b
                 for i, b in enumerate(cube)) for cube in self.cubes)
 

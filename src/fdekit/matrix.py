@@ -1,26 +1,26 @@
 """Finite logical matrices: valuations, consequence, clones, simplicity.
 
 A matrix is a finite carrier of truth values, a designated subset, and one
-interpretation per connective, stored as an index table of value indices:
-its only table form.  `evaluate` (the independent oracle, which walks a
-formula as a tree with an explicit stack, so at any depth) reads one cell
-at a time; `is_expansion` and `restrict` relist the tables over another
-order or subset of the values.  One kernel computes truth tables as value
-vectors for consequence, equivalence and the law checks, points in
-`itertools.product` order, and a carrier has at most 256 values.  Formulas
-are compiled once, without recursion, into a flat `Program` with one step
-per distinct subterm, which runs on any matrix one block of at most
-`_BLOCK_POINTS` points at a time, in one of two vector forms.  A program of
-at most `_PLANE_POINTS` points runs on `bytes`, one value index per point,
-and a step applies a connective by `bytes.translate`.  A larger one runs
-on bit planes, ints of one bit per point: bit p of plane j is bit j of the
-value index at point p, and a step is a few bitwise operations synthesised
-from the connective's table (`Matrix.circuits`; a table of more than 256
-cells keeps its matrix on bytes).  The kernel answers with the index of
-the first point a query selects, on planes its lowest set bit: the boolean
-answers (`consequence`, `equivalent`, `agrees`) build no assignment, and
-only a countermodel's point becomes one, decoded from its index by
-`assignments`.
+interpretation per connective, stored as an index table of value indices: its
+only table form, checked and padded once by the constructor.  `evaluate` (the
+independent oracle, which walks a formula as a tree with an explicit stack,
+so at any depth) reads one cell at a time; `is_expansion` and `restrict`
+relist the tables over another order or subset of the values.  One kernel
+computes truth tables as value vectors for consequence, equivalence and the
+law checks, points in `itertools.product` order, and a carrier has at most
+256 values.  Formulas are compiled once, without recursion, into a flat
+`Program` with one step per distinct subterm, which runs on any matrix one
+block of at most `_BLOCK_POINTS` points at a time, in one of two vector
+forms.  A program of at most `_PLANE_POINTS` points runs on `bytes`, one value
+index per point, and a step applies a connective by `bytes.translate`.  A
+larger one runs on bit planes, ints of one bit per point: bit p of plane j is
+bit j of the value index at point p, and a step is a few bitwise operations
+synthesised from the connective's table (`Matrix.circuits`; a table of more
+than 256 cells keeps its matrix on bytes).  A query's mask reads the vectors
+in place, by the program's slots, and the kernel answers with the index of
+the first point it selects, on planes its lowest set bit: the boolean answers
+(`consequence`, `equivalent`, `agrees`) build no assignment, and only a
+countermodel's point becomes one, decoded from its index by `assignments`.
 One closure, `subpower`, computes the subuniverse of a power of the carrier
 generated by the projections p1..pn restricted to some rows (points of
 carrier^n), in order of witness size, so every witness it reports has the
@@ -66,7 +66,7 @@ class Matrix:
     radix order (first argument most significant), given as any sequence
     of those indices (`matrix_from_json` gives a list).  The values are
     kept as a tuple and every mapping is read-only, so no cached property
-    goes stale.
+    goes stale; `byte_tables`, the tables padded to 256 cells, is no field.
     """
 
     values: tuple[str, ...]
@@ -87,34 +87,38 @@ class Matrix:
             _known(values, self.designated)
             raise InvalidInputError(
                 "designated set must be non-empty and proper")
-        tables = {}
+        indices, tables, padded = bytes(range(nvals)), {}, {}
         for name, k in self.signature.connectives.items():
             table = self.index_tables.get(name)
             if table is None:
                 raise InvalidInputError(
                     f"missing table for connective {name!r}")
-            if not isinstance(table, Sequence) or len(table) != nvals ** k:
+            if (type(table) is not bytes and not isinstance(table, Sequence)
+                    or len(table) != nvals ** k):
                 raise InvalidInputError(
                     f"table for {name!r} has the wrong shape")
-            try:  # a negative or non-integer index fails `bytes`
-                if max(table) < nvals:
-                    tables[name] = bytes(table)
+            try:  # a negative, non-integer or too large index fails `bytes`
+                table = bytes(table)
+                if len(table) == nvals ** k and not table.translate(
+                        None, indices):  # a byte per cell, in the carrier
+                    tables[name], padded[name] = table, table.ljust(256, b"\0")
                     continue
             except (TypeError, ValueError):
                 pass
             raise InvalidInputError(f"table for {name!r} leaves the carrier")
         object.__setattr__(self, "designated", frozenset(self.designated))
         object.__setattr__(self, "index_tables", MappingProxyType(tables))
+        object.__setattr__(self, "byte_tables", MappingProxyType(padded))
 
     def __hash__(self) -> int:
         return hash((self.values, self.designated, self.signature,
                      frozenset(self.index_tables.items())))
 
     @cached_property
-    def byte_tables(self) -> Mapping[str, bytes]:
-        """Index tables padded to `bytes.translate` tables (see `_compose`)."""
-        return MappingProxyType({
-            n: t.ljust(256, b"\0") for n, t in self.index_tables.items()})
+    def byte_designated(self) -> bytes:
+        """1 at each designated value's index, padded to 256 cells."""
+        return bytes(v in self.designated
+                     for v in self.values).ljust(256, b"\0")
 
     @cached_property
     def circuits(self) -> Optional[tuple[Callable, Mapping[str, Callable]]]:
@@ -124,8 +128,7 @@ class Matrix:
         if any(len(t) > 256 for t in self.index_tables.values()):
             return None
         nvals, arity = len(self.values), self.signature.arity
-        return (_circuit(bytes(v in self.designated for v in self.values),
-                         nvals, 1),
+        return (_circuit(self.byte_designated, nvals, 1),
                 MappingProxyType({n: _circuit(t, nvals, arity(n))
                                   for n, t in self.index_tables.items()}))
 
@@ -183,18 +186,22 @@ def evaluate(m: Matrix, f: Formula, assignment: Mapping[str, str]) -> str:
 
 def assignments(m: Matrix, names: Iterable[str],
                 start: int = 0) -> Iterator[dict]:
-    """Assignments from index `start` on, each decoded from its index in
-    one `divmod` pass: variables in sorted name order, the first most
-    significant, values in carrier order.  The countermodel functions
-    decode their one point through it too."""
-    ordered, values = tuple(sorted(set(names))), m.values
-    nvals = len(values)
-    for index in range(start, nvals ** len(ordered)):
-        digits = []
-        for _ in ordered:
-            index, digit = divmod(index, nvals)
-            digits.append(values[digit])
-        yield dict(zip(ordered, reversed(digits)))
+    """Assignments from index `start` on, a `map` of `_assignment` (one
+    digit per variable, read from the index): variables in sorted name
+    order, the first most significant, values in carrier order.  The
+    countermodel functions decode their one point through it too."""
+    ordered = tuple(sorted(set(names)))
+    return map(functools.partial(_assignment, m.values, ordered),
+               range(start, len(m.values) ** len(ordered)))
+
+
+def _assignment(values: tuple, ordered: tuple, index: int) -> dict:
+    """The assignment of index `index` to the sorted names `ordered`."""
+    nvals, place, out = len(values), len(values) ** len(ordered), {}
+    for name in ordered:
+        place //= nvals
+        out[name] = values[index // place % nvals]
+    return out
 
 
 @functools.cache
@@ -346,12 +353,12 @@ _PLANE_POINTS = 256
 
 
 class _Mask(NamedTuple):
-    """The points a query selects, from the formula vectors of a block: on
-    bytes, given its point count, one big-endian byte per point; on planes,
-    given its all-ones plane, one bit per point, point p at bit p."""
+    """The points a query selects, from a block's vectors and the slots of
+    its formulas: on bytes, given its point count, one big-endian byte per
+    point; on planes, given its all-ones plane, point p at bit p."""
 
-    on_bytes: Callable[[list[bytes], int], int]
-    on_planes: Callable[[list[tuple[int, ...]], int], int]
+    on_bytes: Callable[[list[bytes], tuple[int, ...], int], int]
+    on_planes: Callable[[list[tuple[int, ...]], tuple[int, ...], int], int]
 
 
 def _first_index(m: Matrix, program: Program, mask: _Mask) -> Optional[int]:
@@ -387,24 +394,25 @@ def _first_index(m: Matrix, program: Program, mask: _Mask) -> Optional[int]:
 
 def _block(program: Program, tables: Mapping[str, bytes], nvals: int,
            npoints: int, vectors: list[bytes],
-           mask: Callable[[list[bytes], int], int]) -> int:
-    """mask(the program's formula vectors, npoints) on one block, given
-    its variables' `vectors`; nullary to binary steps inline `_compose`."""
+           mask: Callable[[list[bytes], tuple[int, ...], int], int]) -> int:
+    """mask(the block's vectors, the program's slots, npoints) on one
+    block, given its variables' `vectors`; steps of arity 0-2 inline
+    `_compose`."""
+    append, from_bytes = vectors.append, int.from_bytes
     for conn, args in program.steps:
         table = tables[conn]
-        if len(args) == 1:
-            vectors.append(vectors[args[0]].translate(table))
-        elif not args:
-            vectors.append(table[:1] * npoints)
-        elif len(args) == 2 and len(table) == 256:
+        if len(args) == 2 and len(table) == 256:
             a, b = args
-            packed = (int.from_bytes(vectors[a], "big") * nvals
-                      + int.from_bytes(vectors[b], "big"))
-            vectors.append(packed.to_bytes(npoints, "big").translate(table))
+            append((from_bytes(vectors[a], "big") * nvals
+                    + from_bytes(vectors[b], "big")).to_bytes(
+                        npoints, "big").translate(table))
+        elif len(args) == 1:
+            append(vectors[args[0]].translate(table))
+        elif not args:
+            append(table[:1] * npoints)
         else:
-            vectors.append(_compose(table, nvals, npoints,
-                                    [vectors[a] for a in args]))
-    return mask([vectors[s] for s in program.slots], npoints)
+            append(_compose(table, nvals, npoints, [vectors[a] for a in args]))
+    return mask(vectors, program.slots, npoints)
 
 
 def _first_on_planes(m: Matrix, program: Program,
@@ -425,7 +433,7 @@ def _first_on_planes(m: Matrix, program: Program,
         for conn, args in program.steps:
             vectors.append(circuits[conn](
                 ones, *[plane for a in args for plane in vectors[a]]))
-        bits = mask([vectors[s] for s in program.slots], ones)
+        bits = mask(vectors, program.slots, ones)
         if bits:
             return i * npoints + (bits & -bits).bit_length() - 1
     return None
@@ -434,17 +442,17 @@ def _first_on_planes(m: Matrix, program: Program,
 def _refuting(m: Matrix, gamma: Iterable, delta: Iterable) -> tuple:
     """gamma + delta compiled, and the mask of the points refuting it."""
     gamma, delta = list(gamma), list(delta)
-    designated = bytes(v in m.designated for v in m.values).ljust(256, b"\0")
-    def on_bytes(vectors: list[bytes], npoints: int) -> int:
+    designated = m.byte_designated
+    def on_bytes(vectors: list[bytes], slots: tuple, npoints: int) -> int:
         bits = int.from_bytes(b"\1" * npoints, "big")
-        for i, v in enumerate(vectors):
-            held = int.from_bytes(v.translate(designated), "big")
+        for i, s in enumerate(slots):
+            held = int.from_bytes(vectors[s].translate(designated), "big")
             bits &= held if i < len(gamma) else ~held
         return bits
-    def on_planes(vectors: list[tuple[int, ...]], ones: int) -> int:
+    def on_planes(vectors: list[tuple], slots: tuple, ones: int) -> int:
         bits, held_at = ones, m.circuits[0]
-        for i, v in enumerate(vectors):
-            held = held_at(ones, *v)[0]
+        for i, s in enumerate(slots):
+            held = held_at(ones, *vectors[s])[0]
             bits &= held if i < len(gamma) else ~held
         return bits
     return compile_formulas(gamma + delta), _Mask(on_bytes, on_planes)
@@ -464,12 +472,13 @@ def consequence(m: Matrix, gamma: Iterable[Formula], delta: Iterable[Formula]) -
     return _first_index(m, *_refuting(m, gamma, delta)) is None
 
 
-def _differing(vectors: list[bytes], _npoints: int) -> int:
-    return int.from_bytes(vectors[0], "big") ^ int.from_bytes(vectors[1], "big")
+def _differing(vectors: list[bytes], slots: tuple, _npoints: int) -> int:
+    a, b = vectors[slots[0]], vectors[slots[1]]
+    return 0 if a == b else int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
 
 
-_DIFFERING = _Mask(_differing, lambda vectors, _ones: functools.reduce(
-    int.__or__, map(int.__xor__, *vectors)))
+_DIFFERING = _Mask(_differing, lambda vectors, slots, _ones: functools.reduce(
+    int.__or__, map(int.__xor__, vectors[slots[0]], vectors[slots[1]])))
 
 
 def first_difference(m: Matrix, program: Program) -> Optional[dict]:
@@ -628,7 +637,8 @@ def simplicity(m: Matrix) -> tuple[bool, dict[frozenset, TermFunction]]:
         program = compile_formulas([witness])
         bits = _block(program, m.byte_tables, nvals, nvals,
                       [columns[name] for name in program.names],
-                      lambda vectors, _: int.from_bytes(vectors[0], "big"))
+                      lambda vectors, slots, _: int.from_bytes(
+                          vectors[slots[0]], "big"))
         table = bits.to_bytes(nvals, "big")
         separators[frozenset((m.values[a], m.values[b]))] = TermFunction(
             1, tuple(m.values[i] for i in table), witness)

@@ -165,7 +165,8 @@ class TestStronglyRegularFamily:
             bd.sr_decode(2 ** 38)
 
     def test_index_not_an_integer(self):
-        for index in (1.5, float(BD_IMPL_BOT_INDEX), "3", None):
+        # a bool is an int to `isinstance`, but no family index
+        for index in (1.5, float(BD_IMPL_BOT_INDEX), "3", None, True, False):
             with pytest.raises(IndexOutOfRangeError, match="not an integer"):
                 bd.sr_decode(index)
 

@@ -178,6 +178,10 @@ class TestFilter:
         result = filter_strongly_regular(TABLE2_LAWS)
         for index in (float(BD_INDEX), str(BD_INDEX), None, 1.5, "3"):
             assert index not in result
+        # every member survives no laws, and a bool is none of them
+        result = filter_strongly_regular([])
+        assert 0 in result and 1 in result
+        assert False not in result and True not in result
 
     def test_non_survivor_fails_some_law(self):
         result = filter_strongly_regular(TABLE2_LAWS)

@@ -1,3 +1,5 @@
+import array
+import dataclasses
 import functools
 import gc
 import itertools
@@ -290,11 +292,12 @@ class TestKernelAgainstEvaluate:
         def refuting(*args):
             program, mask = run_refuting(*args)
             return program, matrix._Mask(
-                lambda vectors, npoints: calls.append(("bytes", npoints))
-                or mask.on_bytes(vectors, npoints),
-                lambda vectors, ones: calls.append(
+                lambda vectors, slots, npoints: calls.append(
+                    ("bytes", npoints))
+                or mask.on_bytes(vectors, slots, npoints),
+                lambda vectors, slots, ones: calls.append(
                     ("planes", ones.bit_length()))
-                or mask.on_planes(vectors, ones))
+                or mask.on_planes(vectors, slots, ones))
 
         run_refuting = matrix._refuting
         monkeypatch.setattr(matrix, "_refuting", refuting)
@@ -374,17 +377,17 @@ class TestKernelAgainstEvaluate:
 def _at(digits):
     """A mask that selects the one point where the program's formulas, the
     variables themselves, take the value indices `digits`."""
-    def on_bytes(vectors, npoints):
+    def on_bytes(vectors, slots, npoints):
         bits = int.from_bytes(b"\1" * npoints, "big")
-        for vector, d in zip(vectors, digits):
+        for s, d in zip(slots, digits):
             equal = bytes(x == d for x in range(256))
-            bits &= int.from_bytes(vector.translate(equal), "big")
+            bits &= int.from_bytes(vectors[s].translate(equal), "big")
         return bits
 
-    def on_planes(vectors, ones):
+    def on_planes(vectors, slots, ones):
         bits = ones
-        for vector, d in zip(vectors, digits):
-            for j, plane in enumerate(vector):
+        for s, d in zip(slots, digits):
+            for j, plane in enumerate(vectors[s]):
                 bits &= plane if d >> j & 1 else ~plane
         return bits
     return matrix._Mask(on_bytes, on_planes)
@@ -417,6 +420,19 @@ class TestPointIndices:
                     for combo in itertools.product(m.values, repeat=nvars)]
                 for i, expected in enumerate(full):
                     decoded = next(assignments(m, names, i))
+                    assert list(decoded.items()) == list(expected.items())
+
+    def test_one_point_decoder(self):
+        # the countermodel functions' decoder, given the sorted names,
+        # against `assignments` at every index, key order included
+        for name in presets.PRESET_NAMES:
+            m = presets.preset(name)
+            for nvars in range(5):
+                names = ("s", "q", "r", "p")[:nvars]
+                ordered = tuple(sorted(names))
+                for i in range(len(m.values) ** nvars):
+                    decoded = matrix._assignment(m.values, ordered, i)
+                    expected = next(assignments(m, names, i))
                     assert list(decoded.items()) == list(expected.items())
 
     @pytest.mark.parametrize("name, nvars", [("bd", 9), ("cl", 17)])
@@ -489,7 +505,8 @@ class TestPointIndices:
         b, n = App("B", ()), App("N", ())
         program = compile_formulas([n, b])
         assert matrix._block(program, m.byte_tables, 4, 5, [],
-                             lambda vectors, _: vectors) \
+                             lambda vectors, slots, _: [vectors[s]
+                                                        for s in slots]) \
             == [b"\3" * 5, b"\2" * 5]
         assert equivalent(m, n, neg(n)) and not equivalent(m, b, n)
         assert consequence_countermodel(m, [b], [n]) == {}
@@ -515,8 +532,8 @@ class TestPointIndices:
         assert program.names == tuple(names)
         blocks = []
 
-        def record(vectors, _npoints_or_ones):
-            blocks.append(vectors)
+        def record(vectors, slots, _npoints_or_ones):
+            blocks.append([vectors[s] for s in slots])
             return 0
 
         assert matrix._first_index(
@@ -936,7 +953,10 @@ class TestValidation:
         (b"\1\0\2", "has the wrong shape"),
         (b"\1\0\2\3\3", "has the wrong shape"),
         (b"\1\0\2\4", "leaves the carrier"),
-    ], ids=["short", "long", "outside"])
+        (bytearray(b"\1\0\2"), "has the wrong shape"),
+        (bytearray(b"\1\0\2\4"), "leaves the carrier"),
+    ], ids=["short", "long", "outside", "bytearray-short",
+            "bytearray-outside"])
     def test_malformed_index_table_raises(self, table, error):
         with pytest.raises(ValueError, match=error):
             Matrix(BD.values, BD.designated, Signature({"not": 1}),
@@ -986,6 +1006,26 @@ class TestValidation:
         tables = {} if table is None else {"not": table}
         with pytest.raises(FdekitError, match=error):
             Matrix(values, designated, Signature({"not": 1}), tables)
+
+    def test_byte_tables(self):
+        # the index tables padded once, read-only and outside the fields,
+        # so `==`, `hash` and `repr` are those of the fields alone
+        fields = {f.name for f in dataclasses.fields(Matrix)}
+        assert fields == {"values", "designated", "signature", "index_tables"}
+        for name in [*presets.PRESET_NAMES, None]:
+            m = WIDE_TABLE if name is None else presets.preset(name)
+            assert dict(m.byte_tables) == {
+                n: t.ljust(256, b"\0") for n, t in m.index_tables.items()}
+            assert m.byte_designated == bytes(
+                v in m.designated for v in m.values).ljust(256, b"\0")
+            with pytest.raises(TypeError):
+                m.byte_tables["not"] = b""
+            assert "byte_" not in repr(m)
+            copy = Matrix(m.values, m.designated, m.signature,
+                          {n: list(t) for n, t in m.index_tables.items()})
+            assert copy == m and hash(copy) == hash(m)
+        # 625 cells stay as they are: no translate table holds them
+        assert WIDE_TABLE.byte_tables["m4"] is WIDE_TABLE.index_tables["m4"]
 
     def test_index_tables(self):
         rng = random.Random(38)
@@ -1136,14 +1176,24 @@ class TestJson:
         ([1, 0, 2, 4], "leaves the carrier"),
         ([-1, 0, 1, 2], "leaves the carrier"),
         ([0, 1, 2, 3.0], "leaves the carrier"),
+        ((1, 0, 2), "has the wrong shape"),
+        ((1, 0, 2, 4), "leaves the carrier"),
+        ([1, 0, 2, 256], "leaves the carrier"),
+        ([True, False, 2], "has the wrong shape"),
+        ([True, False, 2, 4], "leaves the carrier"),
+        # four cells of two bytes each: `bytes` reads eight
+        (array.array("H", [1, 0, 2, 3]), "leaves the carrier"),
     ])
     def test_index_list_input(self, table, error):
         # the form `matrix_from_json` passes, checked as index tables are
         with pytest.raises(FdekitError, match=error):
             Matrix(BD.values, BD.designated, Signature({"not": 1}),
                    {"not": table})
-        assert Matrix(BD.values, BD.designated, Signature({"not": 1}),
-                      {"not": [1, 0, 2, 3]}) == _not_matrix()
+        # any sequence of the indices, bools read as 0 and 1
+        for given in ([1, 0, 2, 3], (1, 0, 2, 3), bytearray(b"\1\0\2\3"),
+                      [True, False, 2, 3]):
+            assert Matrix(BD.values, BD.designated, Signature({"not": 1}),
+                          {"not": given}) == _not_matrix()
 
 
 def _random_json(rng):
@@ -1230,15 +1280,16 @@ def _recording(mask, selections):
     """mask, recording the form and the selection of each block, as one bit
     per point (point p at bit p) on either form, and selecting no point, so
     that every block is built."""
-    def on_bytes(vectors, npoints):
-        selected = mask.on_bytes(vectors, npoints).to_bytes(npoints, "big")
+    def on_bytes(vectors, slots, npoints):
+        selected = mask.on_bytes(vectors, slots, npoints).to_bytes(
+            npoints, "big")
         # a nonzero byte to an ASCII 1, zero to 0, point 0 last
         digits = selected[::-1].translate(b"0" + b"1" * 255)
         selections.append(("bytes", int(digits, 2)))
         return 0
 
-    def on_planes(vectors, ones):
-        selections.append(("planes", mask.on_planes(vectors, ones)))
+    def on_planes(vectors, slots, ones):
+        selections.append(("planes", mask.on_planes(vectors, slots, ones)))
         return 0
     return matrix._Mask(on_bytes, on_planes)
 
