@@ -3,13 +3,19 @@
 Each law is a schema in metavariables A, A1, A2.  Because evaluation is
 compositional and consequence structural, a schema holds for all formulas
 iff it holds with the metavariables read as distinct fresh propositional
-variables, which is how `holds` decides it.  The family filter propagates
-the value-level constraints of the chosen laws over the 38 free table
-cells and only branches where propagation stalls.  Propagation is
-watched: a law instance is evaluated again only when a cell it waits on is
-pinned.  The filter then re-verifies the survivors (or a sample of
-`SAMPLE_SIZE`, when there are more than `VERIFY_LIMIT`) with `holds`, once
-per law and class of survivors that agree on the law's connectives.
+variables, which is how `holds` decides it.  A law's two sides are
+compiled once, at its first check, into one generated function with a
+statement per step (`Law.kernel`, built by `matrix.pair_kernel`).
+`holds`, `holds_countermodel` and the filter's verification run through
+it; a matrix too large for it goes to `matrix._first_index`, the general
+kernel and the tests' oracle.  The family filter propagates the
+value-level constraints of the chosen laws over the 38 free table cells
+and only branches where propagation stalls.  Propagation is watched: a
+law instance is evaluated again only when a cell it waits on is pinned.
+The filter then re-verifies the survivors (or a sample of `SAMPLE_SIZE`,
+when there are more than `VERIFY_LIMIT`) with `holds`, once per law and
+class of survivors that agree on the free cells of the law's connectives
+(`Law.free_cells`).
 """
 
 from __future__ import annotations
@@ -18,13 +24,13 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .bd import (
     CELLS, FREE_BITS, FREE_CELLS, SR_BITS, VALUES, count_strongly_regular,
     sr_decode)
 from .errors import UnknownNameError
-from .matrix import Matrix, Program, agrees, compile_formulas, first_difference
+from .matrix import Matrix, Program, assignments, compile_formulas, pair_kernel
 from .syntax import BOT, TOP, Formula, Var, conj, disj, impl, neg
 
 # The filter re-verifies every survivor up to this many, else a sample.
@@ -46,6 +52,18 @@ class Law:
     def program(self) -> Program:
         """Both sides compiled once, to run on every matrix checked."""
         return compile_formulas([self.lhs, self.rhs])
+
+    @cached_property
+    def kernel(self) -> Callable[[Matrix], Optional[int]]:
+        """The program's `matrix.pair_kernel`, built at the first check."""
+        return pair_kernel(self.program)
+
+    @cached_property
+    def free_cells(self) -> int:
+        """The bits of the family index that the law's connectives read."""
+        names = {conn for conn, _ in self.program.connectives}
+        return sum(1 << bit for bit, (conn, _) in enumerate(FREE_CELLS)
+                   if conn in names)
 
 
 TABLE2_LAWS: tuple[Law, ...] = (
@@ -95,11 +113,13 @@ def law_by_name(name: str) -> Law:
 def holds_countermodel(m: Matrix, law: Law) -> Optional[dict]:
     """First assignment refuting the law; `SignatureMismatchError` names the
     first connective of the law that the matrix does not interpret."""
-    return first_difference(m, law.program)
+    index = law.kernel(m)
+    return None if index is None else next(
+        assignments(m, law.program.names, index))
 
 
 def holds(m: Matrix, law: Law) -> bool:
-    return agrees(m, law.program)
+    return law.kernel(m) is None
 
 
 # ---------------------------------------------------------------------------
@@ -258,16 +278,11 @@ def filter_strongly_regular(laws: Iterable[Law]) -> FilterResult:
                  else result.sample(SAMPLE_SIZE))
     # A law reads only its connectives' tables, so one `holds` per law
     # decides every survivor that agrees on those connectives' free cells.
-    masks = []
-    for law in laws:
-        names = {conn for conn, _ in law.program.connectives}
-        masks.append(sum(1 << bit for bit, (conn, _) in enumerate(FREE_CELLS)
-                         if conn in names))
     verdicts: dict = {}
     for index in survivors:
         m = None
-        for k, (law, mask) in enumerate(zip(laws, masks)):
-            key = (k, index & mask)
+        for k, law in enumerate(laws):
+            key = (k, index & law.free_cells)
             if key not in verdicts:
                 if m is None:
                     m = sr_decode(index)

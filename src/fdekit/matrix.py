@@ -21,6 +21,11 @@ in place, by the program's slots, and the kernel answers with the index of
 the first point it selects, on planes its lowest set bit: the boolean answers
 (`consequence`, `equivalent`, `agrees`) build no assignment, and only a
 countermodel's point becomes one, decoded from its index by `assignments`.
+A program of two formulas that runs on many matrices, a law's, can be
+turned once by `pair_kernel` into one generated function with a statement
+per step, so no step is dispatched at run time; above `_PLANE_POINTS`
+points, or with a table of more than 256 cells, it goes to `_first_index`,
+which runs every other query and is its oracle.
 One closure, `subpower`, computes the subuniverse of a power of the carrier
 generated by the projections p1..pn restricted to some rows (points of
 carrier^n), in order of witness size, so every witness it reports has the
@@ -492,6 +497,88 @@ def first_difference(m: Matrix, program: Program) -> Optional[dict]:
 def agrees(m: Matrix, program: Program) -> bool:
     """Whether the program's two formulas take the same value everywhere."""
     return _first_index(m, program, _DIFFERING) is None
+
+
+def pair_kernel(program: Program) -> Callable[[Matrix], Optional[int]]:
+    """`_first_index(m, program, _DIFFERING)` as a function of m, for a
+    program of two formulas that runs on many matrices, such as a law's.
+    Its steps become one generated function (`_pair_source`), compiled
+    here, once; the signature check, the differing test and the index
+    arithmetic stay in this code.  A matrix on which the program has more
+    than `_PLANE_POINTS` points, or one of its connectives a table of more
+    than 256 cells, goes to `_first_index`."""
+    namespace: dict = {"__builtins__": {}, "F": int.from_bytes}
+    exec(compile(_pair_source(program), "<pair kernel>", "exec"), namespace)
+    steps, connectives = namespace["steps"], program.connectives
+    names = tuple(dict.fromkeys(conn for conn, _ in connectives))
+    k = len(program.names)
+    widest = max([arity for _, arity in connectives], default=0)
+    # nvals -> the arguments after the tables, or () for `_first_index`
+    fixed: dict[int, tuple] = {}
+    checked = None  # the last signature found to interpret the program
+
+    def first_index(m: Matrix) -> Optional[int]:
+        nonlocal checked
+        if m.signature is not checked:
+            conns = m.signature.connectives
+            for conn, arity in connectives:
+                if conns.get(conn) != arity:
+                    _interpreted(m, conn, arity)
+            checked = m.signature
+        nvals = len(m.values)
+        args = fixed.get(nvals)
+        if args is None:  # the variables' vectors and ints, once per nvals
+            args = ()
+            if nvals ** k <= _PLANE_POINTS and nvals ** widest <= 256:
+                vectors = _projections(nvals, k)
+                ints = [int.from_bytes(v, "big") for v in vectors]
+                args = (*names, nvals, nvals ** k, *vectors, *ints)
+            fixed[nvals] = args
+        if not args:
+            return _first_index(m, program, _DIFFERING)
+        a, b = steps(m.byte_tables, args)
+        if a == b:
+            return None
+        bits = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
+        return len(a) - 1 - (bits.bit_length() - 1) // 8
+
+    return first_index
+
+
+def _pair_source(program: Program) -> str:
+    """A function `steps(T, A)` that runs the program's steps as `_block`
+    does, one statement per step, on the padded tables T of a matrix, and
+    returns its two formulas' vectors.  A holds the connectives' names c<j>
+    in the order of `program.connectives`, nvals n, the point count p,
+    each variable's vector v<i> and then its int i<i>; a step's int i<s> is
+    computed only if a later step packs it.  The source holds generated
+    identifiers, int literals and this function's fixed text: no connective
+    name."""
+    k = len(program.names)
+    table = {conn: j for j, conn in enumerate(
+        dict.fromkeys(conn for conn, _ in program.connectives))}
+    packed = {a for _, args in program.steps if len(args) > 1 for a in args}
+    params = ([f"c{j}" for j in range(len(table))] + ["n", "p"]
+              + [f"v{i}" for i in range(k)] + [f"i{i}" for i in range(k)])
+    lines = [f"{', '.join(params)}, = A"]
+    lines += [f"t{j} = T[c{j}]" for j in range(len(table))]
+    for s, (conn, args) in enumerate(program.steps, k):
+        t = f"t{table[conn]}"
+        if not args:
+            lines.append(f"v{s} = {t}[:1] * p")
+        elif len(args) == 1:
+            lines.append(f"v{s} = v{args[0]}.translate({t})")
+        else:
+            radix = f"i{args[0]} * n + i{args[1]}"
+            for a in args[2:]:
+                radix = f"({radix}) * n + i{a}"
+            lines.append(
+                f"v{s} = ({radix}).to_bytes(p, 'big').translate({t})")
+        if s in packed:
+            lines.append(f"i{s} = F(v{s}, 'big')")
+    lhs, rhs = program.slots
+    lines.append(f"return v{lhs}, v{rhs}")
+    return "def steps(T, A):\n" + "".join(f"    {line}\n" for line in lines)
 
 
 def equivalence_countermodel(m: Matrix, a: Formula, b: Formula) -> Optional[dict]:

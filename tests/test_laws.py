@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from fdekit import bd, laws, presets
+from fdekit import bd, laws, matrix, presets
 from fdekit.errors import SignatureMismatchError, UnknownNameError
 from fdekit.laws import (
     CLASSICAL_ONLY_LAWS,
@@ -15,8 +15,8 @@ from fdekit.laws import (
     holds_countermodel,
     law_by_name,
 )
-from fdekit.matrix import evaluate, matrix_from_json
-from fdekit.syntax import App, Var, variables
+from fdekit.matrix import agrees, evaluate, first_difference, matrix_from_json
+from fdekit.syntax import App, Var, neg, variables
 
 M = presets.preset("bd-impl-bot")
 BD_INDEX = 13129950543
@@ -145,6 +145,130 @@ class TestAgainstEvaluate:
         law = law_by_name("de-morgan-and")
         assert law.program is law.program
         assert law.program.names == ("A1", "A2")
+
+
+def _outcomes(m, law):
+    """holds, holds_countermodel, agrees and first_difference of the law on
+    m, each the text of the SignatureMismatchError it raises, if any."""
+    out = []
+    for check, arg in ((holds, law), (holds_countermodel, law),
+                       (agrees, law.program), (first_difference, law.program)):
+        try:
+            out.append(check(m, arg))
+        except SignatureMismatchError as e:
+            out.append(str(e))
+    return out
+
+
+def _json_member_like(rng, n):
+    """A random JSON matrix over n values with the family's signature."""
+    values = [f"v{i}" for i in range(n)]
+
+    def nest(k):
+        return rng.choice(values) if k == 0 else [nest(k - 1) for _ in values]
+
+    return matrix_from_json({
+        "values": values,
+        "designated": rng.sample(values, rng.randrange(1, n)),
+        "connectives": {conn: {"arity": k, "table": nest(k)}
+                        for conn, k in bd.SR_SIGNATURE.connectives.items()}})
+
+
+class TestLawKernel:
+    """Each law's generated kernel (`Law.kernel`) against `agrees` and
+    `first_difference`, which run the program through `_first_index`."""
+
+    ALL = TABLE2_LAWS + CLASSICAL_ONLY_LAWS
+
+    def test_every_preset(self):
+        refused = 0
+        for name in presets.PRESET_NAMES:
+            for law in self.ALL:
+                out = _outcomes(presets.preset(name), law)
+                assert out[:2] == out[2:], (name, law.name)
+                refused += type(out[0]) is str
+        assert refused
+
+    def test_seeded_family_members(self, first_index_calls):
+        rng = random.Random(39)
+        members = [bd.sr_decode(rng.randrange(2 ** 38)) for _ in range(500)]
+        members.append(_relisted(members[0], "ftbn"))
+        failing = 0
+        for m in members:
+            for law in self.ALL:
+                out = _outcomes(m, law)
+                assert out[:2] == out[2:], law.name
+                failing += out[0] is False
+        assert failing
+        # on 4 values, only the oracle calls it
+        assert len(first_index_calls) == 2 * len(members) * len(self.ALL)
+
+    def test_random_json_matrices(self, first_index_calls):
+        # 2 to 20 values: from 17 on, a binary table has more than 256
+        # cells and a two-variable law more than 256 points, so every law
+        # but double-negation falls back to `_first_index`
+        rng = random.Random(40)
+        for n in range(2, 21):
+            for _ in range(2):
+                m = _json_member_like(rng, n)
+                for law in self.ALL:
+                    del first_index_calls[:]
+                    out = _outcomes(m, law)
+                    assert out[:2] == out[2:], (n, law.name)
+                    fallback = n >= 17 and law.name != "double-negation"
+                    assert len(first_index_calls) == 2 + 2 * fallback, \
+                        (n, law.name)
+
+    def test_wide_binary_table(self, first_index_calls):
+        # a De Morgan chain of 17 values: its binary tables have 289 cells
+        values = [f"v{i}" for i in range(17)]
+
+        def nest(fn, k, args=()):
+            return values[fn(*args)] if len(args) == k else [
+                nest(fn, k, args + (a,)) for a in range(17)]
+
+        m = matrix_from_json({
+            "values": values, "designated": values[8:],
+            "connectives": {
+                "not": {"arity": 1, "table": nest(lambda a: 16 - a, 1)},
+                "and": {"arity": 2, "table": nest(min, 2)},
+                "or": {"arity": 2, "table": nest(max, 2)},
+                "impl": {"arity": 2, "table": nest(
+                    lambda a, b: 16 if a <= b else b, 2)},
+                "bot": {"arity": 0, "table": "v0"}}})
+        verdicts = {}
+        for law in self.ALL:
+            del first_index_calls[:]
+            out = _outcomes(m, law)
+            assert out[:2] == out[2:], law.name
+            assert len(first_index_calls) == (
+                2 if law.name == "double-negation" else 4)
+            verdicts[law.name] = out[0]
+        assert verdicts["double-negation"] and verdicts["and-commutative"]
+        assert not verdicts["neg-as-impl"]
+
+    def test_built_once_at_the_first_check(self):
+        law = laws.Law("fresh", neg(neg(Var("A"))), Var("A"))
+        assert "kernel" not in vars(law)
+        assert holds(M, law)
+        kernel = vars(law)["kernel"]
+        assert holds_countermodel(M, law) is None
+        assert law.kernel is kernel
+        for law in self.ALL:
+            assert law.kernel is law.kernel
+
+    def test_source_names_no_connective(self):
+        for law in self.ALL:
+            source = matrix._pair_source(law.program)
+            for conn, _ in law.program.connectives:
+                assert conn not in source, (law.name, conn)
+
+    def test_free_cells(self):
+        # the bits of exactly the free cells of the law's connectives
+        for law in self.ALL:
+            conns = {conn for conn, _ in law.program.connectives}
+            assert [law.free_cells >> bit & 1 for bit in range(bd.SR_BITS)] \
+                == [conn in conns for conn, _ in bd.FREE_CELLS]
 
 
 class TestFilter:

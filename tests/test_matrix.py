@@ -1389,6 +1389,71 @@ class TestPlanes:
         assert set(circuits[1]) == set(m.signature.connectives)
 
 
+class TestPairKernel:
+    """`pair_kernel`, generated per program, against `_first_index` with
+    the differing mask, its oracle."""
+
+    def test_random_programs(self, first_index_calls):
+        # every preset and random JSON matrices of 2-8 values with one
+        # connective of each arity 0-3; 0-5 variables, so both paths run
+        rng = random.Random(39)
+        matrices = [presets.preset(name) for name in presets.PRESET_NAMES]
+        matrices += [matrix_from_json(_random_json(rng)[0])
+                     for _ in range(30)]
+        paths = set()
+        for m in matrices:
+            for _ in range(20):
+                names = ["p", "q", "r", "s", "t"][:rng.randrange(6)]
+                program = compile_formulas(
+                    [_random_formula(rng, m.signature, names,
+                                     rng.randrange(8)) for _ in range(2)])
+                expected = matrix._first_index(m, program, matrix._DIFFERING)
+                del first_index_calls[:]
+                assert matrix.pair_kernel(program)(m) == expected
+                # the fallback: above 256 points or a table above 256 cells
+                npoints = len(m.values) ** len(program.names)
+                wide = any(len(m.values) ** k > 256
+                           for _, k in program.connectives)
+                assert bool(first_index_calls) is (npoints > 256 or wide)
+                paths.add(bool(first_index_calls))
+        assert paths == {False, True}
+
+    def test_one_kernel_on_several_carriers(self):
+        # the variables' vectors are kept per number of values
+        program = compile_formulas([disj(p, conj(q, neg(p))), disj(q, p)])
+        kernel = matrix.pair_kernel(program)
+        matrices = [presets.preset(name) for name in presets.PRESET_NAMES]
+        assert {len(m.values) for m in matrices} == {2, 3, 4}
+        for m in matrices + matrices[::-1]:
+            assert kernel(m) == matrix._first_index(
+                m, program, matrix._DIFFERING)
+
+    def test_signature_checked_in_order(self):
+        # the first connective in pre-order that m does not interpret, as
+        # `_first_index` names it, also after a matrix that passed
+        program = compile_formulas([conj(p, BOT), impl(p, q)])
+        kernel = matrix.pair_kernel(program)
+        assert kernel(BDI) == matrix._first_index(
+            BDI, program, matrix._DIFFERING)
+        for m in (BD, CL, presets.preset("bd-b-n")):
+            with pytest.raises(SignatureMismatchError) as expected:
+                matrix._first_index(m, program, matrix._DIFFERING)
+            with pytest.raises(SignatureMismatchError) as got:
+                kernel(m)
+            assert str(got.value) == str(expected.value)
+
+    def test_source(self):
+        # one statement per step, and no connective name: only generated
+        # identifiers reach it
+        program = compile_formulas([
+            App("and", (App("bot", ()), App("m3", (p, q, App("not", (p,)))))),
+            q])
+        source = matrix._pair_source(program)
+        assert "bot" not in source and "m3" not in source
+        assert re.findall(r"^    v(\d+) = ", source, re.M) == [
+            str(s) for s in range(2, 2 + len(program.steps))]
+
+
 class TestHashing:
     def test_equal_matrices_hash_equal(self):
         for name in presets.PRESET_NAMES:
