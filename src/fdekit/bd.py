@@ -216,7 +216,8 @@ def sr_decode(index: int) -> Matrix:
     if type(index) is not int:  # a bool is no family index
         raise IndexOutOfRangeError(f"index {index!r} is not an integer")
     if not 0 <= index < count_strongly_regular():
-        raise IndexOutOfRangeError(f"index {index} is not below 2^{SR_BITS}")
+        raise IndexOutOfRangeError(
+            f"index {index} is outside 0..2^{SR_BITS}-1")
     word, chunks = _layout(VALUES)
     for lo, patches, _, _ in chunks:
         word ^= patches[index >> lo & 255]

@@ -317,37 +317,33 @@ class Program:
 def compile_formulas(formulas: Iterable[Formula]) -> Program:
     """The formulas as one program, one step per distinct subterm, built
     without recursion: equal subterms are one object (formulas are
-    interned), and each object is visited once, so a shared DAG is walked
-    once."""
+    interned), so the walk keys what it has compiled by the object, visits
+    each object once and walks a shared DAG once.  A step is kept as its
+    App until the end, when every object gets its slot, so no step builds
+    a list of its own."""
     formulas = list(formulas)
-    # id of a compiled App -> its step: depth first, an App is met again
-    # only after it is compiled
-    ref: dict[int, int] = {}
-    # (connective, argument refs) per step; a variable's ref is its name
-    steps: list[tuple] = []
-    names: set[str] = set()
+    # compiled App -> None, in order of completion, so in step order:
+    # depth first, an App is met again only after it is compiled
+    compiled: dict = {}
+    variables: dict[str, Var] = {}
     connectives: dict[tuple[str, int], None] = {}
     stack: list = formulas[::-1]
     while stack:
         f = stack.pop()
         if f is None:  # the App below has all its arguments compiled
-            f = stack.pop()
-            ref[id(f)] = len(steps)
-            steps.append((f.conn, [a.name if type(a) is Var else ref[id(a)]
-                                   for a in f.args]))
+            compiled[stack.pop()] = None
         elif type(f) is Var:
-            names.add(f.name)
-        elif id(f) not in ref:
+            variables[f.name] = f
+        elif f not in compiled:
             connectives[f.conn, len(f.args)] = None
             stack += (f, None, *reversed(f.args))
-    ordered = sorted(names)
-    slot = {name: i for i, name in enumerate(ordered)}
-    slot.update((step, len(ordered) + step) for step in range(len(steps)))
-    return Program(tuple(ordered),
-                   tuple([(conn, tuple([slot[a] for a in args]))
-                          for conn, args in steps]),
-                   tuple([slot[f.name if type(f) is Var else ref[id(f)]]
-                          for f in formulas]), tuple(connectives))
+    names = sorted(variables)
+    slot = {variables[name]: i for i, name in enumerate(names)}
+    slot.update(zip(compiled, itertools.count(len(names))))
+    at = slot.__getitem__
+    return Program(tuple(names),
+                   tuple([(f.conn, tuple(map(at, f.args))) for f in compiled]),
+                   tuple(map(at, formulas)), tuple(connectives))
 
 
 # Points of one block: a vector covers one block at a time, so memory stays

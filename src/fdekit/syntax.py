@@ -24,7 +24,11 @@ keyword are propositional variables.
 Formulas are hash-consed: `Var` and `App` return the one live object for
 a name, or for a connective and argument objects, so formulas are equal
 exactly when they are the same object.  Equality and hashing are identity,
-so neither recurses nor depends on the hash seed.
+so neither recurses nor depends on the hash seed.  There is no lock: a new
+object is entered in the table with one `dict.setdefault`, so of threads
+that race to make one formula the first to enter it wins and the others
+return the winner.  A name or connective that is not a str, or arguments
+that are not a tuple of formulas, are refused with `InvalidInputError`.
 
 A formula is thus a DAG, and `subformulas` is the one walk over its
 distinct subformula objects: each once, in post-order, without recursion.
@@ -36,7 +40,6 @@ purpose.
 from __future__ import annotations
 
 import re
-import threading
 import weakref
 from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
@@ -95,11 +98,12 @@ class Signature:
 # The one live formula per name (a Var) or per (connective, argument
 # objects) (an App): equal formulas are one object, so `==` and `hash` are
 # those of `object`, identity.  The table holds each by a weak reference
-# that removes its own entry, so formulas that nothing holds go; the lock,
-# taken only on a miss, keeps two threads from making two.
+# that removes its own entry, so formulas that nothing holds go.  No lock:
+# a miss enters its new object with one `setdefault`, a single C call, as
+# hashing a key runs no Python code (a str, or a str and a tuple of
+# identity-hashed formulas), so of two threads that make the same formula
+# the first to enter it wins and the other returns the winner.
 _INTERNED: dict = {}
-_INTERN_LOCK = threading.Lock()
-_setattr = object.__setattr__  # past the `__setattr__` that refuses
 
 
 class _Ref(weakref.ref):
@@ -107,23 +111,22 @@ class _Ref(weakref.ref):
 
 
 def _gone(ref: _Ref) -> None:
-    # removes the entry only if it still holds this dead reference
+    # removes the entry only if it still holds a dead reference
     _remove_dead_weakref(_INTERNED, ref.key)
 
 
-def _intern(cls, key, *fields):
-    """The formula under key, made from fields if none is live; called
-    on a miss of the lookup in `Var` or `App`."""
-    with _INTERN_LOCK:
-        ref = _INTERNED.get(key)
-        f = ref and ref()
-        if f is None:
-            f = object.__new__(cls)
-            for name, value in zip(cls.__slots__, fields):
-                _setattr(f, name, value)
-            ref = _INTERNED[key] = _Ref(f, _gone)
-            ref.key = key
-    return f
+def _intern(key, f):
+    """f entered in the table under key, or the live formula entered there
+    first; called on a miss of the lookup in `Var` or `App`, with f new and
+    its fields set."""
+    ref = _Ref(f, _gone)
+    ref.key = key
+    while True:
+        live = _INTERNED.setdefault(key, ref)()
+        if live is not None:
+            return live
+        # an entry whose formula died but whose `_gone` has not run yet
+        _remove_dead_weakref(_INTERNED, key)
 
 
 class _Interned:
@@ -169,8 +172,16 @@ class Var(_Interned):
     __slots__ = ("name",)
 
     def __new__(cls, name: str):
+        # checked before the lookup: a tuple could find an App's entry
+        if type(name) is not str:
+            raise InvalidInputError(
+                f"a variable's name must be a str, not {name!r}")
         ref = _INTERNED.get(name)
-        return ref and ref() or _intern(cls, name, name)
+        if ref is not None and (f := ref()) is not None:
+            return f
+        f = object.__new__(cls)
+        _set_name(f, name)
+        return _intern(name, f)
 
     def __repr__(self):
         return f"Var({self.name!r})"
@@ -181,12 +192,36 @@ class App(_Interned):
 
     def __new__(cls, conn: str, args: tuple = ()):
         key = (conn, args)
-        ref = _INTERNED.get(key)
-        return ref and ref() or _intern(cls, key, conn, args)
+        try:
+            ref = _INTERNED.get(key)
+        except TypeError:  # an unhashable connective or arguments
+            ref = None
+        if ref is not None and (f := ref()) is not None:
+            return f
+        # a miss: only a formula made here is entered, so a hit was
+        # checked when it was made
+        if type(conn) is not str:
+            raise InvalidInputError(f"a connective must be a str, not {conn!r}")
+        if type(args) is not tuple:
+            raise InvalidInputError(
+                f"the arguments of {conn!r} must be a tuple, not {args!r}")
+        for a in args:
+            if type(a) is not Var and type(a) is not App:
+                raise InvalidInputError(
+                    f"an argument of {conn!r} is no formula: {a!r}")
+        f = object.__new__(cls)
+        _set_conn(f, conn)
+        _set_args(f, args)
+        return _intern(key, f)
 
     def __repr__(self):
         return f"App({self.conn!r}, {list(self.args)!r})"
 
+
+# the slots' own setters, past the `__setattr__` that refuses
+_set_name = Var.name.__set__
+_set_conn = App.conn.__set__
+_set_args = App.args.__set__
 
 Formula = Union[Var, App]
 

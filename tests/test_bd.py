@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -159,10 +160,11 @@ class TestStronglyRegularFamily:
                     assert _cell(m, conn, args) == outputs[0]
 
     def test_index_out_of_range(self):
-        with pytest.raises(IndexOutOfRangeError):
-            bd.sr_decode(-1)
-        with pytest.raises(IndexOutOfRangeError):
-            bd.sr_decode(2 ** 38)
+        # the range is named by both its ends, right for either side
+        for index in (-1, 2 ** 38, -2 ** 40):
+            with pytest.raises(IndexOutOfRangeError, match=re.escape(
+                    f"index {index} is outside 0..2^38-1")):
+                bd.sr_decode(index)
 
     def test_index_not_an_integer(self):
         # a bool is an int to `isinstance`, but no family index

@@ -470,6 +470,11 @@ class TestFamilyCommands:
 
     def test_decode_out_of_range(self, capsys):
         assert main(["sr-decode", "-1"]) == 2
+        assert capsys.readouterr().err == \
+            "error: index -1 is outside 0..2^38-1\n"
+        assert main(["sr-decode", str(2 ** 38)]) == 2
+        assert capsys.readouterr().err == \
+            "error: index 274877906944 is outside 0..2^38-1\n"
 
     def test_laws_filter_json(self, capsys):
         code, out = run(capsys, "--json", "laws-filter")

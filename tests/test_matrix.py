@@ -374,6 +374,80 @@ class TestKernelAgainstEvaluate:
         assert program.slots == (1, 1, 0)
 
 
+def _reference_compile(formulas):
+    """`compile_formulas` as it was written first: each App keyed by its
+    id, each step's arguments a list of names and step numbers, turned
+    into slots once the variables are sorted."""
+    formulas = list(formulas)
+    ref = {}
+    steps = []
+    names = set()
+    connectives = {}
+    stack = formulas[::-1]
+    while stack:
+        f = stack.pop()
+        if f is None:
+            f = stack.pop()
+            ref[id(f)] = len(steps)
+            steps.append((f.conn, [a.name if type(a) is Var else ref[id(a)]
+                                   for a in f.args]))
+        elif type(f) is Var:
+            names.add(f.name)
+        elif id(f) not in ref:
+            connectives[f.conn, len(f.args)] = None
+            stack += (f, None, *reversed(f.args))
+    ordered = sorted(names)
+    slot = {name: i for i, name in enumerate(ordered)}
+    slot.update((step, len(ordered) + step) for step in range(len(steps)))
+    return matrix.Program(
+        tuple(ordered),
+        tuple([(conn, tuple([slot[a] for a in args])) for conn, args in steps]),
+        tuple([slot[f.name if type(f) is Var else ref[id(f)]]
+               for f in formulas]),
+        tuple(connectives))
+
+
+class TestCompileAgainstReference:
+    # connectives of arity 0 to 3, the names `bot` and `not` among them
+    SIG = Signature({"bot": 0, "c": 0, "not": 1, "and": 2, "m3": 3})
+
+    def _shared_list(self, rng):
+        """Formulas drawn from a growing pool of subterms, so they share
+        subterms, repeat whole formulas and include bare variables."""
+        pool = [Var(f"p{i}") for i in range(rng.randrange(1, 5))]
+        pool += [BOT, TOP, App("c", ())]
+        for _ in range(rng.randrange(1, 20)):
+            conn, k = rng.choice(sorted(self.SIG.connectives.items()))
+            pool.append(App(conn, tuple(rng.choice(pool) for _ in range(k))))
+        return [rng.choice(pool) for _ in range(rng.randrange(1, 8))]
+
+    def test_seeded_lists_with_shared_subterms(self):
+        rng = random.Random(40)
+        for _ in range(400):
+            formulas = self._shared_list(rng)
+            assert compile_formulas(formulas) == _reference_compile(formulas)
+            # one pass over any iterable
+            assert compile_formulas(iter(formulas)) == \
+                _reference_compile(formulas)
+
+    def test_seeded_random_formulas(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            names = [f"q{i}" for i in range(rng.randrange(4))]
+            formulas = [_random_formula(rng, self.SIG, names,
+                                        rng.randrange(10))
+                        for _ in range(rng.randrange(1, 5))]
+            formulas += formulas[:rng.randrange(len(formulas) + 1)]
+            assert compile_formulas(formulas) == _reference_compile(formulas)
+
+    @pytest.mark.parametrize("formulas", [
+        [], [p], [p, p, q], [q, p], [BOT], [TOP], [TOP, BOT, TOP],
+        [App("c", ()), p], [App("m3", (p, BOT, App("m3", (q, q, p))))],
+        [neg(p), p, neg(p)]], ids=repr)
+    def test_edge_cases(self, formulas):
+        assert compile_formulas(formulas) == _reference_compile(formulas)
+
+
 def _at(digits):
     """A mask that selects the one point where the program's formulas, the
     variables themselves, take the value indices `digits`."""

@@ -716,3 +716,60 @@ class TestInterning:
         assert not any(t.is_alive() for t in threads)
         assert all(len(b) == len(names) for b in built)
         assert all(all(map(operator.is_, b, built[0])) for b in built)
+
+    def test_dead_entry_whose_callback_has_not_run(self):
+        # an entry whose formula died but whose `_gone` has not run yet,
+        # planted as a reference without a callback to a dropped object:
+        # a new formula replaces it, and the late callback leaves that be
+        arg = Var("stale_arg")
+        for key, make in (("stale", lambda: Var("stale")),
+                          (("not", (arg,)), lambda: neg(arg))):
+            assert key not in syntax._INTERNED
+            placeholder = object.__new__(Var)
+            dead = syntax._Ref(placeholder)
+            dead.key = key
+            del placeholder
+            assert dead() is None
+            syntax._INTERNED[key] = dead
+            f = make()
+            assert type(f) is type(make()) and make() is f
+            assert syntax._INTERNED[key] is not dead
+            assert syntax._INTERNED[key]() is f
+            syntax._gone(dead)
+            assert syntax._INTERNED[key]() is f
+        assert print_formula(f) == "~stale_arg"
+
+    def test_race_loser_dies_without_removing_the_winner(self):
+        # the loser of a race to enter a formula gets the winner back; its
+        # own object and reference then die, and the winner's entry stays
+        winner = conj(Var("contested"), q)
+        loser = object.__new__(App)
+        syntax._set_conn(loser, "and")
+        syntax._set_args(loser, (Var("contested"), q))
+        key = ("and", (Var("contested"), q))
+        assert syntax._intern(key, loser) is winner
+        gone = weakref.ref(loser)
+        del loser
+        gc.collect()
+        assert gone() is None
+        assert syntax._INTERNED[key]() is winner
+        assert conj(Var("contested"), q) is winner
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Var(5), "name must be a str, not 5"),
+        (lambda: Var(None), "name must be a str"),
+        (lambda: Var(["p"]), "name must be a str"),
+        # a tuple that is an App's key finds no App
+        (lambda: Var(("not", (p,))), "name must be a str"),
+        (lambda: App(5, ()), "connective must be a str, not 5"),
+        (lambda: App(["and"], (p, q)), "connective must be a str"),
+        (lambda: App("and", [p, q]), "arguments of 'and' must be a tuple"),
+        (lambda: App("not", p), "arguments of 'not' must be a tuple"),
+        (lambda: App("and", (p, 5)), "an argument of 'and' is no formula"),
+        (lambda: App("and", (p, [q])), "an argument of 'and' is no formula"),
+        (lambda: App("not", ("p",)), "an argument of 'not' is no formula"),
+    ])
+    def test_malformed_formulas_are_refused(self, make, message):
+        neg(p)  # live, so a lookup under its key would find it
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            make()
