@@ -8,10 +8,10 @@ compiled once, at its first check, into one generated function with a
 statement per step (`Law.kernel`, built by `matrix.pair_kernel`).
 `holds`, `holds_countermodel` and the filter's verification run through
 it; a matrix too large for it goes to `matrix._first_index`, the general
-kernel and the tests' oracle.  The family filter propagates the
-value-level constraints of the chosen laws over the 38 free table cells
-and only branches where propagation stalls.  Propagation is watched: a
-law instance is evaluated again only when a cell it waits on is pinned.
+kernel and the tests' oracle.  The family filter walks decision trees
+over the 38 free table cells, one per law instance, built once
+(`Law.trees`), to propagate the chosen laws; where it stalls, `_status`
+(the tests' oracle) picks the cell to branch on.
 The filter then re-verifies the survivors (or a sample of `SAMPLE_SIZE`,
 when there are more than `VERIFY_LIMIT`) with `holds`, once per law and
 class of survivors that agree on the free cells of the law's connectives
@@ -57,6 +57,34 @@ class Law:
     def kernel(self) -> Callable[[Matrix], Optional[int]]:
         """The program's `matrix.pair_kernel`, built at the first check."""
         return pair_kernel(self.program)
+
+    @cached_property
+    def trees(self) -> tuple:
+        """(decision tree, free cells it reads) per `_instances` instance.  A
+        tree is True (sat), False (violated) or (cell, tree if 0, tree if 1):
+        the steps run once per path, branching at a free cell new to it."""
+        steps, (lhs, rhs) = self.program.steps, self.program.slots
+
+        def grow(k: int, vals: list, path: dict, cells: set):
+            for k in range(k, len(steps)):
+                conn, args = steps[k]
+                key = (conn, tuple(map(vals.__getitem__, args)))
+                cell = FREE_BITS.get(key)
+                if cell is not None and cell not in path:
+                    cells.add(cell)
+                    v0, v1 = CELLS[key]
+                    return (cell,
+                            grow(k + 1, vals + [v0], path | {cell: 0}, cells),
+                            grow(k + 1, vals + [v1], path | {cell: 1}, cells))
+                vals.append(CELLS[key][path.get(cell, 0)])
+            return vals[lhs] == vals[rhs]
+
+        trees = []
+        for combo in itertools.product(VALUES, repeat=len(self.program.names)):
+            cells: set = set()
+            trees.append((grow(0, list(combo), {}, cells),
+                          tuple(sorted(cells))))
+        return tuple(trees)
 
     @cached_property
     def free_cells(self) -> int:
@@ -195,84 +223,66 @@ class FilterResult:
         return out
 
 
-def _watch(instance: tuple[Program, tuple[str, ...]], bits: list):
-    """False if the instance is violated, or blocked on one cell that no
-    value satisfies; else (the (cell, value) it forces or None, its
-    blockers, the cells whose pinning can change this answer).  Those are
-    its blockers and, when it is blocked on one cell, the blockers of both
-    trial values: nothing else it reads is unpinned."""
-    status, blockers = _status(instance, bits)
-    if status == "violated":
-        return False
-    if len(blockers) != 1:
-        return None, blockers, blockers
-    (cell,) = blockers
-    feasible, watched = [], set(blockers)
-    for v in (0, 1):
-        bits[cell] = v
-        status, trial = _status(instance, bits)
-        if status != "violated":
-            feasible.append(v)
-            watched |= trial
-    bits[cell] = None
-    if not feasible:
-        return False
-    forced = (cell, feasible[0]) if len(feasible) == 1 else None
-    return forced, blockers, watched
+def _walk(tree, bits: list):
+    """The leaf the pinned cells lead to, or the node of an unpinned cell."""
+    while tree is not True and tree is not False and bits[tree[0]] is not None:
+        tree = tree[1 + bits[tree[0]]]
+    return tree
 
 
-def _propagate(instances: list, bits: list, state: list, dirty: set):
-    """Pin the cells that law instances blocked on one cell force, until
-    none is, evaluating the dirty instances and those watching a cell just
-    pinned; `state` keeps each one's blockers and watched cells.  Unit
-    propagation is confluent, so any order reaches the same fixpoint.
+def _propagate(instances: list, bits: list, trees: list, watchers: list,
+               dirty: set):
+    """Pin the cells that law instances force, walking the trees of the dirty
+    instances and of those reading a cell just pinned, until none is: a
+    walk stopped at a cell forces it when just one value leads to False.
+    Unit propagation is confluent, so any order reaches the same fixpoint.
     False if an instance is violated, None if all hold, else the first
-    undecided instance's smallest blocking cell."""
+    undecided instance's smallest blocking cell (`_status`)."""
     while dirty:
-        i = dirty.pop()
-        answer = _watch(instances[i], bits)
-        if answer is False:
+        node = _walk(trees[dirty.pop()], bits)
+        if node is False:
             return False
-        forced, blockers, watched = answer
-        state[i] = (blockers, watched)
-        if forced is not None:
-            cell, bits[cell] = forced
-            dirty |= _watchers(state, cell)
-    return next((min(blockers) for blockers, _ in state if blockers), None)
-
-
-def _watchers(state: list, cell: int) -> set:
-    """The instances whose answer pinning the cell can change."""
-    return {i for i, (_, watched) in enumerate(state) if cell in watched}
+        if node is not True:
+            cell, low, high = node
+            low, high = _walk(low, bits) is False, _walk(high, bits) is False
+            if low and high:
+                return False
+            if low or high:
+                bits[cell] = 1 if low else 0
+                dirty |= watchers[cell]
+    return next((min(_status(instances[i], bits)[1])
+                 for i, tree in enumerate(trees)
+                 if _walk(tree, bits) is not True), None)
 
 
 def filter_strongly_regular(laws: Iterable[Law]) -> FilterResult:
     """Family members satisfying every law.
 
-    Watched propagation pins or branches free cells; the result is
-    re-verified with `holds`, exhaustively when at most `VERIFY_LIMIT`
-    members survive, otherwise on a deterministic sample of `SAMPLE_SIZE`.
-    Each law is checked once per class of those members that agree on the
-    free cells of its connectives, and the first member failing a law
-    raises AssertionError.
+    Propagation over the laws' trees pins or branches free cells; the
+    result is re-verified with `holds`, exhaustively when at most
+    `VERIFY_LIMIT` members survive, otherwise on a deterministic sample of
+    `SAMPLE_SIZE`.  Each law is checked once per class of those members
+    that agree on the free cells of its connectives, and the first member
+    failing a law raises AssertionError.
     """
     laws = list(laws)
     instances = _instances(laws)
+    trees, watchers = [], [set() for _ in range(SR_BITS)]
+    for i, (tree, cells) in enumerate(t for law in laws for t in law.trees):
+        trees.append(tree)
+        for cell in cells:
+            watchers[cell].add(i)
     cubes: list = []
 
-    def solve(bits: list, state: list, dirty: set):
-        cell = _propagate(instances, bits, state, dirty)
+    def solve(bits: list, dirty: set):
+        cell = _propagate(instances, bits, trees, watchers, dirty)
         if cell is None:
             cubes.append(tuple(bits))
         elif cell is not False:
-            dirty = _watchers(state, cell)
             for v in (0, 1):
-                child = list(bits)
-                child[cell] = v
-                solve(child, list(state), set(dirty))
+                solve(bits[:cell] + [v] + bits[cell + 1:], set(watchers[cell]))
 
-    solve([None] * SR_BITS, [((), ())] * len(instances),
-          set(range(len(instances))))
+    solve([None] * SR_BITS, set(range(len(trees))))
     result = FilterResult(cubes)
     survivors = (list(result.indices()) if result.count <= VERIFY_LIMIT
                  else result.sample(SAMPLE_SIZE))

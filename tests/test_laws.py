@@ -375,8 +375,8 @@ class TestFilter:
         bit = bd.FREE_CELLS.index(cell)
         propagate = laws._propagate
 
-        def leaky(instances, bits, *state):
-            cell_or_done = propagate(instances, bits, *state)
+        def leaky(instances, bits, trees, watchers, dirty):
+            cell_or_done = propagate(instances, bits, trees, watchers, dirty)
             if cell_or_done is None:
                 assert bits[bit] is not None  # the 13 laws force the cell
                 bits[bit] = None
@@ -395,7 +395,7 @@ class TestFilter:
 
 
 def _reference_propagate(instances, bits):
-    """The full-pass propagation the watched one replaces: every pass
+    """The full-pass propagation the tree walks replace: every pass
     re-evaluates every instance."""
     while True:
         changed, branch = False, None
@@ -454,23 +454,25 @@ def _law_sets():
 
 
 class TestWatchedPropagation:
-    """The watched propagation against the full-pass one it replaces."""
+    """The propagation over law trees, with its static watch lists, against
+    the full-pass one it replaces."""
 
     @pytest.mark.parametrize("selected", _law_sets(),
                              ids=lambda s: ",".join(l.name for l in s)[:60]
                              or "none")
     def test_same_cubes_in_the_same_order(self, selected, monkeypatch):
-        # a stale blocker only makes the filter branch on a forced cell,
-        # whose other child dies at once, so the cubes alone cannot show
-        # it: each node's fixpoint and branch cell must match as well
+        # an instance left unwalked only makes the filter branch on a cell
+        # it should have forced, whose other child dies at once, so the
+        # cubes alone cannot show it: each node's fixpoint and branch cell
+        # must match as well
         propagate = laws._propagate
         nodes = 0
 
-        def compared(instances, bits, *state):
+        def compared(instances, bits, trees, watchers, dirty):
             nonlocal nodes
             expected_bits = list(bits)
             expected = _reference_propagate(instances, expected_bits)
-            answer = propagate(instances, bits, *state)
+            answer = propagate(instances, bits, trees, watchers, dirty)
             assert answer == expected
             if answer is not False:  # a conflict's partial pins may differ
                 assert bits == expected_bits
@@ -481,3 +483,84 @@ class TestWatchedPropagation:
         assert filter_strongly_regular(selected).cubes == \
             _reference_cubes(selected)
         assert nodes
+
+
+class TestLawTrees:
+    """Each law instance's decision tree against `_status`, which runs the
+    instance's steps one by one."""
+
+    @pytest.mark.parametrize("law", TABLE2_LAWS + CLASSICAL_ONLY_LAWS,
+                             ids=lambda l: l.name)
+    def test_walks_agree_with_status(self, law):
+        instances = laws._instances([law])
+        assert len(law.trees) == len(instances)
+        rng = random.Random(law.name)
+        stops = 0
+        for _ in range(150):
+            density = rng.random()
+            bits = [rng.getrandbits(1) if rng.random() < density else None
+                    for _ in range(bd.SR_BITS)]
+            for instance, (tree, cells) in zip(instances, law.trees):
+                status, blockers = laws._status(instance, bits)
+                node = laws._walk(tree, bits)
+                if status != "unknown":
+                    assert node is (status == "sat")
+                    continue
+                # a walk stops at an unpinned cell that blocks the instance
+                cell, low, high = node
+                assert bits[cell] is None and cell in blockers
+                assert blockers <= set(cells)
+                stops += 1
+                for v, child in ((0, low), (1, high)):
+                    bits[cell] = v
+                    assert (laws._walk(child, bits) is False) == \
+                        (laws._status(instance, bits)[0] == "violated")
+                bits[cell] = None
+        assert stops
+
+    def test_cells_are_the_cells_read(self):
+        def read(tree):
+            return set() if tree is True or tree is False else (
+                {tree[0]} | read(tree[1]) | read(tree[2]))
+
+        for law in TABLE2_LAWS + CLASSICAL_ONLY_LAWS:
+            for tree, cells in law.trees:
+                assert cells == tuple(sorted(read(tree)))
+                assert all(law.free_cells >> cell & 1 for cell in cells)
+
+    def test_cached_trees_carry_no_state(self, monkeypatch):
+        # the same trees serve every call; each call's cubes must be those
+        # of a call that builds its laws' trees anew
+        sets = [TABLE2_LAWS]
+        sets += [TABLE2_LAWS[:i] + TABLE2_LAWS[i + 1:] for i in range(13)]
+        sets += [(law,) for law in TABLE2_LAWS]
+        cached = {law: law.trees for law in TABLE2_LAWS}
+
+        def fresh(selected):
+            with monkeypatch.context() as m:
+                for law in selected:
+                    m.delitem(law.__dict__, "trees")
+                cubes = filter_strongly_regular(selected).cubes
+                rebuilt = {law: law.trees for law in selected}
+            return cubes, rebuilt
+
+        expected = []
+        for selected in sets:
+            cubes, rebuilt = fresh(selected)
+            expected.append(cubes)
+            assert all(rebuilt[law] == cached[law] for law in selected)
+        for order in (range(len(sets)), reversed(range(len(sets)))):
+            for i in order:
+                assert filter_strongly_regular(sets[i]).cubes == expected[i]
+
+        def immutable(tree):
+            return tree is True or tree is False or (
+                type(tree) is tuple and len(tree) == 3
+                and type(tree[0]) is int
+                and immutable(tree[1]) and immutable(tree[2]))
+
+        for law in TABLE2_LAWS:
+            assert law.trees is cached[law] and type(law.trees) is tuple
+            assert all(type(pair) is tuple and immutable(pair[0])
+                       and type(pair[1]) is tuple for pair in law.trees)
+        assert fresh(TABLE2_LAWS)[1] == cached

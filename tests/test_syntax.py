@@ -717,6 +717,49 @@ class TestInterning:
         assert all(len(b) == len(names) for b in built)
         assert all(all(map(operator.is_, b, built[0])) for b in built)
 
+    def test_forced_race_builds_one_object(self):
+        # both threads miss the lookup of one fresh key before either
+        # inserts: the table's inserts wait for each other, so a
+        # check-then-insert would enter two objects for one variable
+        key = "forced_race"
+        barrier = threading.Barrier(2)
+
+        class Racing(dict):
+            def setdefault(self, k, default=None):
+                if k == key:
+                    barrier.wait(timeout=10)
+                return super().setdefault(k, default)
+
+            def __setitem__(self, k, value):
+                if k == key:
+                    barrier.wait(timeout=10)
+                super().__setitem__(k, value)
+
+        built, errors = [None, None], []
+
+        def build(slot):
+            try:
+                built[slot] = Var(key)
+            except Exception as e:
+                errors.append(e)
+
+        assert key not in syntax._INTERNED
+        table = syntax._INTERNED
+        syntax._INTERNED = Racing(table)
+        try:
+            threads = [threading.Thread(target=build, args=(i,))
+                       for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            syntax._INTERNED = table
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert built[0] is built[1]
+        assert built[0].name == key
+
     def test_dead_entry_whose_callback_has_not_run(self):
         # an entry whose formula died but whose `_gone` has not run yet,
         # planted as a reference without a callback to a dropped object:
