@@ -36,11 +36,6 @@ _BITS = {"t": (1, 1), "b": (1, 0), "n": (0, 1), "f": (0, 0)}
 _FROM_BITS = {v: k for k, v in _BITS.items()}
 
 
-def leq(a: str, b: str) -> bool:
-    x, y = _BITS[a], _BITS[b]
-    return x[0] <= y[0] and x[1] <= y[1]
-
-
 def meet(a: str, b: str) -> str:
     x, y = _BITS[a], _BITS[b]
     return _FROM_BITS[(x[0] & y[0], x[1] & y[1])]

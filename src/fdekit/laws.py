@@ -10,8 +10,8 @@ statement per step (`Law.kernel`, built by `matrix.pair_kernel`).
 it; a matrix too large for it goes to `matrix._first_index`, the general
 kernel and the tests' oracle.  The family filter walks decision trees
 over the 38 free table cells, one per law instance, built once
-(`Law.trees`), to propagate the chosen laws; where it stalls, `_status`
-(the tests' oracle) picks the cell to branch on.
+(`Law.trees`), to propagate the chosen laws; where it stalls, it branches
+on the cell at which the first undecided instance's walk stops.
 The filter then re-verifies the survivors (or a sample of `SAMPLE_SIZE`,
 when there are more than `VERIFY_LIMIT`) with `holds`, once per law and
 class of survivors that agree on the free cells of the law's connectives
@@ -60,9 +60,11 @@ class Law:
 
     @cached_property
     def trees(self) -> tuple:
-        """(decision tree, free cells it reads) per `_instances` instance.  A
-        tree is True (sat), False (violated) or (cell, tree if 0, tree if 1):
-        the steps run once per path, branching at a free cell new to it."""
+        """(decision tree, free cells it reads) per law instance: one per
+        assignment of values to the law's variables, in `itertools.product`
+        order.  A tree is True (sat), False (violated) or (cell, tree if 0,
+        tree if 1): the steps run once per path, branching at a free cell
+        new to it."""
         steps, (lhs, rhs) = self.program.steps, self.program.slots
 
         def grow(k: int, vals: list, path: dict, cells: set):
@@ -153,38 +155,6 @@ def holds(m: Matrix, law: Law) -> bool:
 # ---------------------------------------------------------------------------
 # Family filter
 
-def _status(instance: tuple[Program, tuple[str, ...]], bits: list):
-    """("sat" | "violated" | "unknown", blocking free-cell indices) of a law
-    instance, its program with one value per variable, under a partial
-    family member.  A step whose arguments are known but whose free cell
-    is unpinned blocks on that cell."""
-    program, values = instance
-    vals: list = list(values)
-    blockers = set()
-    for conn, args in program.steps:
-        known = tuple([vals[a] for a in args])
-        key, value = (conn, known), None
-        if None not in known:
-            cell = FREE_BITS.get(key)
-            if cell is None:
-                value = CELLS[key][0]
-            elif bits[cell] is None:
-                blockers.add(cell)
-            else:
-                value = CELLS[key][bits[cell]]
-        vals.append(value)
-    lhs, rhs = (vals[s] for s in program.slots)
-    if lhs is None or rhs is None:
-        return "unknown", blockers
-    return ("sat" if lhs == rhs else "violated"), blockers
-
-
-def _instances(laws: Iterable[Law]) -> list[tuple[Program, tuple[str, ...]]]:
-    return [(law.program, combo) for law in laws
-            for combo in itertools.product(
-                VALUES, repeat=len(law.program.names))]
-
-
 @dataclass
 class FilterResult:
     """Disjoint cubes of family indices surviving a law set."""
@@ -230,14 +200,13 @@ def _walk(tree, bits: list):
     return tree
 
 
-def _propagate(instances: list, bits: list, trees: list, watchers: list,
-               dirty: set):
+def _propagate(bits: list, trees: list, watchers: list, dirty: set):
     """Pin the cells that law instances force, walking the trees of the dirty
     instances and of those reading a cell just pinned, until none is: a
     walk stopped at a cell forces it when just one value leads to False.
     Unit propagation is confluent, so any order reaches the same fixpoint.
-    False if an instance is violated, None if all hold, else the first
-    undecided instance's smallest blocking cell (`_status`)."""
+    False if an instance is violated, None if all hold, else the cell at
+    which the first undecided instance's walk stops."""
     while dirty:
         node = _walk(trees[dirty.pop()], bits)
         if node is False:
@@ -250,9 +219,8 @@ def _propagate(instances: list, bits: list, trees: list, watchers: list,
             if low or high:
                 bits[cell] = 1 if low else 0
                 dirty |= watchers[cell]
-    return next((min(_status(instances[i], bits)[1])
-                 for i, tree in enumerate(trees)
-                 if _walk(tree, bits) is not True), None)
+    stops = (_walk(tree, bits) for tree in trees)
+    return next((node[0] for node in stops if node is not True), None)
 
 
 def filter_strongly_regular(laws: Iterable[Law]) -> FilterResult:
@@ -266,7 +234,6 @@ def filter_strongly_regular(laws: Iterable[Law]) -> FilterResult:
     failing a law raises AssertionError.
     """
     laws = list(laws)
-    instances = _instances(laws)
     trees, watchers = [], [set() for _ in range(SR_BITS)]
     for i, (tree, cells) in enumerate(t for law in laws for t in law.trees):
         trees.append(tree)
@@ -275,7 +242,7 @@ def filter_strongly_regular(laws: Iterable[Law]) -> FilterResult:
     cubes: list = []
 
     def solve(bits: list, dirty: set):
-        cell = _propagate(instances, bits, trees, watchers, dirty)
+        cell = _propagate(bits, trees, watchers, dirty)
         if cell is None:
             cubes.append(tuple(bits))
         elif cell is not False:

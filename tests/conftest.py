@@ -1,6 +1,14 @@
 import pytest
 
 from fdekit import matrix
+from fdekit.syntax import App, Var
+
+
+def _cell(m, conn, args):
+    """One cell of m's table for conn, read through `evaluate`."""
+    names = [f"x{i}" for i in range(len(args))]
+    return matrix.evaluate(m, App(conn, tuple(map(Var, names))),
+                           dict(zip(names, args)))
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from conftest import _cell
 from fdekit import bd, laws, presets
 from fdekit.errors import (
     IndexOutOfRangeError,
@@ -14,19 +15,11 @@ from fdekit.errors import (
     UnknownNameError,
 )
 from fdekit.matrix import (
-    Matrix, evaluate, is_expansion, matrix_from_json, matrix_to_json)
-from fdekit.syntax import App, Var
+    Matrix, is_expansion, matrix_from_json, matrix_to_json)
 
 # The family index of the implication-falsity expansion of the base
 # matrix under the documented bit layout, frozen as a regression constant.
 BD_IMPL_BOT_INDEX = 13129950543
-
-
-def _cell(m, conn, args):
-    """One cell of m's table for conn, read through `evaluate`."""
-    names = [f"x{i}" for i in range(len(args))]
-    return evaluate(m, App(conn, tuple(map(Var, names))),
-                    dict(zip(names, args)))
 
 
 class TestConnectiveTables:
@@ -95,9 +88,10 @@ class TestConnectiveTables:
 
 class TestLatticeOrder:
     def test_order(self):
-        assert bd.leq("f", "b") and bd.leq("b", "t")
-        assert bd.leq("f", "n") and bd.leq("n", "t")
-        assert not bd.leq("b", "n") and not bd.leq("n", "b")
+        # a <= b iff meet(a, b) == a
+        assert bd.meet("f", "b") == "f" and bd.meet("b", "t") == "b"
+        assert bd.meet("f", "n") == "f" and bd.meet("n", "t") == "n"
+        assert bd.meet("b", "n") == bd.meet("n", "b") == "f"
 
     def test_meet_join_laws(self):
         for a, b_ in itertools.product(bd.VALUES, repeat=2):

@@ -11,12 +11,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import _cell
 from fdekit import bd, claims, laws, presets
 from fdekit.cli import main
 from fdekit.matrix import MAX_CLONE_ARITY, evaluate, matrix_to_json
 from fdekit.proof import (
     BD, MAX_DERIVATION_DEPTH, RULE_IDS, Sequent, derivation_to_json, prove)
-from fdekit.syntax import App, Var, parse
+from fdekit.syntax import parse
 
 
 def _nested_derivation(depth: int) -> str:
@@ -32,13 +33,6 @@ def _deep_matrix(levels: int) -> bytes:
     return ('{"values": ["t", "f"], "designated": ["t"], "connectives": '
             '{"c": {"arity": 1, "table": ' + "[" * levels + '"t"'
             + "]" * levels + "}}}").encode()
-
-
-def _cell(m, conn, args):
-    """One cell of m's table for conn, read through `evaluate`."""
-    names = [f"x{i}" for i in range(len(args))]
-    return evaluate(m, App(conn, tuple(map(Var, names))),
-                    dict(zip(names, args)))
 
 
 def run(capsys, *argv):

@@ -6,6 +6,7 @@ import weakref
 
 import pytest
 
+from conftest import _cell
 from fdekit import bd, definability, presets
 from fdekit.claims import SYNONYMITIES
 from fdekit.definability import (
@@ -41,13 +42,6 @@ p = Var("p")
 NOT_SIMPLE = Matrix(
     ("x", "y", "z"), frozenset(["x"]), Signature({"f1": 1, "f2": 1}),
     {"f1": [0, 1, 1], "f2": [0, 1, 1]})
-
-
-def _cell(m, conn, args):
-    """One cell of m's table for conn, read through `evaluate`."""
-    names = [f"x{i}" for i in range(len(args))]
-    return evaluate(m, App(conn, tuple(map(Var, names))),
-                    dict(zip(names, args)))
 
 
 class TestSynonymity:

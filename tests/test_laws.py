@@ -1,22 +1,20 @@
 import itertools
 import random
+from typing import Iterable
 
 import pytest
 
+from conftest import _cell
 from fdekit import bd, laws, matrix, presets
+from fdekit.bd import CELLS, FREE_BITS, VALUES
 from fdekit.errors import SignatureMismatchError, UnknownNameError
 from fdekit.laws import (
-    CLASSICAL_ONLY_LAWS,
-    FAILING_CLASSICAL_LAWS,
-    HOLDING_CLASSICAL_LAWS,
-    TABLE2_LAWS,
-    filter_strongly_regular,
-    holds,
-    holds_countermodel,
-    law_by_name,
-)
-from fdekit.matrix import agrees, evaluate, first_difference, matrix_from_json
-from fdekit.syntax import App, Var, neg, variables
+    CLASSICAL_ONLY_LAWS, FAILING_CLASSICAL_LAWS, HOLDING_CLASSICAL_LAWS,
+    TABLE2_LAWS, Law, filter_strongly_regular, holds, holds_countermodel,
+    law_by_name)
+from fdekit.matrix import (
+    Program, agrees, evaluate, first_difference, matrix_from_json)
+from fdekit.syntax import Var, neg, variables
 
 M = presets.preset("bd-impl-bot")
 BD_INDEX = 13129950543
@@ -26,13 +24,6 @@ BD_INDEX = 13129950543
 # so the family filter keeps 9 * 9 = 81 matrices, the base expansion among
 # them.  Frozen after three independent computations agreed.
 SURVIVOR_COUNT = 81
-
-
-def _cell(m, conn, args):
-    """One cell of m's table for conn, read through `evaluate`."""
-    names = [f"x{i}" for i in range(len(args))]
-    return evaluate(m, App(conn, tuple(map(Var, names))),
-                    dict(zip(names, args)))
 
 
 class TestHolds:
@@ -375,8 +366,8 @@ class TestFilter:
         bit = bd.FREE_CELLS.index(cell)
         propagate = laws._propagate
 
-        def leaky(instances, bits, trees, watchers, dirty):
-            cell_or_done = propagate(instances, bits, trees, watchers, dirty)
+        def leaky(bits, trees, watchers, dirty):
+            cell_or_done = propagate(bits, trees, watchers, dirty)
             if cell_or_done is None:
                 assert bits[bit] is not None  # the 13 laws force the cell
                 bits[bit] = None
@@ -394,13 +385,45 @@ class TestFilter:
         assert failing
 
 
+def _status(instance: tuple[Program, tuple[str, ...]], bits: list):
+    """("sat" | "violated" | "unknown", blocking free-cell indices) of a law
+    instance, its program with one value per variable, under a partial
+    family member.  A step whose arguments are known but whose free cell
+    is unpinned blocks on that cell."""
+    program, values = instance
+    vals: list = list(values)
+    blockers = set()
+    for conn, args in program.steps:
+        known = tuple([vals[a] for a in args])
+        key, value = (conn, known), None
+        if None not in known:
+            cell = FREE_BITS.get(key)
+            if cell is None:
+                value = CELLS[key][0]
+            elif bits[cell] is None:
+                blockers.add(cell)
+            else:
+                value = CELLS[key][bits[cell]]
+        vals.append(value)
+    lhs, rhs = (vals[s] for s in program.slots)
+    if lhs is None or rhs is None:
+        return "unknown", blockers
+    return ("sat" if lhs == rhs else "violated"), blockers
+
+
+def _instances(laws: Iterable[Law]) -> list[tuple[Program, tuple[str, ...]]]:
+    return [(law.program, combo) for law in laws
+            for combo in itertools.product(
+                VALUES, repeat=len(law.program.names))]
+
+
 def _reference_propagate(instances, bits):
     """The full-pass propagation the tree walks replace: every pass
     re-evaluates every instance."""
     while True:
         changed, branch = False, None
         for c in instances:
-            status, blockers = laws._status(c, bits)
+            status, blockers = _status(c, bits)
             if status == "violated":
                 return False
             if status == "sat":
@@ -410,7 +433,7 @@ def _reference_propagate(instances, bits):
                 feasible = []
                 for v in (0, 1):
                     bits[cell] = v
-                    if laws._status(c, bits)[0] != "violated":
+                    if _status(c, bits)[0] != "violated":
                         feasible.append(v)
                 bits[cell] = None
                 if not feasible:
@@ -426,7 +449,7 @@ def _reference_propagate(instances, bits):
 
 
 def _reference_cubes(selected):
-    instances = laws._instances(selected)
+    instances = _instances(selected)
     cubes = []
 
     def solve(bits):
@@ -447,6 +470,8 @@ def _law_sets():
     every = TABLE2_LAWS + CLASSICAL_ONLY_LAWS
     sets = [()] + [(law,) for law in every]
     sets += [TABLE2_LAWS[:i] + TABLE2_LAWS[i + 1:] for i in range(13)]
+    # instance order decides which instance is the first undecided one
+    sets += [TABLE2_LAWS[::-1], (TABLE2_LAWS[:6] + TABLE2_LAWS[7:])[::-1]]
     rng = random.Random(16)
     sets += [tuple(rng.sample(every, rng.randint(1, len(every))))
              for _ in range(60)]
@@ -463,19 +488,24 @@ class TestWatchedPropagation:
     def test_same_cubes_in_the_same_order(self, selected, monkeypatch):
         # an instance left unwalked only makes the filter branch on a cell
         # it should have forced, whose other child dies at once, so the
-        # cubes alone cannot show it: each node's fixpoint and branch cell
-        # must match as well
+        # cubes alone cannot show it: each node's fixpoint must match, and
+        # its branch cell must block the first undecided instance
+        instances = _instances(selected)
         propagate = laws._propagate
         nodes = 0
 
-        def compared(instances, bits, trees, watchers, dirty):
+        def compared(bits, trees, watchers, dirty):
             nonlocal nodes
             expected_bits = list(bits)
             expected = _reference_propagate(instances, expected_bits)
-            answer = propagate(instances, bits, trees, watchers, dirty)
-            assert answer == expected
+            answer = propagate(bits, trees, watchers, dirty)
+            assert (answer is False) is (expected is False)
             if answer is not False:  # a conflict's partial pins may differ
                 assert bits == expected_bits
+                # None if all hold, else a cell blocking the first undecided
+                statuses = (_status(c, bits) for c in instances)
+                assert answer in next((blockers for status, blockers in statuses
+                                       if status != "sat"), {None})
             nodes += 1
             return answer
 
@@ -492,7 +522,7 @@ class TestLawTrees:
     @pytest.mark.parametrize("law", TABLE2_LAWS + CLASSICAL_ONLY_LAWS,
                              ids=lambda l: l.name)
     def test_walks_agree_with_status(self, law):
-        instances = laws._instances([law])
+        instances = _instances([law])
         assert len(law.trees) == len(instances)
         rng = random.Random(law.name)
         stops = 0
@@ -501,7 +531,7 @@ class TestLawTrees:
             bits = [rng.getrandbits(1) if rng.random() < density else None
                     for _ in range(bd.SR_BITS)]
             for instance, (tree, cells) in zip(instances, law.trees):
-                status, blockers = laws._status(instance, bits)
+                status, blockers = _status(instance, bits)
                 node = laws._walk(tree, bits)
                 if status != "unknown":
                     assert node is (status == "sat")
@@ -514,7 +544,7 @@ class TestLawTrees:
                 for v, child in ((0, low), (1, high)):
                     bits[cell] = v
                     assert (laws._walk(child, bits) is False) == \
-                        (laws._status(instance, bits)[0] == "violated")
+                        (_status(instance, bits)[0] == "violated")
                 bits[cell] = None
         assert stops
 
