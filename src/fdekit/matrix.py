@@ -9,18 +9,19 @@ relist the tables over another order or subset of the values.  One kernel
 computes truth tables as value vectors for consequence, equivalence and the
 law checks, points in `itertools.product` order, and a carrier has at most
 256 values.  Formulas are compiled once, without recursion, into a flat
-`Program` with one step per distinct subterm, which runs on any matrix one
-block of at most `_BLOCK_POINTS` points at a time, in one of two vector
-forms.  A program of at most `_PLANE_POINTS` points runs on `bytes`, one value
-index per point, and a step applies a connective by `bytes.translate`.  A
-larger one runs on bit planes, ints of one bit per point: bit p of plane j is
-bit j of the value index at point p, and a step is a few bitwise operations
-synthesised from the connective's table (`Matrix.circuits`; a table of more
-than 256 cells keeps its matrix on bytes).  A query's mask reads the vectors
-in place, by the program's slots, and the kernel answers with the index of
-the first point it selects, on planes its lowest set bit: the boolean answers
-(`consequence`, `equivalent`, `agrees`) build no assignment, and only a
-countermodel's point becomes one, decoded from its index by `assignments`.
+`Program` with one step per distinct subterm, which `_first_index` runs on
+any matrix in one loop over blocks of at most `_BLOCK_POINTS` points, in one
+of two vector forms chosen once per query.  A program of at most
+`_PLANE_POINTS` points runs on `bytes`, one value index per point, and a step
+applies a connective by `bytes.translate`.  A larger one runs on bit planes,
+ints of one bit per point: bit p of plane j is bit j of the value index at
+point p, and a step is a few bitwise operations synthesised from the
+connective's table (`Matrix.circuits`; a table of more than 256 cells keeps
+its matrix on bytes).  A query's mask reads the vectors in place, by the
+program's slots, and the kernel answers with the index of the first point it
+selects, on planes its lowest set bit: the boolean answers (`consequence`,
+`equivalent`) build no assignment, and only a countermodel's point becomes
+one, decoded from its index by `assignments`.
 A program of two formulas that runs on many matrices, a law's, can be
 turned once by `pair_kernel` into one generated function with a statement
 per step, so no step is dispatched at run time; above `_PLANE_POINTS`
@@ -363,33 +364,44 @@ class _Mask(NamedTuple):
 
 
 def _first_index(m: Matrix, program: Program, mask: _Mask) -> Optional[int]:
-    """The index of the first point that the mask selects, blocks built in
-    order; a program with at most `_BLOCK_POINTS` points is one block, and
-    otherwise each block fixes the fewest leading variables that fit."""
+    """The index of the first point that the mask selects, in one loop over
+    blocks built in order: each block fixes the fewest leading variables
+    that leave it at most `_BLOCK_POINTS` points, so a program of at most
+    that many is one block.  A program of more than `_PLANE_POINTS` points
+    runs on planes if the matrix has circuits, any other on bytes."""
     conns = m.signature.connectives
     for conn, arity in program.connectives:
         if conns.get(conn) != arity:
             _interpreted(m, conn, arity)
-    names, tables = program.names, m.byte_tables
-    nvals, lead = len(m.values), 0
-    npoints = nvals ** len(names)
-    if npoints > _PLANE_POINTS and m.circuits:
-        return _first_on_planes(m, program, mask.on_planes)
-    on_bytes = mask.on_bytes
-    if npoints <= _BLOCK_POINTS:
-        bits = _block(program, tables, nvals, npoints,
-                      list(_projections(nvals, len(names))), on_bytes)
-        return npoints - 1 - (bits.bit_length() - 1) // 8 if bits else None
+    nvals, k, lead = len(m.values), len(program.names), 0
+    npoints = nvals ** k
+    planes = npoints > _PLANE_POINTS and m.circuits is not None
     while npoints > _BLOCK_POINTS:
         lead += 1
         npoints //= nvals
-    tail = _projections(nvals, len(names) - lead)
+    if planes:
+        circuits, width = m.circuits[1], (nvals - 1).bit_length()
+        ones, tail = (1 << npoints) - 1, _plane_projections(nvals, k - lead)
+    else:
+        tail = _projections(nvals, k - lead)
     for i, prefix in enumerate(itertools.product(range(nvals), repeat=lead)):
-        vectors = [bytes([v]) * npoints for v in prefix]
-        vectors += tail
-        bits = _block(program, tables, nvals, npoints, vectors, on_bytes)
-        if bits:
-            return (i + 1) * npoints - 1 - (bits.bit_length() - 1) // 8
+        if planes:  # bit p of plane j is bit j of the index at point p
+            vectors = [tuple(ones * (v >> j & 1) for j in range(width))
+                       for v in prefix]
+            vectors += tail
+            for conn, args in program.steps:
+                vectors.append(circuits[conn](
+                    ones, *[plane for a in args for plane in vectors[a]]))
+            bits = mask.on_planes(vectors, program.slots, ones)
+            if bits:
+                return i * npoints + (bits & -bits).bit_length() - 1
+        else:
+            vectors = [bytes([v]) * npoints for v in prefix]
+            vectors += tail
+            bits = _block(program, m.byte_tables, nvals, npoints, vectors,
+                          mask.on_bytes)
+            if bits:
+                return (i + 1) * npoints - 1 - (bits.bit_length() - 1) // 8
     return None
 
 
@@ -414,30 +426,6 @@ def _block(program: Program, tables: Mapping[str, bytes], nvals: int,
         else:
             append(_compose(table, nvals, npoints, [vectors[a] for a in args]))
     return mask(vectors, program.slots, npoints)
-
-
-def _first_on_planes(m: Matrix, program: Program,
-                     mask: Callable) -> Optional[int]:
-    """`_first_index` on planes, with the same blocks: bit p of plane j is
-    bit j of the value index at the block's point p."""
-    circuits, nvals = m.circuits[1], len(m.values)
-    npoints, lead = nvals ** len(program.names), 0
-    while npoints > _BLOCK_POINTS:
-        lead += 1
-        npoints //= nvals
-    ones, width = (1 << npoints) - 1, (nvals - 1).bit_length()
-    tail = _plane_projections(nvals, len(program.names) - lead)
-    for i, prefix in enumerate(itertools.product(range(nvals), repeat=lead)):
-        vectors = [tuple(ones * (v >> j & 1) for j in range(width))
-                   for v in prefix]
-        vectors += tail
-        for conn, args in program.steps:
-            vectors.append(circuits[conn](
-                ones, *[plane for a in args for plane in vectors[a]]))
-        bits = mask(vectors, program.slots, ones)
-        if bits:
-            return i * npoints + (bits & -bits).bit_length() - 1
-    return None
 
 
 def _refuting(m: Matrix, gamma: Iterable, delta: Iterable) -> tuple:
@@ -480,19 +468,6 @@ def _differing(vectors: list[bytes], slots: tuple, _npoints: int) -> int:
 
 _DIFFERING = _Mask(_differing, lambda vectors, slots, _ones: functools.reduce(
     int.__or__, map(int.__xor__, vectors[slots[0]], vectors[slots[1]])))
-
-
-def first_difference(m: Matrix, program: Program) -> Optional[dict]:
-    """First assignment on which the program's two formulas take different
-    values."""
-    index = _first_index(m, program, _DIFFERING)
-    return None if index is None else next(
-        assignments(m, program.names, index))
-
-
-def agrees(m: Matrix, program: Program) -> bool:
-    """Whether the program's two formulas take the same value everywhere."""
-    return _first_index(m, program, _DIFFERING) is None
 
 
 def pair_kernel(program: Program) -> Callable[[Matrix], Optional[int]]:
@@ -579,11 +554,14 @@ def _pair_source(program: Program) -> str:
 
 def equivalence_countermodel(m: Matrix, a: Formula, b: Formula) -> Optional[dict]:
     """First assignment on which a and b take different values."""
-    return first_difference(m, compile_formulas([a, b]))
+    program = compile_formulas([a, b])
+    index = _first_index(m, program, _DIFFERING)
+    return None if index is None else next(
+        assignments(m, program.names, index))
 
 
 def equivalent(m: Matrix, a: Formula, b: Formula) -> bool:
-    return agrees(m, compile_formulas([a, b]))
+    return _first_index(m, compile_formulas([a, b]), _DIFFERING) is None
 
 
 # ---------------------------------------------------------------------------

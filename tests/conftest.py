@@ -1,7 +1,9 @@
+import itertools
+
 import pytest
 
 from fdekit import matrix
-from fdekit.syntax import App, Var
+from fdekit.syntax import App, Var, variables
 
 
 def _cell(m, conn, args):
@@ -9,6 +11,17 @@ def _cell(m, conn, args):
     names = [f"x{i}" for i in range(len(args))]
     return matrix.evaluate(m, App(conn, tuple(map(Var, names))),
                            dict(zip(names, args)))
+
+
+def _reference_equivalence(m, a, b):
+    """The first assignment, in product order, on which `evaluate` values a
+    and b differently, or None."""
+    names = sorted(variables(a) | variables(b))
+    for combo in itertools.product(m.values, repeat=len(names)):
+        asg = dict(zip(names, combo))
+        if matrix.evaluate(m, a, asg) != matrix.evaluate(m, b, asg):
+            return asg
+    return None
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ from typing import Iterable
 
 import pytest
 
-from conftest import _cell
+from conftest import _cell, _reference_equivalence
 from fdekit import bd, laws, matrix, presets
 from fdekit.bd import CELLS, FREE_BITS, VALUES
 from fdekit.errors import SignatureMismatchError, UnknownNameError
@@ -12,9 +12,8 @@ from fdekit.laws import (
     CLASSICAL_ONLY_LAWS, FAILING_CLASSICAL_LAWS, HOLDING_CLASSICAL_LAWS,
     TABLE2_LAWS, Law, filter_strongly_regular, holds, holds_countermodel,
     law_by_name)
-from fdekit.matrix import (
-    Program, agrees, evaluate, first_difference, matrix_from_json)
-from fdekit.syntax import Var, neg, variables
+from fdekit.matrix import Program, assignments, matrix_from_json
+from fdekit.syntax import Var, neg
 
 M = presets.preset("bd-impl-bot")
 BD_INDEX = 13129950543
@@ -74,17 +73,6 @@ class TestHolds:
             law_by_name("modus-ponens")
 
 
-def _reference_countermodel(m, law):
-    """The first assignment, in product order, where the sides differ."""
-    names = sorted(variables(law.lhs) | variables(law.rhs))
-    for combo in itertools.product(m.values, repeat=len(names)):
-        assignment = dict(zip(names, combo))
-        if evaluate(m, law.lhs, assignment) != evaluate(m, law.rhs,
-                                                        assignment):
-            return assignment
-    return None
-
-
 def _relisted(m, order):
     """m read back from JSON with its carrier listed in `order`."""
     def nest(name, k, args):
@@ -107,7 +95,7 @@ class TestAgainstEvaluate:
         for _ in range(100):
             m = bd.sr_decode(rng.randrange(2 ** 38))
             for law in TABLE2_LAWS + CLASSICAL_ONLY_LAWS:
-                expected = _reference_countermodel(m, law)
+                expected = _reference_equivalence(m, law.lhs, law.rhs)
                 assert holds_countermodel(m, law) == expected, law.name
                 assert holds(m, law) == (expected is None), law.name
                 failing += expected is not None
@@ -129,8 +117,8 @@ class TestAgainstEvaluate:
                 failing += cm is not None
         assert failing
         for law in TABLE2_LAWS + CLASSICAL_ONLY_LAWS:
-            assert holds_countermodel(members[-1], law) \
-                == _reference_countermodel(members[-1], law), law.name
+            assert holds_countermodel(members[-1], law) == \
+                _reference_equivalence(members[-1], law.lhs, law.rhs), law.name
 
     def test_program_compiled_once(self):
         law = law_by_name("de-morgan-and")
@@ -139,13 +127,23 @@ class TestAgainstEvaluate:
 
 
 def _outcomes(m, law):
-    """holds, holds_countermodel, agrees and first_difference of the law on
-    m, each the text of the SignatureMismatchError it raises, if any."""
+    """holds and holds_countermodel of the law on m, then whether
+    `_first_index` finds no point where its program's sides differ and
+    that point decoded through `assignments`; each the text of the
+    SignatureMismatchError it raises, if any."""
+    def first(m, law):
+        return matrix._first_index(m, law.program, matrix._DIFFERING)
+
+    def decoded(m, law):
+        index = first(m, law)
+        return None if index is None else next(
+            assignments(m, law.program.names, index))
+
     out = []
-    for check, arg in ((holds, law), (holds_countermodel, law),
-                       (agrees, law.program), (first_difference, law.program)):
+    for check in (holds, holds_countermodel,
+                  lambda m, law: first(m, law) is None, decoded):
         try:
-            out.append(check(m, arg))
+            out.append(check(m, law))
         except SignatureMismatchError as e:
             out.append(str(e))
     return out
@@ -166,8 +164,8 @@ def _json_member_like(rng, n):
 
 
 class TestLawKernel:
-    """Each law's generated kernel (`Law.kernel`) against `agrees` and
-    `first_difference`, which run the program through `_first_index`."""
+    """Each law's generated kernel (`Law.kernel`) against `_first_index`
+    on the law's program."""
 
     ALL = TABLE2_LAWS + CLASSICAL_ONLY_LAWS
 
@@ -473,8 +471,13 @@ def _law_sets():
     # instance order decides which instance is the first undecided one
     sets += [TABLE2_LAWS[::-1], (TABLE2_LAWS[:6] + TABLE2_LAWS[7:])[::-1]]
     rng = random.Random(16)
-    sets += [tuple(rng.sample(every, rng.randint(1, len(every))))
-             for _ in range(60)]
+    # 60 new sets of 2 laws or more (the singletons are above); () is
+    # taken, so each is drawn at least once
+    for _ in range(60):
+        drawn = ()
+        while drawn in sets:
+            drawn = tuple(rng.sample(every, rng.randint(2, len(every))))
+        sets.append(drawn)
     return sets
 
 
@@ -483,7 +486,7 @@ class TestWatchedPropagation:
     the full-pass one it replaces."""
 
     @pytest.mark.parametrize("selected", _law_sets(),
-                             ids=lambda s: ",".join(l.name for l in s)[:60]
+                             ids=lambda s: ",".join(l.name for l in s)
                              or "none")
     def test_same_cubes_in_the_same_order(self, selected, monkeypatch):
         # an instance left unwalked only makes the filter branch on a cell

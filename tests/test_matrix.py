@@ -12,7 +12,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import _cell
+from conftest import _cell, _reference_equivalence
 from fdekit import bd, laws, matrix, presets
 from fdekit.definability import synonymous
 from fdekit.errors import (
@@ -142,15 +142,6 @@ def _reference_consequence(m, gamma, delta):
         if all(evaluate(m, f, a) in m.designated for f in gamma) and not any(
                 evaluate(m, f, a) in m.designated for f in delta):
             return a
-    return None
-
-
-def _reference_equivalence(m, a, b):
-    names = sorted(variables(a) | variables(b))
-    for combo in itertools.product(m.values, repeat=len(names)):
-        asg = dict(zip(names, combo))
-        if evaluate(m, a, asg) != evaluate(m, b, asg):
-            return asg
     return None
 
 
@@ -566,6 +557,22 @@ class TestPointIndices:
                 assert list(cm) == names
                 assert evaluate(m, a, cm) != evaluate(m, b, cm)
         assert later
+
+    def test_bytes_across_blocks(self, monkeypatch):
+        # the 625-cell m4 leaves WIDE_TABLE no circuits, so seven variables
+        # take five blocks of 5^6 points on bytes; p1 in gamma puts the
+        # first countermodel past the first block
+        m, ps = WIDE_TABLE, [Var(f"p{i}") for i in range(8)]
+        assert m.circuits is None
+        gamma = [ps[1], App("m4", (ps[2], neg(ps[3]), conj(ps[4], ps[5]),
+                                   neg(ps[6]))), neg(ps[7])]
+        delta = [conj(ps[2], ps[4]), App("m4", (ps[3], ps[6], ps[7], ps[5]))]
+        cm = consequence_countermodel(m, gamma, delta)
+        assert cm["p1"] == "v3"
+        assert all(evaluate(m, f, cm) in m.designated for f in gamma)
+        assert not any(evaluate(m, f, cm) in m.designated for f in delta)
+        monkeypatch.setattr(matrix, "_BLOCK_POINTS", 5 ** 7)
+        assert consequence_countermodel(m, gamma, delta) == cm
 
     def test_nullary_steps_off_index_zero(self):
         # B and N are b and n, value indices 2 and 3, and bot is f
